@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .cns import DEFAULT_MAX_STEPS, CnsDigits, cns_encode, reduce_digits
+from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
+                  cns_encode, reduce_digits)
 from .negabase import CnsBase, Representation, encode_negabase, format_digits, parse_digits
 from .poly import IntPoly, divides_xd_plus_c, has_simple_roots
 
@@ -132,7 +133,9 @@ def build_scheme(p: IntPoly, c: int, d: int,
 
     Hypotheses are tested in a fixed order: monicity, constant term,
     simple roots, divisibility of X^d + c, d against deg(p), then the
-    digit blocks in increasing digit order.
+    digit blocks in increasing digit order.  A digit whose expansion the
+    step budget cannot settle raises StepBudgetError: that is no
+    violation of any hypothesis.
     """
     if c < 1 or d < 1:
         raise ValueError("c and d must be positive")
@@ -143,7 +146,9 @@ def build_scheme(p: IntPoly, c: int, d: int,
     lengths: list[int] = []
     for i in range(c):
         outcome = cns_encode(i, p, max_steps)
-        if not isinstance(outcome, CnsDigits):
+        if isinstance(outcome, CnsExhausted):
+            raise StepBudgetError(f"no decision for digit {i} within {max_steps} steps")
+        if isinstance(outcome, CnsNotRepresentable):
             return SchemeViolation(ViolationKind.DIGIT_NOT_REPRESENTABLE, digit=i)
         digits = outcome.representation.digits
         if len(digits) > d:

@@ -48,14 +48,12 @@ def lift_representation(rep: Representation, k: int) -> Representation:
 
 
 def seq_a(n: int) -> int:
-    """a(0) = 0 and a(n) = a(n-1) + (-1)^n + 2: the integers that are
-    0 or 1 mod 4, in increasing order."""
+    """a(n) = 2n - (n mod 2), the closed form of a(0) = 0 and
+    a(n) = a(n-1) + (-1)^n + 2: the integers that are 0 or 1 mod 4, in
+    increasing order."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    value = 0
-    for i in range(1, n + 1):
-        value += 1 if i % 2 else 3
-    return value
+    return 2 * n - n % 2
 
 
 def seq_c(n: int) -> int:
@@ -88,13 +86,7 @@ def seq_values(which: SequenceId, count: int) -> list[int]:
     if count < 0:
         raise ValueError("count must be nonnegative")
     if which is SequenceId.A:
-        values = []
-        value = 0
-        for i in range(count):
-            if i:
-                value += 1 if i % 2 else 3
-            values.append(value)
-        return values
+        return [seq_a(n) for n in range(count)]
     if which is SequenceId.B:
         return [seq_b(n) for n in range(count)]
     return [seq_c(n) for n in range(1, count + 1)]
@@ -107,11 +99,4 @@ def trinomial_length_set(m: int, count: int) -> list[int]:
         raise ValueError("m must be positive")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out: list[int] = []
-    value = 0
-    n = 0
-    while len(out) < count:
-        n += 1
-        value += 1 if n % 2 else 3
-        out.append(m * (value - 1) + 1)
-    return out
+    return [m * (seq_a(n) - 1) + 1 for n in range(1, count + 1)]

@@ -14,11 +14,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsNotRepresentable, cns_encode,
-                  cns_length)
-from .negabase import extremal_of_length, length_negabase
+from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable,
+                  NotRepresentableError, StepBudgetError, cns_encode, cns_length)
+from .negabase import Representation, extremal_of_length, length_negabase
 from .penney import (PenneyScheme, SchemeViolation, ViolationKind, build_scheme,
                      convert, leading_digit_length, penney_standard,
                      predicted_length)
@@ -123,8 +123,29 @@ def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _table_chunk(args: tuple[tuple[int, ...], int, int, int]) -> dict[int, int]:
-    coeffs, lo, hi, max_steps = args
+def _map_range(chunk_fn: Callable, lo: int, hi: int, jobs: int, *extra) -> list:
+    """chunk_fn((start, end, *extra)) over consecutive chunks of lo..hi, in
+    order; with jobs > 1 the chunks run in that many worker processes."""
+    chunks = [(start, end, *extra)
+              for start, end in _split_range(lo, hi, jobs * 4 if jobs > 1 else 1)]
+    if jobs <= 1:
+        return [chunk_fn(chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(chunk_fn, chunks))
+
+
+def _expansion(z: int, p: IntPoly, max_steps: int) -> Representation:
+    """Canonical expansion of z over p, raising where cns_length would."""
+    outcome = cns_encode(z, p, max_steps)
+    if isinstance(outcome, CnsExhausted):
+        raise StepBudgetError(f"no decision for {z} within {max_steps} steps")
+    if isinstance(outcome, CnsNotRepresentable):
+        raise NotRepresentableError(f"{z} has no canonical expansion over {p}")
+    return outcome.representation
+
+
+def _table_chunk(args: tuple[int, int, tuple[int, ...], int]) -> dict[int, int]:
+    lo, hi, coeffs, max_steps = args
     p = IntPoly(coeffs)
     return {z: cns_length(z, p, max_steps) for z in range(lo, hi + 1)}
 
@@ -139,14 +160,9 @@ def compute_length_table(p: IntPoly, bound: int, *,
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if jobs <= 1:
-        return _table_chunk((p.coeffs, -bound, bound, max_steps))
-    table: dict[int, int] = {}
-    chunks = _split_range(-bound, bound, jobs * 4)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        args = [(p.coeffs, lo, hi, max_steps) for lo, hi in chunks]
-        for part in pool.map(_table_chunk, args):
-            table.update(part)
+    table, *rest = _map_range(_table_chunk, -bound, bound, jobs, p.coeffs, max_steps)
+    for part in rest:
+        table.update(part)
     return table
 
 
@@ -155,8 +171,7 @@ def _formula_chunk(args: tuple[int, int, int]) -> list[list]:
     scheme = penney_standard()
     bad = []
     for z in range(lo, hi + 1):
-        outcome = cns_encode(z, STANDARD_POLY, max_steps)
-        direct = outcome.representation
+        direct = _expansion(z, STANDARD_POLY, max_steps)
         substituted = convert(z, scheme)
         predicted = predicted_length(z, scheme)
         if direct.digits != substituted.digits or predicted != direct.length:
@@ -171,42 +186,28 @@ def check_length_formula(bound: int = FORMULA_BOUND, *,
     extraction digit for digit, and the length matches
     d * (negabase length - 1) + leading block length."""
     t0 = time.perf_counter()
-    chunks = _split_range(-bound, bound, jobs * 4 if jobs > 1 else 1)
-    args = [(lo, hi, max_steps) for lo, hi in chunks]
-    if jobs <= 1:
-        parts = [_formula_chunk(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_formula_chunk, args))
+    parts = _map_range(_formula_chunk, -bound, bound, jobs, max_steps)
     counterexamples = sorted((c for part in parts for c in part), key=lambda c: c[0])
     params = {"bound": bound, "max_steps": max_steps}
     return _finish("length_formula", params, counterexamples, [], t0)
 
 
-def _expected_a_prefix(limit: int) -> list[int]:
-    # a(1), a(2), ... while <= limit
-    out = []
-    value = 0
-    n = 0
-    while True:
-        n += 1
-        value += 1 if n % 2 else 3
-        if value > limit:
-            return out
-        out.append(value)
+def _lengths_by_sign(lengths: Mapping[int, int]) -> tuple[list[int], list[int]]:
+    """Sorted distinct lengths attained on the positives and on the negatives."""
+    pos = sorted({L for z, L in lengths.items() if z > 0})
+    neg = sorted({L for z, L in lengths.items() if z < 0})
+    return pos, neg
 
 
 def check_length_set(bound: int = SWEEP_BOUND, prefix_len: int = 10, *,
-                     lengths: Mapping[int, int] | None = None,
-                     max_steps: int = DEFAULT_MAX_STEPS,
-                     jobs: int = 1) -> VerificationReport:
+                     lengths: Mapping[int, int]) -> VerificationReport:
     """Attained expansion lengths over |z| <= bound form exactly a prefix of
     the increasing integers that are 0 or 1 mod 4 (zero excluded)."""
     t0 = time.perf_counter()
-    if lengths is None:
-        lengths = compute_length_table(STANDARD_POLY, bound, max_steps=max_steps, jobs=jobs)
     attained = sorted(set(lengths.values()))
-    expected = _expected_a_prefix(attained[-1]) if attained else []
+    top = attained[-1] if attained else 0
+    # a(n) >= n, so indices up to top reach every a(n) <= top
+    expected = [v for v in map(seq_a, range(1, top + 1)) if v <= top]
     counterexamples = []
     for L in attained:
         if L % 4 not in (0, 1):
@@ -224,16 +225,11 @@ def check_length_set(bound: int = SWEEP_BOUND, prefix_len: int = 10, *,
 
 
 def check_sign_disjoint(bound: int = SWEEP_BOUND, *,
-                        lengths: Mapping[int, int] | None = None,
-                        max_steps: int = DEFAULT_MAX_STEPS,
-                        jobs: int = 1) -> VerificationReport:
+                        lengths: Mapping[int, int]) -> VerificationReport:
     """Positive and negative integers attain disjoint length sets:
     1 or 4 mod 8 on the positives, 5 or 0 mod 8 on the negatives."""
     t0 = time.perf_counter()
-    if lengths is None:
-        lengths = compute_length_table(STANDARD_POLY, bound, max_steps=max_steps, jobs=jobs)
-    pos = sorted({L for z, L in lengths.items() if z > 0})
-    neg = sorted({L for z, L in lengths.items() if z < 0})
+    pos, neg = _lengths_by_sign(lengths)
     counterexamples = []
     for L in sorted(set(pos) & set(neg)):
         counterexamples.append(["shared_length", L])
@@ -285,17 +281,12 @@ def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH, *,
 
 
 def check_pair_subsequences(count: int = PAIR_COUNT, bound: int = SWEEP_BOUND, *,
-                            lengths: Mapping[int, int] | None = None,
-                            max_steps: int = DEFAULT_MAX_STEPS,
-                            jobs: int = 1) -> VerificationReport:
+                            lengths: Mapping[int, int]) -> VerificationReport:
     """Sorted attained lengths interleave in pairs: positives take the
     (4n-3, 4n-2)-th members of the mod-4 sequence, negatives the
     (4n-1, 4n)-th, verified for the first count pairs on each side."""
     t0 = time.perf_counter()
-    if lengths is None:
-        lengths = compute_length_table(STANDARD_POLY, bound, max_steps=max_steps, jobs=jobs)
-    pos = sorted({L for z, L in lengths.items() if z > 0})
-    neg = sorted({L for z, L in lengths.items() if z < 0})
+    pos, neg = _lengths_by_sign(lengths)
     counterexamples = []
     witnesses = []
     for side, attained, indices in (
@@ -324,14 +315,10 @@ def check_pair_subsequences(count: int = PAIR_COUNT, bound: int = SWEEP_BOUND, *
 
 
 def check_gap3(bound: int = SWEEP_BOUND, *,
-               lengths: Mapping[int, int] | None = None,
-               max_steps: int = DEFAULT_MAX_STEPS,
-               jobs: int = 1) -> VerificationReport:
+               lengths: Mapping[int, int]) -> VerificationReport:
     """Walking away from zero on either side, the expansion length never
     increases by less than 3 between consecutive distinct values."""
     t0 = time.perf_counter()
-    if lengths is None:
-        lengths = compute_length_table(STANDARD_POLY, bound, max_steps=max_steps, jobs=jobs)
     counterexamples = []
     for side, values in (("positive", range(1, bound + 1)),
                          ("negative", range(-1, -bound - 1, -1))):
@@ -354,6 +341,18 @@ def _sample_pairs(count: int, seed: int, bound: int) -> list[tuple[int, int]]:
         if x and y:
             pairs.append((x, y))
     return pairs
+
+
+def _sweep_pairs(probe: Callable[[int, int], None], grid_bound: int,
+                 samples: int, seed: int, sample_bound: int) -> None:
+    """probe(x, y) on the nonzero grid |x|, |y| <= grid_bound, row by row,
+    then on the seeded random pairs."""
+    nonzero = [v for v in range(-grid_bound, grid_bound + 1) if v]
+    for x in nonzero:
+        for y in nonzero:
+            probe(x, y)
+    for x, y in _sample_pairs(samples, seed, sample_bound):
+        probe(x, y)
 
 
 def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
@@ -396,14 +395,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
         elif value in (-2, 7) and len(equality_hits) < MAX_RECORDED:
             equality_hits.append([x, y, value])
 
-    for x in range(-grid_bound, grid_bound + 1):
-        if x == 0:
-            continue
-        for y in range(-grid_bound, grid_bound + 1):
-            if y:
-                probe(x, y)
-    for x, y in _sample_pairs(samples, seed, sample_bound):
-        probe(x, y)
+    _sweep_pairs(probe, grid_bound, samples, seed, sample_bound)
     witnesses.extend(equality_hits)
 
     # pairs with a zero member collapse to lam(0) + lam(y) - lam(0) = lam(y)
@@ -463,14 +455,7 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
             counterexamples.append(["product", x, y, lx, ly,
                                     lx + ly + product_excess])
 
-    for x in range(-grid_bound, grid_bound + 1):
-        if x == 0:
-            continue
-        for y in range(-grid_bound, grid_bound + 1):
-            if y:
-                probe(x, y)
-    for x, y in _sample_pairs(samples, seed, sample_bound):
-        probe(x, y)
+    _sweep_pairs(probe, grid_bound, samples, seed, sample_bound)
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
               "sample_bound": sample_bound,
               "max_sum_excess": max_sum_excess,
@@ -491,10 +476,7 @@ def digit_sum_probe(z: int, max_iter: int = 48, *,
     """
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
-    outcome = cns_encode(z, STANDARD_POLY, max_steps)
-    if not isinstance(outcome, CnsDigits):
-        raise ValueError(f"no expansion for {z}")
-    digit_sum = sum(outcome.representation.digits)
+    digit_sum = sum(_expansion(z, STANDARD_POLY, max_steps).digits)
     gap = z - digit_sum
     if (2 * gap) % 10:
         raise ArithmeticError(
@@ -519,8 +501,7 @@ def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
     t0 = time.perf_counter()
     counterexamples = []
     for z in range(-bound, bound + 1):
-        outcome = cns_encode(z, STANDARD_POLY, max_steps)
-        digit_sum = sum(outcome.representation.digits)
+        digit_sum = sum(_expansion(z, STANDARD_POLY, max_steps).digits)
         if (2 * (z - digit_sum)) % 10:
             counterexamples.append([z, digit_sum])
     stabilized = 0
@@ -540,11 +521,11 @@ def check_scheme_counterexample(*, max_steps: int = DEFAULT_MAX_STEPS) -> Verifi
     witnesses = []
     for value in sorted(COUNTEREXAMPLE_EXPANSIONS):
         expect = COUNTEREXAMPLE_EXPANSIONS[value]
-        outcome = cns_encode(value, COUNTEREXAMPLE_POLY, max_steps)
-        if not isinstance(outcome, CnsDigits):
+        try:
+            got = _expansion(value, COUNTEREXAMPLE_POLY, max_steps).digit_string()
+        except NotRepresentableError:
             counterexamples.append([value, "not_representable"])
             continue
-        got = outcome.representation.digit_string()
         if got != expect:
             counterexamples.append([value, got, expect])
         else:
@@ -588,44 +569,27 @@ def run_suite(names: Iterable[str] = ("all",), *,
         else:
             raise ValueError(f"unknown suite {name!r}")
     ordered = [s for s in SUITE_ORDER if s in selected]
-    lengths: dict[int, int] | None = None
+    lengths: dict[int, int] = {}
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
         lengths = compute_length_table(STANDARD_POLY, sweep_bound,
                                        max_steps=max_steps, jobs=jobs)
     scheme = penney_standard()
-    reports = []
-    for name in ordered:
-        if name == "i":
-            reports.append(check_length_formula(formula_bound, max_steps=max_steps,
-                                                jobs=jobs))
-        elif name == "ii":
-            reports.append(check_length_set(sweep_bound, lengths=lengths,
-                                            max_steps=max_steps, jobs=jobs))
-        elif name == "iii":
-            reports.append(check_sign_disjoint(sweep_bound, lengths=lengths,
-                                               max_steps=max_steps, jobs=jobs))
-        elif name == "iv":
-            reports.append(check_boundary_jumps(boundary_max_length, scheme=scheme,
-                                                max_steps=max_steps))
-        elif name == "v":
-            reports.append(check_pair_subsequences(pair_count, sweep_bound,
-                                                   lengths=lengths,
-                                                   max_steps=max_steps, jobs=jobs))
-        elif name == "vi":
-            reports.append(check_gap3(sweep_bound, lengths=lengths,
-                                      max_steps=max_steps, jobs=jobs))
-        elif name == "vii":
-            reports.append(check_lambda_bounds(samples, seed, grid_bound=grid_bound,
-                                               sample_bound=sample_bound,
-                                               scheme=scheme))
-        elif name == "viii":
-            reports.append(check_additive_bounds(samples, seed,
-                                                 grid_bound=grid_bound,
-                                                 sample_bound=sample_bound,
-                                                 lengths=lengths,
-                                                 max_steps=max_steps))
-        elif name == "ix":
-            reports.append(check_digit_sums(digit_sum_bound, max_steps=max_steps))
-        elif name == "remark":
-            reports.append(check_scheme_counterexample(max_steps=max_steps))
-    return reports
+    # each entry looks its check up when it runs, so a wrapper patched onto
+    # the module-level name is the one called
+    suite = {
+        "i": lambda: check_length_formula(formula_bound, max_steps=max_steps, jobs=jobs),
+        "ii": lambda: check_length_set(sweep_bound, lengths=lengths),
+        "iii": lambda: check_sign_disjoint(sweep_bound, lengths=lengths),
+        "iv": lambda: check_boundary_jumps(boundary_max_length, scheme=scheme,
+                                           max_steps=max_steps),
+        "v": lambda: check_pair_subsequences(pair_count, sweep_bound, lengths=lengths),
+        "vi": lambda: check_gap3(sweep_bound, lengths=lengths),
+        "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound,
+                                           sample_bound=sample_bound, scheme=scheme),
+        "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
+                                              sample_bound=sample_bound,
+                                              lengths=lengths, max_steps=max_steps),
+        "ix": lambda: check_digit_sums(digit_sum_bound, max_steps=max_steps),
+        "remark": lambda: check_scheme_counterexample(max_steps=max_steps),
+    }
+    return [suite[name]() for name in ordered]

@@ -176,6 +176,21 @@ def test_verify_report_file(tmp_path, capsys):
         assert record["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "i", "--range", "50", "--max-steps", "5"],
+    ["verify", "--suite", "ix", "--range", "50", "--max-steps", "5"],
+    ["verify", "--suite", "remark", "--max-steps", "5"],
+    ["scheme", "--max-steps", "1"],
+    ["convert", "--value", "5", "--max-steps", "1"],
+])
+def test_budget_exhaustion_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: no decision for ")
+    assert err.count("\n") == 1
+
+
 def test_stdout_is_reproducible(capsys):
     argv = ["verify", "--suite", "vii", "--samples", "300"]
     first = run(capsys, *argv)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnskit.cns import CnsDigits, cns_encode
+from cnskit.cns import CnsDigits, StepBudgetError, cns_encode
 from cnskit.negabase import encode_negabase, length_negabase
 from cnskit.penney import (PenneyScheme, SchemeViolation, ViolationKind,
                            build_scheme, convert, leading_digit_length,
@@ -52,6 +52,12 @@ def test_block_too_long_witness():
     assert result.digit == 56
     assert result.block_length == 7
     assert "56" in result.describe()
+
+
+def test_exhausted_budget_is_not_a_violation():
+    """Digit 2 needs 4 steps; one step decides nothing about it."""
+    with pytest.raises(StepBudgetError, match="digit 2 within 1 steps"):
+        build_scheme(P, 4, 4, max_steps=1)
 
 
 def test_wider_windows_also_fail_for_hard_bases():

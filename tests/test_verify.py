@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import cnskit.verify
 from cnskit.poly import IntPoly
 from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, VerificationReport,
                            check_additive_bounds, check_boundary_jumps,
@@ -162,6 +163,21 @@ def test_run_suite_order_and_selection():
         "boundary_jumps", "digit_sums", "scheme_counterexample"]
     with pytest.raises(ValueError):
         run_suite(["nope"])
+
+
+def test_run_suite_calls_the_module_level_check(monkeypatch):
+    """A wrapper patched onto cnskit.verify.check_gap3 is what run_suite
+    calls; tracing a verify run relies on this."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return check_gap3(*args, **kwargs)
+
+    monkeypatch.setattr(cnskit.verify, "check_gap3", wrapper)
+    reports = run_suite(["vi"], sweep_bound=100)
+    assert calls == [(100,)]
+    assert [r.check_id for r in reports] == ["gap3"]
 
 
 def test_run_suite_small_all_is_deterministic():
