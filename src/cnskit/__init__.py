@@ -12,7 +12,7 @@ rational arithmetic; there is no floating point anywhere.
 from .cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted,
                   CnsNotRepresentable, CnsOutcome, NotRepresentableError,
                   Residue, StepBudgetError, brute_force_oracle, cns_decode,
-                  cns_encode, cns_length, reduce_digits)
+                  cns_encode, cns_length, expansion_of, reduce_digits)
 from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
                        encode_negabase, extremal_of_length, format_digits,
                        length_negabase, parse_digits)
@@ -38,7 +38,7 @@ __all__ = [
     "DEFAULT_MAX_STEPS", "CnsDigits", "CnsExhausted", "CnsNotRepresentable",
     "CnsOutcome", "NotRepresentableError", "Residue", "StepBudgetError",
     "brute_force_oracle", "cns_decode", "cns_encode", "cns_length",
-    "reduce_digits",
+    "expansion_of", "reduce_digits",
     "CnsBase", "NegaBase", "Representation", "decode_negabase",
     "encode_negabase", "extremal_of_length", "format_digits",
     "length_negabase", "parse_digits",

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
-from .cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted,
-                  CnsNotRepresentable, NotRepresentableError, StepBudgetError,
-                  cns_decode, cns_encode)
+from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError,
+                  cns_decode, cns_encode, expansion_of)
 from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
                        encode_negabase)
-from .penney import SchemeViolation, build_scheme, convert, predicted_length
+from .penney import (STANDARD_POLY, SchemeViolation, build_scheme, convert,
+                     predicted_length)
 from .poly import IntPoly, compose_x_power
 from .trinomial import SequenceId, lift_representation, seq_values
 from .verify import DEFAULT_SEED, SAMPLE_COUNT, run_suite
-
-STANDARD_POLY_TEXT = "2,2,1"
 
 
 def _poly_arg(text: str) -> IntPoly:
@@ -44,40 +43,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_output_flags(sub: argparse.ArgumentParser, pretty: bool = True) -> None:
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true",
                        help="emit one JSON object instead of plain text")
-    if pretty:
-        group.add_argument("--pretty", action="store_true",
-                           help="wrap digit strings as (digits)_base")
+    group.add_argument("--pretty", action="store_true",
+                       help="wrap digit strings as (digits)_base")
 
 
-def _print_representation(rep: Representation, args: argparse.Namespace,
-                          payload: dict) -> None:
-    if args.json:
-        payload["digits"] = rep.digit_string()
-        payload["length"] = rep.length
-        print(json.dumps(payload))
-    elif getattr(args, "pretty", False):
-        print(rep.pretty())
-    else:
-        print(rep.digit_string())
+def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+    print(json.dumps(payload) if args.json else text)
+
+
+def _emit_digits(args: argparse.Namespace, payload: dict, rep: Representation,
+                 prefix: str = "") -> None:
+    """_emit for an expansion, whose digits and length join the payload."""
+    payload[prefix + "digits"] = rep.digit_string()
+    payload[prefix + "length"] = rep.length
+    _emit(args, payload, rep.pretty() if args.pretty else rep.digit_string())
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     outcome = cns_encode(args.value, args.poly, args.max_steps)
-    if isinstance(outcome, CnsExhausted):
-        print(f"error: no decision for {args.value} within {args.max_steps} steps",
-              file=sys.stderr)
-        return 3
-    if isinstance(outcome, CnsNotRepresentable):
-        print(f"error: {args.value} is not representable over "
-              f"{args.poly.to_string()} (cycle residue {outcome.cycle.coeffs})",
-              file=sys.stderr)
-        return 1
-    payload = {"poly": args.poly.to_string(), "value": args.value}
-    _print_representation(outcome.representation, args, payload)
+    rep = expansion_of(outcome, args.value, args.poly)
+    _emit_digits(args, {"poly": args.poly.to_string(), "value": args.value}, rep)
     return 0
 
 
@@ -89,42 +78,30 @@ def _cmd_decode(args: argparse.Namespace) -> int:
               f"{residue.coeffs} over {args.poly.to_string()}", file=sys.stderr)
         return 1
     value = residue.constant_value()
-    if args.json:
-        print(json.dumps({"poly": args.poly.to_string(),
-                          "digits": rep.digit_string(), "value": value}))
-    else:
-        print(value)
+    _emit(args, {"poly": args.poly.to_string(), "digits": rep.digit_string(),
+                 "value": value}, str(value))
     return 0
 
 
 def _cmd_negabase(args: argparse.Namespace) -> int:
-    base = NegaBase(args.base)
     if args.value is not None:
         rep = encode_negabase(args.value, args.base)
-        payload = {"base": args.base, "value": args.value}
-        _print_representation(rep, args, payload)
+        _emit_digits(args, {"base": args.base, "value": args.value}, rep)
     else:
-        rep = Representation.from_string(base, args.digits)
+        rep = Representation.from_string(NegaBase(args.base), args.digits)
         value = decode_negabase(rep)
-        if args.json:
-            print(json.dumps({"base": args.base, "digits": rep.digit_string(),
-                              "value": value}))
-        else:
-            print(value)
+        _emit(args, {"base": args.base, "digits": rep.digit_string(), "value": value},
+              str(value))
     return 0
 
 
 def _scheme_or_fail(args: argparse.Namespace):
     result = build_scheme(args.poly, args.c, args.d, args.max_steps)
     if isinstance(result, SchemeViolation):
-        if args.json:
-            print(json.dumps({"poly": args.poly.to_string(), "c": args.c,
-                              "d": args.d, "violation": {
-                                  "kind": result.kind.value,
-                                  "digit": result.digit,
-                                  "block_length": result.block_length}}))
-        else:
-            print(f"violation {result.describe()}")
+        violation = {"kind": result.kind.value, "digit": result.digit,
+                     "block_length": result.block_length}
+        _emit(args, {"poly": args.poly.to_string(), "c": args.c, "d": args.d,
+                     "violation": violation}, f"violation {result.describe()}")
         return None
     return result
 
@@ -133,11 +110,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     scheme = _scheme_or_fail(args)
     if scheme is None:
         return 1
-    rep = convert(args.value, scheme)
     payload = {"poly": args.poly.to_string(), "c": args.c, "d": args.d,
                "value": args.value,
                "predicted_length": predicted_length(args.value, scheme)}
-    _print_representation(rep, args, payload)
+    _emit_digits(args, payload, convert(args.value, scheme))
     return 0
 
 
@@ -145,39 +121,26 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     scheme = _scheme_or_fail(args)
     if scheme is None:
         return 1
-    if args.json:
-        print(json.dumps(scheme.to_dict()))
-    else:
-        print(f"base {args.poly.to_string()} c {scheme.c} d {scheme.d}")
-        blocks = scheme.to_dict()["blocks"]
-        for i, block in enumerate(blocks):
-            print(f"{i} = {block} (length {scheme.block_lengths[i]})")
+    table = scheme.to_dict()
+    lines = [f"base {args.poly.to_string()} c {scheme.c} d {scheme.d}"]
+    for i, block in enumerate(table["blocks"]):
+        lines.append(f"{i} = {block} (length {scheme.block_lengths[i]})")
+    _emit(args, table, "\n".join(lines))
     return 0
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
     rep = Representation.from_string(CnsBase(args.poly), args.digits)
     lifted = lift_representation(rep, args.k)
-    if args.json:
-        print(json.dumps({"poly": args.poly.to_string(), "k": args.k,
-                          "digits": rep.digit_string(),
-                          "lifted_poly": compose_x_power(args.poly, args.k).to_string(),
-                          "lifted_digits": lifted.digit_string(),
-                          "lifted_length": lifted.length}))
-    elif args.pretty:
-        print(lifted.pretty())
-    else:
-        print(lifted.digit_string())
+    payload = {"poly": args.poly.to_string(), "k": args.k, "digits": rep.digit_string(),
+               "lifted_poly": compose_x_power(args.poly, args.k).to_string()}
+    _emit_digits(args, payload, lifted, prefix="lifted_")
     return 0
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     values = seq_values(SequenceId(args.name), args.count)
-    if args.json:
-        print(json.dumps({"name": args.name, "values": values}))
-    else:
-        for value in values:
-            print(value)
+    _emit(args, {"name": args.name, "values": values}, "\n".join(map(str, values)))
     return 0
 
 
@@ -190,13 +153,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.range is not None:
         kwargs.update(sweep_bound=args.range, formula_bound=args.range,
                       digit_sum_bound=args.range)
-    reports = run_suite(names, **kwargs)
-    for report in reports:
-        print(report.summary())
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            for report in reports:
-                handle.write(json.dumps(report.to_json_dict()) + "\n")
+    # opened first, so an unwritable path fails before any check runs
+    with open(args.report or os.devnull, "w", encoding="utf-8") as handle:
+        reports = run_suite(names, **kwargs)
+        for report in reports:
+            print(report.summary())
+            handle.write(json.dumps(report.to_json_dict()) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -207,15 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     encode = commands.add_parser("encode", help="expand an integer over a base polynomial")
-    encode.add_argument("--poly", type=_poly_arg, default=IntPoly.from_string(STANDARD_POLY_TEXT),
-                        help="coefficients, constant first (default %s)" % STANDARD_POLY_TEXT)
+    encode.add_argument("--poly", type=_poly_arg, default=STANDARD_POLY,
+                        help=f"coefficients, constant first (default {STANDARD_POLY})")
     encode.add_argument("--value", type=int, required=True)
     encode.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
     _add_output_flags(encode)
     encode.set_defaults(handler=_cmd_encode)
 
     decode = commands.add_parser("decode", help="read a digit string back to an integer")
-    decode.add_argument("--poly", type=_poly_arg, default=IntPoly.from_string(STANDARD_POLY_TEXT))
+    decode.add_argument("--poly", type=_poly_arg, default=STANDARD_POLY)
     decode.add_argument("--digits", required=True,
                         help="most significant digit first; dot-separate digits above 9")
     decode.add_argument("--json", action="store_true")
@@ -231,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     negabase.set_defaults(handler=_cmd_negabase)
 
     def add_scheme_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--poly", type=_poly_arg,
-                         default=IntPoly.from_string(STANDARD_POLY_TEXT))
+        sub.add_argument("--poly", type=_poly_arg, default=STANDARD_POLY)
         sub.add_argument("--c", type=_positive_int, default=4)
         sub.add_argument("--d", type=_positive_int, default=4)
         sub.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
@@ -251,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lift = commands.add_parser("lift",
                                help="reindex digits onto the base with X replaced by X^k")
-    lift.add_argument("--poly", type=_poly_arg, default=IntPoly.from_string(STANDARD_POLY_TEXT))
+    lift.add_argument("--poly", type=_poly_arg, default=STANDARD_POLY)
     lift.add_argument("--digits", required=True)
     lift.add_argument("--k", type=_positive_int, required=True)
     _add_output_flags(lift)

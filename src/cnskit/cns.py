@@ -24,6 +24,9 @@ DEFAULT_MAX_STEPS = 10_000
 # Guard for the exhaustive oracle; radix**max_len strings get enumerated.
 _ORACLE_NODE_LIMIT = 20_000_000
 
+# error messages abbreviate integers longer than this many decimal digits
+_MESSAGE_DIGITS = 40
+
 
 class NotRepresentableError(ValueError):
     """The integer admits no canonical digit expansion in the given base."""
@@ -164,14 +167,33 @@ def cns_decode(rep: Representation) -> Residue:
     return reduce_digits(rep.digits, rep.base.poly)
 
 
+def _brief(z: int) -> str:
+    """z in decimal; beyond 40 digits, its leading digits and digit count."""
+    magnitude = abs(z)
+    if magnitude < 10 ** _MESSAGE_DIGITS:
+        return str(z)
+    # count the digits without str(z), which refuses beyond 4300 digits
+    count = int(magnitude.bit_length() * 0.30103) - 1
+    while 10 ** count <= magnitude:
+        count += 1
+    leading = magnitude // 10 ** (count - _MESSAGE_DIGITS // 2)
+    return f"{'-' if z < 0 else ''}{leading}... ({count} digits)"
+
+
+def expansion_of(outcome: CnsOutcome, z: int, p: IntPoly) -> Representation:
+    """The expansion in an encoder outcome for z over p; the other two
+    outcomes raise NotRepresentableError or StepBudgetError."""
+    if isinstance(outcome, CnsDigits):
+        return outcome.representation
+    if isinstance(outcome, CnsNotRepresentable):
+        raise NotRepresentableError(f"{_brief(z)} is not representable over {p} "
+                                    f"(cycle residue {outcome.cycle.coeffs})")
+    raise StepBudgetError(f"no decision for {_brief(z)} within {outcome.max_steps} steps")
+
+
 def cns_length(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> int:
     """Digit count of the canonical expansion; zero counts as one digit."""
-    outcome = cns_encode(z, p, max_steps)
-    if isinstance(outcome, CnsDigits):
-        return outcome.representation.length
-    if isinstance(outcome, CnsNotRepresentable):
-        raise NotRepresentableError(f"{z} has no canonical expansion over {p}")
-    raise StepBudgetError(f"no decision for {z} within {max_steps} steps")
+    return expansion_of(cns_encode(z, p, max_steps), z, p).length
 
 
 def brute_force_oracle(z: int, p: IntPoly, max_len: int) -> Representation | None:

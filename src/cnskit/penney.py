@@ -20,6 +20,9 @@ from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudg
 from .negabase import CnsBase, Representation, encode_negabase, format_digits, parse_digits
 from .poly import IntPoly, divides_xd_plus_c, has_simple_roots
 
+# X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
+STANDARD_POLY = IntPoly((2, 2, 1))
+
 
 class ViolationKind(Enum):
     NOT_MONIC = "not_monic"
@@ -163,7 +166,7 @@ def build_scheme(p: IntPoly, c: int, d: int,
 
 def penney_standard() -> PenneyScheme:
     """The quadratic scheme with c = d = 4 over X^2 + 2X + 2."""
-    scheme = build_scheme(IntPoly((2, 2, 1)), 4, 4)
+    scheme = build_scheme(STANDARD_POLY, 4, 4)
     assert isinstance(scheme, PenneyScheme)
     return scheme
 

@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable,
-                  NotRepresentableError, StepBudgetError, cns_encode, cns_length)
+from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
+                  expansion_of)
 from .negabase import Representation, extremal_of_length, length_negabase
-from .penney import (PenneyScheme, SchemeViolation, ViolationKind, build_scheme,
-                     convert, leading_digit_length, penney_standard,
+from .penney import (STANDARD_POLY, PenneyScheme, SchemeViolation, ViolationKind,
+                     build_scheme, convert, leading_digit_length, penney_standard,
                      predicted_length)
 from .poly import IntPoly
 from .trinomial import seq_a
 
-STANDARD_POLY = IntPoly((2, 2, 1))
 COUNTEREXAMPLE_POLY = IntPoly((8, 4, 1))
 
 # expansions over X^2 + 4X + 8 that hold even though no (64, 4) scheme exists
@@ -135,13 +134,7 @@ def _map_range(chunk_fn: Callable, lo: int, hi: int, jobs: int, *extra) -> list:
 
 
 def _expansion(z: int, p: IntPoly, max_steps: int) -> Representation:
-    """Canonical expansion of z over p, raising where cns_length would."""
-    outcome = cns_encode(z, p, max_steps)
-    if isinstance(outcome, CnsExhausted):
-        raise StepBudgetError(f"no decision for {z} within {max_steps} steps")
-    if isinstance(outcome, CnsNotRepresentable):
-        raise NotRepresentableError(f"{z} has no canonical expansion over {p}")
-    return outcome.representation
+    return expansion_of(cns_encode(z, p, max_steps), z, p)
 
 
 def _table_chunk(args: tuple[int, int, tuple[int, ...], int]) -> dict[int, int]:
@@ -344,20 +337,19 @@ def _sample_pairs(count: int, seed: int, bound: int) -> list[tuple[int, int]]:
 
 
 def _sweep_pairs(probe: Callable[[int, int], None], grid_bound: int,
-                 samples: int, seed: int, sample_bound: int) -> None:
+                 samples: int, seed: int) -> None:
     """probe(x, y) on the nonzero grid |x|, |y| <= grid_bound, row by row,
     then on the seeded random pairs."""
     nonzero = [v for v in range(-grid_bound, grid_bound + 1) if v]
     for x in nonzero:
         for y in nonzero:
             probe(x, y)
-    for x, y in _sample_pairs(samples, seed, sample_bound):
+    for x, y in _sample_pairs(samples, seed, SAMPLE_BOUND):
         probe(x, y)
 
 
 def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
                         grid_bound: int = GRID_BOUND,
-                        sample_bound: int = SAMPLE_BOUND,
                         scheme: PenneyScheme | None = None) -> VerificationReport:
     """-2 <= lam(x) + lam(y) - lam(xy) <= 7 for nonzero x, y, where lam is
     the leading block length.
@@ -395,7 +387,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
         elif value in (-2, 7) and len(equality_hits) < MAX_RECORDED:
             equality_hits.append([x, y, value])
 
-    _sweep_pairs(probe, grid_bound, samples, seed, sample_bound)
+    _sweep_pairs(probe, grid_bound, samples, seed)
     witnesses.extend(equality_hits)
 
     # pairs with a zero member collapse to lam(0) + lam(y) - lam(0) = lam(y)
@@ -404,15 +396,14 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
     zero_pair_values = {lam(y) for y in range(-grid_bound, grid_bound + 1) if y}
     zero_pair_values.add(lam(0))
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
-              "sample_bound": sample_bound,
+              "sample_bound": SAMPLE_BOUND,
               "zero_pair_values_observed": sorted(zero_pair_values)}
     return _finish("lambda_bounds", params, counterexamples, witnesses, t0)
 
 
 def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
                           grid_bound: int = GRID_BOUND,
-                          sample_bound: int = SAMPLE_BOUND,
-                          lengths: Mapping[int, int] | None = None,
+                          lengths: Mapping[int, int],
                           max_steps: int = DEFAULT_MAX_STEPS) -> VerificationReport:
     """Claimed: len(x + y) <= len(x) + len(y) + 2 and
     len(xy) <= len(x) + len(y) + 10 over the same grid and seeded pairs as
@@ -428,12 +419,12 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
     recorded in the params.
     """
     t0 = time.perf_counter()
-    table = dict(lengths) if lengths is not None else {}
+    misses: dict[int, int] = {}  # values outside the shared table
 
     def length(v: int) -> int:
-        hit = table.get(v)
+        hit = lengths.get(v) or misses.get(v)  # no length is 0
         if hit is None:
-            hit = table[v] = cns_length(v, STANDARD_POLY, max_steps)
+            hit = misses[v] = cns_length(v, STANDARD_POLY, max_steps)
         return hit
 
     counterexamples = []
@@ -455,9 +446,9 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
             counterexamples.append(["product", x, y, lx, ly,
                                     lx + ly + product_excess])
 
-    _sweep_pairs(probe, grid_bound, samples, seed, sample_bound)
+    _sweep_pairs(probe, grid_bound, samples, seed)
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
-              "sample_bound": sample_bound,
+              "sample_bound": SAMPLE_BOUND,
               "max_sum_excess": max_sum_excess,
               "max_product_excess": max_product_excess}
     return _finish("additive_bounds", params, counterexamples, [], t0)
@@ -550,9 +541,6 @@ def run_suite(names: Iterable[str] = ("all",), *,
               samples: int = SAMPLE_COUNT,
               seed: int = DEFAULT_SEED,
               grid_bound: int = GRID_BOUND,
-              sample_bound: int = SAMPLE_BOUND,
-              boundary_max_length: int = BOUNDARY_MAX_LENGTH,
-              pair_count: int = PAIR_COUNT,
               max_steps: int = DEFAULT_MAX_STEPS,
               jobs: int = 1) -> list[VerificationReport]:
     """Run the named checks in canonical order and return their reports.
@@ -568,6 +556,8 @@ def run_suite(names: Iterable[str] = ("all",), *,
             selected.append(name)
         else:
             raise ValueError(f"unknown suite {name!r}")
+    if not selected:
+        raise ValueError("no suite selected")
     ordered = [s for s in SUITE_ORDER if s in selected]
     lengths: dict[int, int] = {}
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
@@ -580,14 +570,12 @@ def run_suite(names: Iterable[str] = ("all",), *,
         "i": lambda: check_length_formula(formula_bound, max_steps=max_steps, jobs=jobs),
         "ii": lambda: check_length_set(sweep_bound, lengths=lengths),
         "iii": lambda: check_sign_disjoint(sweep_bound, lengths=lengths),
-        "iv": lambda: check_boundary_jumps(boundary_max_length, scheme=scheme,
-                                           max_steps=max_steps),
-        "v": lambda: check_pair_subsequences(pair_count, sweep_bound, lengths=lengths),
+        "iv": lambda: check_boundary_jumps(scheme=scheme, max_steps=max_steps),
+        "v": lambda: check_pair_subsequences(bound=sweep_bound, lengths=lengths),
         "vi": lambda: check_gap3(sweep_bound, lengths=lengths),
         "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound,
-                                           sample_bound=sample_bound, scheme=scheme),
+                                           scheme=scheme),
         "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
-                                              sample_bound=sample_bound,
                                               lengths=lengths, max_steps=max_steps),
         "ix": lambda: check_digit_sums(digit_sum_bound, max_steps=max_steps),
         "remark": lambda: check_scheme_counterexample(max_steps=max_steps),

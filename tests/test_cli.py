@@ -1,8 +1,12 @@
 """End-to-end command line checks: output bytes, exit codes, JSON shapes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnskit.cli import main
 
@@ -191,6 +195,27 @@ def test_budget_exhaustion_exits_3(capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_huge_integer_is_abbreviated_in_the_error(capsys):
+    code, out, err = run(capsys, "encode", "--value", str(2**6000))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert len(err) < 200
+    assert "(1807 digits)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", ""],
+    ["verify", "--suite", ","],
+    ["verify", "--suite", "iv", "--report", "{missing}/checks.jsonl"],
+])
+def test_verify_fails_before_any_check(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_stdout_is_reproducible(capsys):
     argv = ["verify", "--suite", "vii", "--samples", "300"]
     first = run(capsys, *argv)
@@ -210,3 +235,62 @@ def test_invalid_input_exits_2(capsys, argv):
     code = main(argv)
     capsys.readouterr()
     assert code == 2
+
+
+GOOD_POLY = st.sampled_from(["2,2,1", "8,4,1", "2,-2,1", "2,0,2,0,1", "3,3,1"])
+POLY = st.one_of(GOOD_POLY, GOOD_POLY, st.sampled_from(["1,1", "3,2", "2;2;1", ""]),
+                 st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(
+                     lambda coeffs: ",".join(map(str, coeffs + [1]))))
+VALUE = st.integers(-10**6, 10**6) | st.integers(-2**200, 2**200)
+DIGITS = st.text("01", min_size=1, max_size=12) | st.text("0123456789.x", max_size=12)
+MAX_STEPS = st.integers(1, 2000)
+SCHEME = {"--poly": POLY, "--c": st.sampled_from([4, 64]) | st.integers(0, 70),
+          "--d": st.sampled_from([4, 8]) | st.integers(0, 8), "--max-steps": MAX_STEPS}
+OUTPUT_FLAGS = st.sampled_from([[], ["--json"], ["--pretty"], ["--json", "--pretty"]])
+JSON_FLAG = st.sampled_from([[], ["--json"]])
+# vii and viii are left out: their pair grid ignores --range and takes
+# about a second per run
+SUITE = st.lists(st.sampled_from(
+    ["i", "ii", "iii", "iv", "v", "vi", "ix", "remark", "x", ""]), max_size=3).map(",".join)
+
+
+def command(name, flags, switches=st.just([])):
+    """argv of one subcommand: each flag with a drawn value, then the switches."""
+    return st.tuples(st.fixed_dictionaries(flags), switches).map(
+        lambda drawn: [name, *(arg for flag, value in drawn[0].items()
+                               for arg in (flag, str(value))), *drawn[1]])
+
+
+ARGV = st.one_of(
+    command("encode", {"--poly": POLY, "--value": VALUE, "--max-steps": MAX_STEPS},
+            OUTPUT_FLAGS),
+    command("decode", {"--poly": POLY, "--digits": DIGITS}, JSON_FLAG),
+    command("negabase", {"--base": st.integers(0, 20), "--value": VALUE}, OUTPUT_FLAGS),
+    command("negabase", {"--base": st.integers(0, 20), "--digits": DIGITS}, OUTPUT_FLAGS),
+    command("convert", {**SCHEME, "--value": VALUE}, OUTPUT_FLAGS),
+    command("scheme", SCHEME, JSON_FLAG),
+    command("lift", {"--poly": POLY, "--digits": DIGITS, "--k": st.integers(0, 8)},
+            OUTPUT_FLAGS),
+    command("seq", {"--name": st.sampled_from("abcz"), "--count": st.integers(0, 50)},
+            JSON_FLAG),
+    command("verify", {"--suite": SUITE, "--range": st.integers(0, 300),
+                       "--samples": st.integers(1, 50), "--max-steps": MAX_STEPS}),
+)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(ARGV)
+@settings(max_examples=300, deadline=None)
+def test_argv_fuzz(argv):
+    code, out, err = run_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 3 or (code == 1 and not out):
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_quietly(argv) == (code, out, err)

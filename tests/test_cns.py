@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from cnskit.cns import (CnsDigits, CnsExhausted, CnsNotRepresentable,
                         NotRepresentableError, StepBudgetError,
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
-                        reduce_digits)
+                        expansion_of, reduce_digits)
 from cnskit.negabase import CnsBase, Representation
 from cnskit.poly import IntPoly
+from cnskit.trinomial import lift_representation
 
 P = IntPoly((2, 2, 1))
 COUNTER = IntPoly((8, 4, 1))
@@ -76,6 +77,27 @@ def test_cns_length_errors():
         cns_length(10**6, P, max_steps=3)
 
 
+def test_expansion_of_maps_each_outcome():
+    assert expansion_of(cns_encode(3, P), 3, P).digit_string() == "1101"
+    with pytest.raises(NotRepresentableError,
+                       match=r"^-1 is not representable over 2,-2,1 "
+                             r"\(cycle residue \(-1, 1\)\)$"):
+        expansion_of(cns_encode(-1, NONCNS), -1, NONCNS)
+    with pytest.raises(StepBudgetError, match=r"^no decision for 1000000 within 3 steps$"):
+        expansion_of(cns_encode(10**6, P, max_steps=3), 10**6, P)
+
+
+def test_error_abbreviates_huge_integer():
+    # 2**15000 has 4516 digits, more than str() converts by default
+    with pytest.raises(StepBudgetError, match=r"^no decision for 28179608796313976374"
+                                              r"\.\.\. \(4516 digits\) within 10000 steps$"):
+        cns_length(2**15000, P)
+    with pytest.raises(StepBudgetError, match=r"for -(9{20})\.\.\. \(41 digits\) within"):
+        cns_length(1 - 10**41, P, max_steps=3)
+    with pytest.raises(StepBudgetError, match=r"for -(9{40}) within"):
+        cns_length(1 - 10**40, P, max_steps=3)
+
+
 def test_decode_inverts_encode():
     for z in range(-500, 501):
         outcome = cns_encode(z, P)
@@ -101,12 +123,14 @@ def test_reduce_digits_matches_decode():
 
 
 def test_quadratic_and_generic_paths_agree():
-    # the quartic lift exercises the generic state loop on the same values
+    # the quartic lift exercises the generic state loop on the same values,
+    # and its expansion is the quadratic one with zeros interleaved
     for z in range(-300, 301):
         fast = cns_encode(z, P)
         generic = cns_encode(z, QUARTIC)
         assert isinstance(fast, CnsDigits)
         assert isinstance(generic, CnsDigits)
+        assert generic.representation == lift_representation(fast.representation, 2)
 
 
 @given(st.integers(-10**12, 10**12))
