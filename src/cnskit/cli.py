@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError,
+from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, _brief,
                   cns_decode, cns_encode, expansion_of)
 from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
                        encode_negabase)
@@ -74,8 +74,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     rep = Representation.from_string(CnsBase(args.poly), args.digits)
     residue = cns_decode(rep)
     if not residue.is_constant:
-        print(f"error: digits {args.digits!r} denote the non-constant residue "
-              f"{residue.coeffs} over {args.poly.to_string()}", file=sys.stderr)
+        coeffs = ", ".join(map(_brief, residue.coeffs))
+        print(f"error: digits {_brief(args.digits)} denote the non-constant residue "
+              f"({coeffs}) over {args.poly.to_string()}", file=sys.stderr)
         return 1
     value = residue.constant_value()
     _emit(args, {"poly": args.poly.to_string(), "digits": rep.digit_string(),

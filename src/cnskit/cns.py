@@ -24,7 +24,7 @@ DEFAULT_MAX_STEPS = 10_000
 # Guard for the exhaustive oracle; radix**max_len strings get enumerated.
 _ORACLE_NODE_LIMIT = 20_000_000
 
-# error messages abbreviate integers longer than this many decimal digits
+# error messages abbreviate integers and digit strings longer than this
 _MESSAGE_DIGITS = 40
 
 
@@ -167,8 +167,13 @@ def cns_decode(rep: Representation) -> Residue:
     return reduce_digits(rep.digits, rep.base.poly)
 
 
-def _brief(z: int) -> str:
-    """z in decimal; beyond 40 digits, its leading digits and digit count."""
+def _brief(z: int | str) -> str:
+    """An integer in decimal, or a digit string quoted; beyond 40 digits,
+    the leading ones and the count."""
+    if isinstance(z, str):
+        if len(z) <= _MESSAGE_DIGITS:
+            return repr(z)
+        return f"{z[:_MESSAGE_DIGITS // 2]!r}... ({len(z)} characters)"
     magnitude = abs(z)
     if magnitude < 10 ** _MESSAGE_DIGITS:
         return str(z)

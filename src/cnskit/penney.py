@@ -56,19 +56,23 @@ class PenneyScheme:
     """Immutable conversion table from base -c to base p expansions.
 
     blocks[i] is the expansion of i, least significant digit first and
-    zero padded to exactly d digits; block_lengths[i] is its unpadded
-    length.
+    zero padded to exactly d digits.
     """
 
     poly: IntPoly
     c: int
     d: int
     blocks: tuple[tuple[int, ...], ...]
-    block_lengths: tuple[int, ...]
 
     @cached_property
     def base(self) -> CnsBase:
         return CnsBase(self.poly)
+
+    @cached_property
+    def block_lengths(self) -> tuple[int, ...]:
+        """Unpadded length of each block; the zero block has length 1."""
+        return tuple(max((k for k, u in enumerate(block, 1) if u), default=1)
+                     for block in self.blocks)
 
     def to_dict(self) -> dict:
         return {
@@ -80,54 +84,26 @@ class PenneyScheme:
 
     @classmethod
     def from_dict(cls, data: dict) -> PenneyScheme:
-        """Rebuild a serialized scheme, re-checking everything it claims."""
+        """Rebuild a serialized scheme through build_scheme.  Expansions are
+        unique, so a block equal to the built one is exactly an in-range
+        d-digit block that denotes its digit."""
         try:
             poly = IntPoly.from_string(data["poly"])
             c = int(data["c"])
             d = int(data["d"])
-            block_texts = list(data["blocks"])
+            blocks = [parse_digits(text) for text in data["blocks"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scheme data: {exc}") from exc
-        if c < 1 or d < 1:
-            raise ValueError("c and d must be positive")
-        violation = _check_hypotheses(poly, c, d)
-        if violation is not None:
-            raise ValueError(f"scheme data violates hypotheses: {violation.describe()}")
-        if len(block_texts) != c:
-            raise ValueError(f"expected {c} blocks, got {len(block_texts)}")
-        radix = abs(poly.constant_term)
-        blocks = []
-        lengths = []
-        for i, text in enumerate(block_texts):
-            digits = parse_digits(text)
-            if len(digits) != d:
-                raise ValueError(f"block {i} must have exactly {d} digits")
-            if any(not 0 <= u < radix for u in digits):
-                raise ValueError(f"block {i} has digits outside the digit set")
-            residue = reduce_digits(digits, poly)
-            if not residue.is_constant or residue.constant_value() != i:
-                raise ValueError(f"block {i} does not denote {i}")
-            significant = len(digits)
-            while significant > 1 and digits[significant - 1] == 0:
-                significant -= 1
-            blocks.append(digits)
-            lengths.append(significant)
-        return cls(poly, c, d, tuple(blocks), tuple(lengths))
-
-
-def _check_hypotheses(p: IntPoly, c: int, d: int) -> SchemeViolation | None:
-    # fixed order keeps the reported violation deterministic
-    if not p.is_monic:
-        return SchemeViolation(ViolationKind.NOT_MONIC)
-    if abs(p.constant_term) <= 1:
-        return SchemeViolation(ViolationKind.CONSTANT_TERM_TOO_SMALL)
-    if not has_simple_roots(p):
-        return SchemeViolation(ViolationKind.REPEATED_ROOTS)
-    if not divides_xd_plus_c(p, d, c):
-        return SchemeViolation(ViolationKind.NO_DIVISIBILITY)
-    if d <= p.degree:
-        return SchemeViolation(ViolationKind.D_TOO_SMALL_FOR_DEGREE)
-    return None
+        if len(blocks) != c:
+            raise ValueError(f"expected {c} blocks, got {len(blocks)}")
+        scheme = build_scheme(poly, c, d)
+        if isinstance(scheme, SchemeViolation):
+            raise ValueError(f"scheme data violates hypotheses: {scheme.describe()}")
+        for i, (block, built) in enumerate(zip(blocks, scheme.blocks)):
+            if block != built:
+                raise ValueError(f"block {i} is {format_digits(block)}, "
+                                 f"not the expansion {format_digits(built)} of {i}")
+        return scheme
 
 
 def build_scheme(p: IntPoly, c: int, d: int,
@@ -142,11 +118,17 @@ def build_scheme(p: IntPoly, c: int, d: int,
     """
     if c < 1 or d < 1:
         raise ValueError("c and d must be positive")
-    violation = _check_hypotheses(p, c, d)
-    if violation is not None:
-        return violation
+    if not p.is_monic:
+        return SchemeViolation(ViolationKind.NOT_MONIC)
+    if abs(p.constant_term) <= 1:
+        return SchemeViolation(ViolationKind.CONSTANT_TERM_TOO_SMALL)
+    if not has_simple_roots(p):
+        return SchemeViolation(ViolationKind.REPEATED_ROOTS)
+    if not divides_xd_plus_c(p, d, c):
+        return SchemeViolation(ViolationKind.NO_DIVISIBILITY)
+    if d <= p.degree:
+        return SchemeViolation(ViolationKind.D_TOO_SMALL_FOR_DEGREE)
     blocks: list[tuple[int, ...]] = []
-    lengths: list[int] = []
     for i in range(c):
         outcome = cns_encode(i, p, max_steps)
         if isinstance(outcome, CnsExhausted):
@@ -157,11 +139,10 @@ def build_scheme(p: IntPoly, c: int, d: int,
         if len(digits) > d:
             return SchemeViolation(ViolationKind.BLOCK_TOO_LONG, digit=i,
                                    block_length=len(digits))
-        lengths.append(len(digits))
         blocks.append(digits + (0,) * (d - len(digits)))
     # implied by divisibility together with d > deg(p); cheap to confirm
     assert c > abs(p.constant_term)
-    return PenneyScheme(p, c, d, tuple(blocks), tuple(lengths))
+    return PenneyScheme(p, c, d, tuple(blocks))
 
 
 def penney_standard() -> PenneyScheme:
@@ -201,8 +182,7 @@ def scheme_pairs(p: IntPoly, c_max: int, d_max: int) -> list[tuple[int, int]]:
     Exploration helper: X^d mod p must be the constant -c, so each d
     yields at most one candidate c.
     """
-    if not p.is_monic or abs(p.constant_term) <= 1:
-        raise ValueError("base polynomial must be monic with |p(0)| > 1")
+    CnsBase(p)  # rejects non-monic p and |p(0)| <= 1
     pairs = []
     for d in range(1, d_max + 1):
         residue = reduce_digits((0,) * d + (1,), p)

@@ -169,7 +169,7 @@ def has_simple_roots(p: IntPoly) -> bool:
     if p.is_zero:
         return False
     a = _primitive(list(p.coeffs))
-    b = _primitive([i * c for i, c in enumerate(p.coeffs)][1:])
+    b = _primitive(poly_derivative(p).coeffs)
     while b != [0]:
         a, b = b, _primitive(_pseudo_rem(a, b))
     return len(a) == 1

@@ -14,14 +14,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Mapping
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
                   expansion_of)
 from .negabase import Representation, extremal_of_length, length_negabase
-from .penney import (STANDARD_POLY, PenneyScheme, SchemeViolation, ViolationKind,
-                     build_scheme, convert, leading_digit_length, penney_standard,
-                     predicted_length)
+from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind, build_scheme, convert,
+                     leading_digit_length, penney_standard, predicted_length)
 from .poly import IntPoly
 from .trinomial import seq_a
 
@@ -180,7 +180,7 @@ def check_length_formula(bound: int = FORMULA_BOUND, *,
     d * (negabase length - 1) + leading block length."""
     t0 = time.perf_counter()
     parts = _map_range(_formula_chunk, -bound, bound, jobs, max_steps)
-    counterexamples = sorted((c for part in parts for c in part), key=lambda c: c[0])
+    counterexamples = [c for part in parts for c in part]
     params = {"bound": bound, "max_steps": max_steps}
     return _finish("length_formula", params, counterexamples, [], t0)
 
@@ -192,10 +192,10 @@ def _lengths_by_sign(lengths: Mapping[int, int]) -> tuple[list[int], list[int]]:
     return pos, neg
 
 
-def check_length_set(bound: int = SWEEP_BOUND, prefix_len: int = 10, *,
+def check_length_set(prefix_len: int = 10, *,
                      lengths: Mapping[int, int]) -> VerificationReport:
-    """Attained expansion lengths over |z| <= bound form exactly a prefix of
-    the increasing integers that are 0 or 1 mod 4 (zero excluded)."""
+    """Attained expansion lengths over the table's range form exactly a
+    prefix of the increasing integers that are 0 or 1 mod 4 (zero excluded)."""
     t0 = time.perf_counter()
     attained = sorted(set(lengths.values()))
     top = attained[-1] if attained else 0
@@ -213,12 +213,11 @@ def check_length_set(bound: int = SWEEP_BOUND, prefix_len: int = 10, *,
         counterexamples.append(["missing_length", L])
     if len(attained) < prefix_len:
         counterexamples.append(["insufficient_range", len(attained), prefix_len])
-    params = {"bound": bound, "prefix_len": prefix_len, "attained": attained}
+    params = {"bound": max(lengths), "prefix_len": prefix_len, "attained": attained}
     return _finish("length_set", params, counterexamples, [], t0)
 
 
-def check_sign_disjoint(bound: int = SWEEP_BOUND, *,
-                        lengths: Mapping[int, int]) -> VerificationReport:
+def check_sign_disjoint(*, lengths: Mapping[int, int]) -> VerificationReport:
     """Positive and negative integers attain disjoint length sets:
     1 or 4 mod 8 on the positives, 5 or 0 mod 8 on the negatives."""
     t0 = time.perf_counter()
@@ -232,22 +231,22 @@ def check_sign_disjoint(bound: int = SWEEP_BOUND, *,
     for L in neg:
         if L % 8 not in (5, 0):
             counterexamples.append(["negative_mod8", L])
-    params = {"bound": bound, "positive_lengths": pos, "negative_lengths": neg}
+    params = {"bound": max(lengths), "positive_lengths": pos, "negative_lengths": neg}
     return _finish("sign_disjoint", params, counterexamples, [], t0)
 
 
 def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH, *,
-                         scheme: PenneyScheme | None = None,
                          max_steps: int = DEFAULT_MAX_STEPS) -> VerificationReport:
-    """At each negabase-length boundary the leading block length drops from
-    4 to 1 and the expansion length jumps by exactly 5.
+    """At each negabase-length boundary of the standard scheme the leading
+    block length drops from 4 to 1 and the expansion length jumps by
+    exactly 5.
 
     Odd lengths are probed at their largest positive, even lengths at
     their least (most negative) integer; the step beyond the boundary is
     +1 respectively -1.
     """
     t0 = time.perf_counter()
-    scheme = scheme or penney_standard()
+    scheme = penney_standard()
     counterexamples = []
     witnesses = []
     for L in range(1, max_length + 1):
@@ -273,7 +272,7 @@ def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH, *,
     return _finish("boundary_jumps", params, counterexamples, witnesses, t0)
 
 
-def check_pair_subsequences(count: int = PAIR_COUNT, bound: int = SWEEP_BOUND, *,
+def check_pair_subsequences(count: int = PAIR_COUNT, *,
                             lengths: Mapping[int, int]) -> VerificationReport:
     """Sorted attained lengths interleave in pairs: positives take the
     (4n-3, 4n-2)-th members of the mod-4 sequence, negatives the
@@ -303,15 +302,16 @@ def check_pair_subsequences(count: int = PAIR_COUNT, bound: int = SWEEP_BOUND, *
             continue
         for k in range(count):
             witnesses.append([side, expected[2 * k], expected[2 * k + 1]])
-    params = {"count": count, "bound": bound}
+    params = {"count": count, "bound": max(lengths)}
     return _finish("pair_subsequences", params, counterexamples, witnesses, t0)
 
 
-def check_gap3(bound: int = SWEEP_BOUND, *,
-               lengths: Mapping[int, int]) -> VerificationReport:
-    """Walking away from zero on either side, the expansion length never
-    increases by less than 3 between consecutive distinct values."""
+def check_gap3(*, lengths: Mapping[int, int]) -> VerificationReport:
+    """Walking away from zero on either side of the table's range, the
+    expansion length never increases by less than 3 between consecutive
+    distinct values."""
     t0 = time.perf_counter()
+    bound = max(lengths)
     counterexamples = []
     for side, values in (("positive", range(1, bound + 1)),
                          ("negative", range(-1, -bound - 1, -1))):
@@ -349,10 +349,9 @@ def _sweep_pairs(probe: Callable[[int, int], None], grid_bound: int,
 
 
 def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
-                        grid_bound: int = GRID_BOUND,
-                        scheme: PenneyScheme | None = None) -> VerificationReport:
+                        grid_bound: int = GRID_BOUND) -> VerificationReport:
     """-2 <= lam(x) + lam(y) - lam(xy) <= 7 for nonzero x, y, where lam is
-    the leading block length.
+    the leading block length in the standard scheme.
 
     Swept over the full nonzero grid |x|, |y| <= grid_bound plus seeded
     random pairs; the pairs (4, 5) and (2, 410) hit the bounds exactly
@@ -361,15 +360,8 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
     of the claim.
     """
     t0 = time.perf_counter()
-    scheme = scheme or penney_standard()
-    lam_cache: dict[int, int] = {}
-
-    def lam(v: int) -> int:
-        hit = lam_cache.get(v)
-        if hit is None:
-            hit = lam_cache[v] = leading_digit_length(v, scheme)
-        return hit
-
+    scheme = penney_standard()
+    lam = cache(lambda v: leading_digit_length(v, scheme))
     counterexamples = []
     witnesses = []
     for x, y, expected in ((4, 5, -2), (2, 410, 7)):
@@ -419,13 +411,11 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
     recorded in the params.
     """
     t0 = time.perf_counter()
-    misses: dict[int, int] = {}  # values outside the shared table
+    # values outside the shared table are computed once each
+    miss = cache(lambda v: cns_length(v, STANDARD_POLY, max_steps))
 
     def length(v: int) -> int:
-        hit = lengths.get(v) or misses.get(v)  # no length is 0
-        if hit is None:
-            hit = misses[v] = cns_length(v, STANDARD_POLY, max_steps)
-        return hit
+        return lengths.get(v) or miss(v)  # no length is 0
 
     counterexamples = []
     max_sum_excess = None
@@ -563,18 +553,16 @@ def run_suite(names: Iterable[str] = ("all",), *,
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
         lengths = compute_length_table(STANDARD_POLY, sweep_bound,
                                        max_steps=max_steps, jobs=jobs)
-    scheme = penney_standard()
     # each entry looks its check up when it runs, so a wrapper patched onto
     # the module-level name is the one called
     suite = {
         "i": lambda: check_length_formula(formula_bound, max_steps=max_steps, jobs=jobs),
-        "ii": lambda: check_length_set(sweep_bound, lengths=lengths),
-        "iii": lambda: check_sign_disjoint(sweep_bound, lengths=lengths),
-        "iv": lambda: check_boundary_jumps(scheme=scheme, max_steps=max_steps),
-        "v": lambda: check_pair_subsequences(bound=sweep_bound, lengths=lengths),
-        "vi": lambda: check_gap3(sweep_bound, lengths=lengths),
-        "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound,
-                                           scheme=scheme),
+        "ii": lambda: check_length_set(lengths=lengths),
+        "iii": lambda: check_sign_disjoint(lengths=lengths),
+        "iv": lambda: check_boundary_jumps(max_steps=max_steps),
+        "v": lambda: check_pair_subsequences(lengths=lengths),
+        "vi": lambda: check_gap3(lengths=lengths),
+        "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound),
         "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
                                               lengths=lengths, max_steps=max_steps),
         "ix": lambda: check_digit_sums(digit_sum_bound, max_steps=max_steps),

@@ -64,7 +64,7 @@ def test_criterion_02_block_substitution_equivalence():
 
 
 def test_criterion_03_length_set(lengths):
-    report = check_length_set(100_000, lengths=lengths)
+    report = check_length_set(lengths=lengths)
     recurrence = all(seq_a(n) == seq_a(n - 1) + (-1) ** n + 2
                      for n in range(1, 200))
     ok = report.passed and recurrence
@@ -75,8 +75,8 @@ def test_criterion_03_length_set(lengths):
 
 
 def test_criterion_04_sign_disjointness(lengths):
-    signs = check_sign_disjoint(100_000, lengths=lengths)
-    pairs = check_pair_subsequences(4, 100_000, lengths=lengths)
+    signs = check_sign_disjoint(lengths=lengths)
+    pairs = check_pair_subsequences(4, lengths=lengths)
     ok = signs.passed and pairs.passed
     announce(4, ok, "positive lengths are {1,4}, negative {5,0} mod 8, "
                     "disjoint, in consecutive pairs")
@@ -94,7 +94,7 @@ def test_criterion_05_boundary_jumps():
 
 
 def test_criterion_06_gap3(lengths):
-    report = check_gap3(100_000, lengths=lengths)
+    report = check_gap3(lengths=lengths)
     announce(6, report.passed, "consecutive attained lengths differ by "
                                ">= 3 within each sign on |z| <= 10^5")
     assert report.passed

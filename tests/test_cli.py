@@ -203,6 +203,22 @@ def test_huge_integer_is_abbreviated_in_the_error(capsys):
     assert "(1807 digits)" in err
 
 
+def test_decode_example_error_is_unchanged(capsys):
+    code, out, err = run(capsys, "decode", "--digits", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: digits '10' denote the non-constant residue (0, 1) over 2,2,1\n"
+
+
+@pytest.mark.parametrize("digits", ["1" * 3000, "1" + "0" * 30_001],
+                         ids=["3000_ones", "x_to_the_30001"])
+def test_decode_error_abbreviates_digits_and_residue(capsys, digits):
+    code, out, err = run(capsys, "decode", "--digits", digits)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "non-constant residue" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", ""],
     ["verify", "--suite", ","],

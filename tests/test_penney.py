@@ -107,6 +107,37 @@ def test_from_dict_rejects_tampering():
         PenneyScheme.from_dict(short)
 
 
+def _standard_data(**changes):
+    data = penney_standard().to_dict()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _standard_data(blocks=["0000", "00001", "1100", "1101"]),   # wrong width
+    _standard_data(blocks=["0000", "0002", "1100", "1101"]),    # digit 2 over radix 2
+    _standard_data(blocks=["0000", "0001", "1101", "1101"]),    # block 2 denotes 3
+    _standard_data(blocks=["0000", "0001", "1100"]),            # three blocks for c = 4
+    _standard_data(c=0, blocks=[]),
+    _standard_data(d=0),
+    _standard_data(poly="2,2,2"),                               # not monic
+    _standard_data(d=3, blocks=["000", "001", "100", "101"]),   # X^3 + 4 not divisible
+    {"poly": "2,2,1", "c": 4, "d": 4},                          # no blocks key
+    _standard_data(poly="2,x,1"),
+], ids=["width", "digit_set", "value", "count", "c_below_1", "d_below_1",
+        "not_monic", "no_divisibility", "missing_key", "bad_poly_text"])
+def test_from_dict_rejects(data):
+    with pytest.raises(ValueError):
+        PenneyScheme.from_dict(data)
+
+
+def test_quartic_scheme_round_trips_via_dict():
+    scheme = build_scheme(IntPoly((2, 0, 2, 0, 1)), 4, 8)
+    rebuilt = PenneyScheme.from_dict(scheme.to_dict())
+    assert rebuilt == scheme
+    assert rebuilt.block_lengths == (1, 1, 7, 7)
+
+
 def test_convert_known_values():
     scheme = penney_standard()
     assert convert(0, scheme).digit_string() == "0"

@@ -53,20 +53,20 @@ def test_length_formula_jobs_equivalence():
 
 
 def test_length_set_passes(table):
-    report = check_length_set(SMALL_BOUND, prefix_len=6, lengths=table)
+    report = check_length_set(prefix_len=6, lengths=table)
     assert report.passed
     assert report.params["attained"][:6] == [1, 4, 5, 8, 9, 12]
 
 
 def test_length_set_catches_insufficient_range(table):
-    report = check_length_set(SMALL_BOUND, prefix_len=99, lengths=table)
+    report = check_length_set(prefix_len=99, lengths=table)
     assert not report.passed
     assert ["insufficient_range", len(report.params["attained"]), 99] \
         in report.counterexamples
 
 
 def test_sign_disjoint_passes(table):
-    report = check_sign_disjoint(SMALL_BOUND, lengths=table)
+    report = check_sign_disjoint(lengths=table)
     assert report.passed
     assert all(L % 8 in (1, 4) for L in report.params["positive_lengths"])
     assert all(L % 8 in (5, 0) for L in report.params["negative_lengths"])
@@ -84,15 +84,21 @@ def test_boundary_jumps_passes():
 
 
 def test_pair_subsequences_passes(table):
-    report = check_pair_subsequences(2, SMALL_BOUND, lengths=table)
+    report = check_pair_subsequences(2, lengths=table)
     assert report.passed
     assert ["positive", 1, 4] in report.witnesses_of_equality
     assert ["negative", 5, 8] in report.witnesses_of_equality
 
 
 def test_gap3_passes(table):
-    report = check_gap3(SMALL_BOUND, lengths=table)
+    report = check_gap3(lengths=table)
     assert report.passed
+
+
+def test_sweep_checks_read_the_bound_from_the_table():
+    table = compute_length_table(STANDARD_POLY, 100)
+    assert check_gap3(lengths=table).passed
+    assert check_length_set(lengths=table).params["bound"] == 100
 
 
 def test_lambda_bounds_passes_and_pins_witnesses():
@@ -176,7 +182,7 @@ def test_run_suite_calls_the_module_level_check(monkeypatch):
 
     monkeypatch.setattr(cnskit.verify, "check_gap3", wrapper)
     reports = run_suite(["vi"], sweep_bound=100)
-    assert calls == [(100,)]
+    assert calls == [()]
     assert [r.check_id for r in reports] == ["gap3"]
 
 
