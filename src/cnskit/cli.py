@@ -149,14 +149,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = []
     for token in args.suite or ["all"]:
         names.extend(part for part in token.split(",") if part)
-    kwargs = dict(samples=args.samples, seed=args.seed, jobs=args.jobs,
-                  max_steps=args.max_steps)
-    if args.range is not None:
-        kwargs.update(sweep_bound=args.range, formula_bound=args.range,
-                      digit_sum_bound=args.range)
     # opened first, so an unwritable path fails before any check runs
     with open(args.report or os.devnull, "w", encoding="utf-8") as handle:
-        reports = run_suite(names, **kwargs)
+        reports = run_suite(names, bound=args.range, samples=args.samples,
+                            seed=args.seed, jobs=args.jobs)
         for report in reports:
             print(report.summary())
             handle.write(json.dumps(report.to_json_dict()) + "\n")
@@ -229,13 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", action="append",
                         help="all or any of i,ii,...,ix,remark (repeatable, comma lists ok)")
     verify.add_argument("--range", type=_positive_int, default=None,
-                        help="override the sweep bounds of the range checks")
+                        help="replace the range of i, of the length table and of ix")
     verify.add_argument("--samples", type=_positive_int, default=SAMPLE_COUNT)
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--report", default=None,
                         help="also write one JSON object per check to this path")
     verify.add_argument("--jobs", type=_positive_int, default=1)
-    verify.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

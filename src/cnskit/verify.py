@@ -2,26 +2,28 @@
 
 Each check sweeps a stated range exactly (no floating point, no tolerance)
 and returns a VerificationReport whose content is deterministic given its
-parameters; only the elapsed-time field varies between runs.  Heavy sweeps
-can fan out over processes, and because reports are derived from merged
-value tables, the worker count never changes the result.
+parameters; only the elapsed-time field varies between runs.  The length
+table, check i and check ix sweep through one function that can fan out
+over processes and returns values in order, so the worker count never matters.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Mapping
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
                   expansion_of)
 from .negabase import Representation, extremal_of_length, length_negabase
-from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind, build_scheme, convert,
-                     leading_digit_length, penney_standard, predicted_length)
+from .penney import (STANDARD_POLY, PenneyScheme, SchemeViolation, ViolationKind,
+                     build_scheme, convert, leading_digit_length, penney_standard,
+                     predicted_length)
 from .poly import IntPoly
 from .trinomial import seq_a
 
@@ -109,79 +111,62 @@ def _finish(check_id: str, params: dict, counterexamples: list,
     )
 
 
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    total = hi - lo + 1
-    parts = max(1, min(parts, total))
-    step = total // parts
-    bounds = []
-    start = lo
-    for i in range(parts):
-        end = hi if i == parts - 1 else start + step - 1
-        bounds.append((start, end))
-        start = end + 1
-    return bounds
+def _sweep_chunk(args: tuple[Callable[[int], object], int, int]) -> list:
+    fn, lo, hi = args
+    return [fn(z) for z in range(lo, hi)]
 
 
-def _map_range(chunk_fn: Callable, lo: int, hi: int, jobs: int, *extra) -> list:
-    """chunk_fn((start, end, *extra)) over consecutive chunks of lo..hi, in
-    order; with jobs > 1 the chunks run in that many worker processes."""
-    chunks = [(start, end, *extra)
-              for start, end in _split_range(lo, hi, jobs * 4 if jobs > 1 else 1)]
+def _sweep(fn: Callable[[int], object], bound: int, jobs: int) -> list:
+    """[fn(z) for z in -bound..bound], in order.
+
+    jobs is capped at the core count, since the fork start method launches
+    every worker on the first chunk.  With more than one job the range is
+    cut into four consecutive chunks per job, mapped in worker processes.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        return [chunk_fn(chunk) for chunk in chunks]
+        return [fn(z) for z in range(-bound, bound + 1)]
+    total = 2 * bound + 1
+    parts = min(4 * jobs, total)
+    cuts = [-bound + total * k // parts for k in range(parts + 1)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(chunk_fn, chunks))
+        chunks = pool.map(_sweep_chunk, [(fn, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+        return [value for chunk in chunks for value in chunk]
 
 
-def _expansion(z: int, p: IntPoly, max_steps: int) -> Representation:
-    return expansion_of(cns_encode(z, p, max_steps), z, p)
+def _expansion(z: int, p: IntPoly) -> Representation:
+    return expansion_of(cns_encode(z, p), z, p)
 
 
-def _table_chunk(args: tuple[int, int, tuple[int, ...], int]) -> dict[int, int]:
-    lo, hi, coeffs, max_steps = args
-    p = IntPoly(coeffs)
-    return {z: cns_length(z, p, max_steps) for z in range(lo, hi + 1)}
-
-
-def compute_length_table(p: IntPoly, bound: int, *,
-                         max_steps: int = DEFAULT_MAX_STEPS,
-                         jobs: int = 1) -> dict[int, int]:
-    """Expansion length of every |z| <= bound by direct digit extraction.
+def compute_length_table(bound: int, *, jobs: int = 1) -> dict[int, int]:
+    """Length over X^2 + 2X + 2 of every |z| <= bound, by direct digit extraction.
 
     The table is a plain value mapping, so splitting the range over
     worker processes cannot change the result.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    table, *rest = _map_range(_table_chunk, -bound, bound, jobs, p.coeffs, max_steps)
-    for part in rest:
-        table.update(part)
-    return table
+    lengths = _sweep(partial(cns_length, p=STANDARD_POLY), bound, jobs)
+    return dict(zip(range(-bound, bound + 1), lengths))
 
 
-def _formula_chunk(args: tuple[int, int, int]) -> list[list]:
-    lo, hi, max_steps = args
-    scheme = penney_standard()
-    bad = []
-    for z in range(lo, hi + 1):
-        direct = _expansion(z, STANDARD_POLY, max_steps)
-        substituted = convert(z, scheme)
-        predicted = predicted_length(z, scheme)
-        if direct.digits != substituted.digits or predicted != direct.length:
-            bad.append([z, direct.digit_string(), substituted.digit_string(), predicted])
-    return bad
+def _formula_mismatch(z: int, scheme: PenneyScheme) -> list | None:
+    direct = _expansion(z, STANDARD_POLY)
+    substituted = convert(z, scheme)
+    predicted = predicted_length(z, scheme)
+    if direct.digits != substituted.digits or predicted != direct.length:
+        return [z, direct.digit_string(), substituted.digit_string(), predicted]
+    return None
 
 
-def check_length_formula(bound: int = FORMULA_BOUND, *,
-                         max_steps: int = DEFAULT_MAX_STEPS,
-                         jobs: int = 1) -> VerificationReport:
+def check_length_formula(bound: int = FORMULA_BOUND, *, jobs: int = 1) -> VerificationReport:
     """Every |z| <= bound: block substitution reproduces direct digit
     extraction digit for digit, and the length matches
     d * (negabase length - 1) + leading block length."""
     t0 = time.perf_counter()
-    parts = _map_range(_formula_chunk, -bound, bound, jobs, max_steps)
-    counterexamples = [c for part in parts for c in part]
-    params = {"bound": bound, "max_steps": max_steps}
+    mismatches = _sweep(partial(_formula_mismatch, scheme=penney_standard()), bound, jobs)
+    counterexamples = [bad for bad in mismatches if bad]
+    params = {"bound": bound, "max_steps": DEFAULT_MAX_STEPS}
     return _finish("length_formula", params, counterexamples, [], t0)
 
 
@@ -235,8 +220,7 @@ def check_sign_disjoint(*, lengths: Mapping[int, int]) -> VerificationReport:
     return _finish("sign_disjoint", params, counterexamples, [], t0)
 
 
-def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH, *,
-                         max_steps: int = DEFAULT_MAX_STEPS) -> VerificationReport:
+def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH) -> VerificationReport:
     """At each negabase-length boundary of the standard scheme the leading
     block length drops from 4 to 1 and the expansion length jumps by
     exactly 5.
@@ -258,8 +242,8 @@ def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH, *,
             step = -1
         lam_n = leading_digit_length(n, scheme)
         lam_next = leading_digit_length(n + step, scheme)
-        len_n = cns_length(n, STANDARD_POLY, max_steps)
-        len_next = cns_length(n + step, STANDARD_POLY, max_steps)
+        len_n = cns_length(n, STANDARD_POLY)
+        len_next = cns_length(n + step, STANDARD_POLY)
         ok = (length_negabase(n, 4) == L
               and length_negabase(n + step, 4) == L + 2
               and lam_n == 4 and lam_next == 1
@@ -395,8 +379,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
 
 def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
                           grid_bound: int = GRID_BOUND,
-                          lengths: Mapping[int, int],
-                          max_steps: int = DEFAULT_MAX_STEPS) -> VerificationReport:
+                          lengths: Mapping[int, int]) -> VerificationReport:
     """Claimed: len(x + y) <= len(x) + len(y) + 2 and
     len(xy) <= len(x) + len(y) + 10 over the same grid and seeded pairs as
     the leading-block check.
@@ -412,7 +395,7 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
     """
     t0 = time.perf_counter()
     # values outside the shared table are computed once each
-    miss = cache(lambda v: cns_length(v, STANDARD_POLY, max_steps))
+    miss = cache(lambda v: cns_length(v, STANDARD_POLY))
 
     def length(v: int) -> int:
         return lengths.get(v) or miss(v)  # no length is 0
@@ -444,8 +427,7 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
     return _finish("additive_bounds", params, counterexamples, [], t0)
 
 
-def digit_sum_probe(z: int, max_iter: int = 48, *,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> DigitSumProbe:
+def digit_sum_probe(z: int, max_iter: int = 48) -> DigitSumProbe:
     """Digit-sum identities for one integer, with a recurrence trace.
 
     Asserts only the arithmetic consequences: the digit sum matches z
@@ -457,7 +439,7 @@ def digit_sum_probe(z: int, max_iter: int = 48, *,
     """
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
-    digit_sum = sum(_expansion(z, STANDARD_POLY, max_steps).digits)
+    digit_sum = sum(_expansion(z, STANDARD_POLY).digits)
     gap = z - digit_sum
     if (2 * gap) % 10:
         raise ArithmeticError(
@@ -471,30 +453,30 @@ def digit_sum_probe(z: int, max_iter: int = 48, *,
     return DigitSumProbe(z, digit_sum, s_k, trace, stabilized)
 
 
+def _digit_sum_mismatch(z: int) -> list | None:
+    digit_sum = sum(_expansion(z, STANDARD_POLY).digits)
+    return [z, digit_sum] if (2 * (z - digit_sum)) % 10 else None
+
+
 def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
-                     max_iter: int = 48,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> VerificationReport:
+                     max_iter: int = 48, jobs: int = 1) -> VerificationReport:
     """digit_sum(z) = z mod 5 and 2(z - digit_sum)/5 even for |z| <= bound.
 
     How often the literal recurrence happens to stabilize near zero is
     recorded in the params, never asserted.
     """
     t0 = time.perf_counter()
-    counterexamples = []
-    for z in range(-bound, bound + 1):
-        digit_sum = sum(_expansion(z, STANDARD_POLY, max_steps).digits)
-        if (2 * (z - digit_sum)) % 10:
-            counterexamples.append([z, digit_sum])
+    counterexamples = [bad for bad in _sweep(_digit_sum_mismatch, bound, jobs) if bad]
     stabilized = 0
     for z in range(-trace_bound, trace_bound + 1):
-        if digit_sum_probe(z, max_iter, max_steps=max_steps).stabilized:
+        if digit_sum_probe(z, max_iter).stabilized:
             stabilized += 1
     params = {"bound": bound, "trace_bound": trace_bound, "max_iter": max_iter,
               "stabilized_traces": stabilized}
     return _finish("digit_sums", params, counterexamples, [], t0)
 
 
-def check_scheme_counterexample(*, max_steps: int = DEFAULT_MAX_STEPS) -> VerificationReport:
+def check_scheme_counterexample() -> VerificationReport:
     """The base X^2 + 4X + 8 expands every listed multiple of 8 as claimed,
     yet no (64, 4) scheme exists: digit 56 needs a 7-digit block."""
     t0 = time.perf_counter()
@@ -503,7 +485,7 @@ def check_scheme_counterexample(*, max_steps: int = DEFAULT_MAX_STEPS) -> Verifi
     for value in sorted(COUNTEREXAMPLE_EXPANSIONS):
         expect = COUNTEREXAMPLE_EXPANSIONS[value]
         try:
-            got = _expansion(value, COUNTEREXAMPLE_POLY, max_steps).digit_string()
+            got = _expansion(value, COUNTEREXAMPLE_POLY).digit_string()
         except NotRepresentableError:
             counterexamples.append([value, "not_representable"])
             continue
@@ -511,7 +493,7 @@ def check_scheme_counterexample(*, max_steps: int = DEFAULT_MAX_STEPS) -> Verifi
             counterexamples.append([value, got, expect])
         else:
             witnesses.append([value, got])
-    result = build_scheme(COUNTEREXAMPLE_POLY, 64, 4, max_steps)
+    result = build_scheme(COUNTEREXAMPLE_POLY, 64, 4)
     if not isinstance(result, SchemeViolation):
         counterexamples.append(["scheme_built", 64, 4])
     elif (result.kind is not ViolationKind.BLOCK_TOO_LONG
@@ -525,18 +507,15 @@ def check_scheme_counterexample(*, max_steps: int = DEFAULT_MAX_STEPS) -> Verifi
 
 
 def run_suite(names: Iterable[str] = ("all",), *,
-              sweep_bound: int = SWEEP_BOUND,
-              formula_bound: int = FORMULA_BOUND,
-              digit_sum_bound: int = DIGIT_SUM_BOUND,
+              bound: int | None = None,
               samples: int = SAMPLE_COUNT,
               seed: int = DEFAULT_SEED,
               grid_bound: int = GRID_BOUND,
-              max_steps: int = DEFAULT_MAX_STEPS,
               jobs: int = 1) -> list[VerificationReport]:
     """Run the named checks in canonical order and return their reports.
 
-    The length table backing the sweep checks is computed once and shared;
-    its content does not depend on the worker count.
+    bound, when given, replaces the range of i, of the length table and of
+    ix; the table is computed once and shared by the checks that read it.
     """
     selected: list[str] = []
     for name in names:
@@ -549,23 +528,24 @@ def run_suite(names: Iterable[str] = ("all",), *,
     if not selected:
         raise ValueError("no suite selected")
     ordered = [s for s in SUITE_ORDER if s in selected]
+    table_bound, formula_bound, digit_sum_bound = (
+        (SWEEP_BOUND, FORMULA_BOUND, DIGIT_SUM_BOUND) if bound is None else (bound,) * 3)
     lengths: dict[int, int] = {}
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
-        lengths = compute_length_table(STANDARD_POLY, sweep_bound,
-                                       max_steps=max_steps, jobs=jobs)
+        lengths = compute_length_table(table_bound, jobs=jobs)
     # each entry looks its check up when it runs, so a wrapper patched onto
     # the module-level name is the one called
     suite = {
-        "i": lambda: check_length_formula(formula_bound, max_steps=max_steps, jobs=jobs),
+        "i": lambda: check_length_formula(formula_bound, jobs=jobs),
         "ii": lambda: check_length_set(lengths=lengths),
         "iii": lambda: check_sign_disjoint(lengths=lengths),
-        "iv": lambda: check_boundary_jumps(max_steps=max_steps),
+        "iv": lambda: check_boundary_jumps(),
         "v": lambda: check_pair_subsequences(lengths=lengths),
         "vi": lambda: check_gap3(lengths=lengths),
         "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound),
         "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
-                                              lengths=lengths, max_steps=max_steps),
-        "ix": lambda: check_digit_sums(digit_sum_bound, max_steps=max_steps),
-        "remark": lambda: check_scheme_counterexample(max_steps=max_steps),
+                                              lengths=lengths),
+        "ix": lambda: check_digit_sums(digit_sum_bound, jobs=jobs),
+        "remark": lambda: check_scheme_counterexample(),
     }
     return [suite[name]() for name in ordered]

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and nothing it does not use."""
 
 import ast
 import sys
@@ -20,3 +20,20 @@ def test_package_imports_only_the_standard_library():
     foreign = {(path.name, name) for path in SOURCES for name in absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"cnskit"}}
     assert not foreign
+
+
+def unused_imports(path):
+    """Names the module imports but never references (the package's
+    __init__ imports to re-export, so it is not checked)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - referenced - {"annotations"}
+
+
+def test_every_imported_name_is_used():
+    unused = {(path.name, name) for path in SOURCES if path.name != "__init__.py"
+              for name in unused_imports(path)}
+    assert not unused

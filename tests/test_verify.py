@@ -1,13 +1,14 @@
 """The claim checks: pass/fail behavior, determinism, partition invariance."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 import cnskit.verify
 from cnskit.poly import IntPoly
-from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, VerificationReport,
+from cnskit.verify import (DEFAULT_SEED, VerificationReport,
                            check_additive_bounds, check_boundary_jumps,
                            check_digit_sums, check_gap3, check_lambda_bounds,
                            check_length_formula, check_length_set,
@@ -20,7 +21,7 @@ SMALL_BOUND = 3000
 
 @pytest.fixture(scope="module")
 def table():
-    return compute_length_table(STANDARD_POLY, SMALL_BOUND)
+    return compute_length_table(SMALL_BOUND)
 
 
 def strip_elapsed(report):
@@ -30,8 +31,8 @@ def strip_elapsed(report):
 
 
 def test_table_partition_invariance():
-    whole = compute_length_table(STANDARD_POLY, 400, jobs=1)
-    split = compute_length_table(STANDARD_POLY, 400, jobs=3)
+    whole = compute_length_table(400, jobs=1)
+    split = compute_length_table(400, jobs=3)
     assert whole == split
     assert whole[0] == 1
     assert whole[2] == 4
@@ -46,10 +47,35 @@ def test_length_formula_passes(table):
     assert report.params["counterexample_count"] == 0
 
 
-def test_length_formula_jobs_equivalence():
-    lone = check_length_formula(400, jobs=1)
-    multi = check_length_formula(400, jobs=3)
+@pytest.mark.parametrize("check", [check_length_formula, check_digit_sums],
+                         ids=["i", "ix"])
+def test_length_formula_jobs_equivalence(check):
+    lone = check(400, jobs=1)
+    multi = check(400, jobs=3)
     assert strip_elapsed(lone) == strip_elapsed(multi)
+
+
+def test_sweep_workers_are_capped_at_the_core_count(monkeypatch):
+    """--jobs N must not fork N processes; the fake pool maps in-process,
+    so this test starts none."""
+    recorded = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cnskit.verify, "ProcessPoolExecutor", InProcessPool)
+    assert compute_length_table(50, jobs=10_000) == compute_length_table(50, jobs=1)
+    assert all(workers <= (os.cpu_count() or 1) for workers in recorded)
 
 
 def test_length_set_passes(table):
@@ -96,7 +122,7 @@ def test_gap3_passes(table):
 
 
 def test_sweep_checks_read_the_bound_from_the_table():
-    table = compute_length_table(STANDARD_POLY, 100)
+    table = compute_length_table(100)
     assert check_gap3(lengths=table).passed
     assert check_length_set(lengths=table).params["bound"] == 100
 
@@ -164,7 +190,7 @@ def test_scheme_counterexample_passes():
 
 
 def test_run_suite_order_and_selection():
-    reports = run_suite(["iv", "remark", "ix"], digit_sum_bound=100)
+    reports = run_suite(["iv", "remark", "ix"], bound=100)
     assert [r.check_id for r in reports] == [
         "boundary_jumps", "digit_sums", "scheme_counterexample"]
     with pytest.raises(ValueError):
@@ -181,17 +207,17 @@ def test_run_suite_calls_the_module_level_check(monkeypatch):
         return check_gap3(*args, **kwargs)
 
     monkeypatch.setattr(cnskit.verify, "check_gap3", wrapper)
-    reports = run_suite(["vi"], sweep_bound=100)
+    reports = run_suite(["vi"], bound=100)
     assert calls == [()]
     assert [r.check_id for r in reports] == ["gap3"]
 
 
 def test_run_suite_small_all_is_deterministic():
-    # sweep must reach 30000 to attain four length pairs of each sign
-    kwargs = dict(sweep_bound=30_000, formula_bound=200, digit_sum_bound=100,
-                  samples=200, grid_bound=40)
-    first = run_suite(["all"], **kwargs)
-    second = run_suite(["all"], **kwargs)
+    # sweep must reach 30000 to attain four length pairs of each sign; the
+    # second run splits the three sweeps over worker processes
+    kwargs = dict(bound=30_000, samples=200, grid_bound=40)
+    first = run_suite(["all"], **kwargs, jobs=1)
+    second = run_suite(["all"], **kwargs, jobs=2)
     assert [strip_elapsed(r) for r in first] == [strip_elapsed(r) for r in second]
     by_id = {r.check_id: r for r in first}
     assert len(first) == 10
