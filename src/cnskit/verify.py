@@ -2,24 +2,27 @@
 
 Each check sweeps a stated range exactly (no floating point, no tolerance)
 and returns a VerificationReport whose content is deterministic given its
-parameters; only the elapsed-time field varies between runs.  The length
-table, check i and check ix sweep through one function that can fan out
-over processes and returns values in order, so the worker count never matters.
+parameters; only the elapsed-time field varies between runs.  Checks i
+and ix sweep through one function that can fan out over processes and
+returns values in order, so the worker count never matters.  Checks ii,
+iii, v, vi and viii read one LengthTable, built in one process by
+backward division that stops at the first integer state already stored.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
-                  expansion_of)
+from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable,
+                  NotRepresentableError, Residue, cns_encode, cns_length, expansion_of)
 from .negabase import Representation, extremal_of_length, length_negabase
 from .penney import (STANDARD_POLY, PenneyScheme, SchemeViolation, ViolationKind,
                      build_scheme, convert, leading_digit_length, penney_standard,
@@ -49,6 +52,10 @@ PAIR_COUNT = 4
 MAX_RECORDED = 20
 
 SUITE_ORDER = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "remark")
+
+# sweep workers start from a fresh interpreter: a forked worker would
+# inherit the state of any thread the calling process runs
+_POOL_CONTEXT = multiprocessing.get_context("spawn")
 
 
 @dataclass
@@ -119,9 +126,10 @@ def _sweep_chunk(args: tuple[Callable[[int], object], int, int]) -> list:
 def _sweep(fn: Callable[[int], object], bound: int, jobs: int) -> list:
     """[fn(z) for z in -bound..bound], in order.
 
-    jobs is capped at the core count, since the fork start method launches
-    every worker on the first chunk.  With more than one job the range is
-    cut into four consecutive chunks per job, mapped in worker processes.
+    jobs is capped at the core count.  With more than one job the range is
+    cut into four consecutive chunks per job, mapped in worker processes;
+    leaving the pool terminates them, so the first chunk that raises stops
+    the sweep at once.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
@@ -129,8 +137,8 @@ def _sweep(fn: Callable[[int], object], bound: int, jobs: int) -> list:
     total = 2 * bound + 1
     parts = min(4 * jobs, total)
     cuts = [-bound + total * k // parts for k in range(parts + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunks = pool.map(_sweep_chunk, [(fn, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+    with _POOL_CONTEXT.Pool(jobs) as pool:
+        chunks = pool.imap(_sweep_chunk, [(fn, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
         return [value for chunk in chunks for value in chunk]
 
 
@@ -138,16 +146,81 @@ def _expansion(z: int, p: IntPoly) -> Representation:
     return expansion_of(cns_encode(z, p), z, p)
 
 
-def compute_length_table(bound: int, *, jobs: int = 1) -> dict[int, int]:
+def _walk_length(z: int, stored: Callable[[int], int]) -> int:
+    """Length of z over X^2 + 2X + 2 by backward division, cut short at
+    the first integer state (w, 0) for which stored(w) is nonzero.
+
+    From (w, 0) on, the digits are w's own, so the length is the steps
+    taken plus stored(w).  A revisited state raises NotRepresentableError
+    and a length above DEFAULT_MAX_STEPS raises StepBudgetError, with
+    cns_length's messages.
+    """
+    a0, a1 = z, 0
+    seen = set()
+    steps = 0
+    # one step past the budget shows that the length exceeds it
+    while (a0 or a1) and steps <= DEFAULT_MAX_STEPS:
+        if not a1:
+            known = stored(a0)
+            if known:
+                steps += known
+                break
+        state = (a0, a1)
+        if state in seen:
+            expansion_of(CnsNotRepresentable(Residue(state)), z, STANDARD_POLY)  # raises
+        seen.add(state)
+        # digit a0 mod 2, quotient q = floor(a0 / 2); p0 = p1 = 2
+        q = a0 // 2
+        a0, a1 = a1 - 2 * q, -q
+        steps += 1
+    if steps > DEFAULT_MAX_STEPS:
+        expansion_of(CnsExhausted(DEFAULT_MAX_STEPS), z, STANDARD_POLY)  # raises
+    return steps or 1
+
+
+@dataclass(frozen=True)
+class LengthTable:
+    """Lengths over X^2 + 2X + 2 of every |z| <= bound, one byte each.
+
+    data[z + bound] is the length of z; table[z] reads it, and beyond
+    the bound walks down by backward division to a stored value.
+    """
+
+    bound: int
+    data: bytearray
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def _stored(self, z: int) -> int:
+        """The stored length of z, 0 beyond the bound or not yet computed."""
+        index = z + self.bound
+        return self.data[index] if 0 <= index < len(self.data) else 0
+
+    def __getitem__(self, z: int) -> int:
+        return self._stored(z) or _walk_length(z, self._stored)
+
+
+def compute_length_table(bound: int) -> LengthTable:
     """Length over X^2 + 2X + 2 of every |z| <= bound, by direct digit extraction.
 
-    The table is a plain value mapping, so splitting the range over
-    worker processes cannot change the result.
+    z runs through 0, 1, -1, 2, -2, ...; each walk stops at the first
+    integer state whose length is already stored, and stores the steps
+    taken plus that length.  Every digit still comes from backward
+    division, never from the block formula.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    lengths = _sweep(partial(cns_length, p=STANDARD_POLY), bound, jobs)
-    return dict(zip(range(-bound, bound + 1), lengths))
+    # walking -bound first reports a bound beyond the step budget at the
+    # lowest value of the range, before anything is allocated
+    _walk_length(-bound, lambda w: 0)
+    if 2 * bound + 1 > sys.maxsize:
+        raise ValueError(f"bound must be at most {sys.maxsize // 2}")
+    table = LengthTable(bound, bytearray(2 * bound + 1))
+    for magnitude in range(bound + 1):
+        for z in (magnitude, -magnitude):
+            table.data[z + bound] = _walk_length(z, table._stored)
+    return table
 
 
 def _formula_mismatch(z: int, scheme: PenneyScheme) -> list | None:
@@ -170,19 +243,18 @@ def check_length_formula(bound: int = FORMULA_BOUND, *, jobs: int = 1) -> Verifi
     return _finish("length_formula", params, counterexamples, [], t0)
 
 
-def _lengths_by_sign(lengths: Mapping[int, int]) -> tuple[list[int], list[int]]:
+def _lengths_by_sign(lengths: LengthTable) -> tuple[list[int], list[int]]:
     """Sorted distinct lengths attained on the positives and on the negatives."""
-    pos = sorted({L for z, L in lengths.items() if z > 0})
-    neg = sorted({L for z, L in lengths.items() if z < 0})
-    return pos, neg
+    bound, data = lengths.bound, lengths.data
+    return sorted(set(data[bound + 1:])), sorted(set(data[:bound]))
 
 
 def check_length_set(prefix_len: int = 10, *,
-                     lengths: Mapping[int, int]) -> VerificationReport:
+                     lengths: LengthTable) -> VerificationReport:
     """Attained expansion lengths over the table's range form exactly a
     prefix of the increasing integers that are 0 or 1 mod 4 (zero excluded)."""
     t0 = time.perf_counter()
-    attained = sorted(set(lengths.values()))
+    attained = sorted(set(lengths.data))
     top = attained[-1] if attained else 0
     # a(n) >= n, so indices up to top reach every a(n) <= top
     expected = [v for v in map(seq_a, range(1, top + 1)) if v <= top]
@@ -198,11 +270,11 @@ def check_length_set(prefix_len: int = 10, *,
         counterexamples.append(["missing_length", L])
     if len(attained) < prefix_len:
         counterexamples.append(["insufficient_range", len(attained), prefix_len])
-    params = {"bound": max(lengths), "prefix_len": prefix_len, "attained": attained}
+    params = {"bound": lengths.bound, "prefix_len": prefix_len, "attained": attained}
     return _finish("length_set", params, counterexamples, [], t0)
 
 
-def check_sign_disjoint(*, lengths: Mapping[int, int]) -> VerificationReport:
+def check_sign_disjoint(*, lengths: LengthTable) -> VerificationReport:
     """Positive and negative integers attain disjoint length sets:
     1 or 4 mod 8 on the positives, 5 or 0 mod 8 on the negatives."""
     t0 = time.perf_counter()
@@ -216,7 +288,7 @@ def check_sign_disjoint(*, lengths: Mapping[int, int]) -> VerificationReport:
     for L in neg:
         if L % 8 not in (5, 0):
             counterexamples.append(["negative_mod8", L])
-    params = {"bound": max(lengths), "positive_lengths": pos, "negative_lengths": neg}
+    params = {"bound": lengths.bound, "positive_lengths": pos, "negative_lengths": neg}
     return _finish("sign_disjoint", params, counterexamples, [], t0)
 
 
@@ -257,7 +329,7 @@ def check_boundary_jumps(max_length: int = BOUNDARY_MAX_LENGTH) -> VerificationR
 
 
 def check_pair_subsequences(count: int = PAIR_COUNT, *,
-                            lengths: Mapping[int, int]) -> VerificationReport:
+                            lengths: LengthTable) -> VerificationReport:
     """Sorted attained lengths interleave in pairs: positives take the
     (4n-3, 4n-2)-th members of the mod-4 sequence, negatives the
     (4n-1, 4n)-th, verified for the first count pairs on each side."""
@@ -286,24 +358,23 @@ def check_pair_subsequences(count: int = PAIR_COUNT, *,
             continue
         for k in range(count):
             witnesses.append([side, expected[2 * k], expected[2 * k + 1]])
-    params = {"count": count, "bound": max(lengths)}
+    params = {"count": count, "bound": lengths.bound}
     return _finish("pair_subsequences", params, counterexamples, witnesses, t0)
 
 
-def check_gap3(*, lengths: Mapping[int, int]) -> VerificationReport:
+def check_gap3(*, lengths: LengthTable) -> VerificationReport:
     """Walking away from zero on either side of the table's range, the
     expansion length never increases by less than 3 between consecutive
     distinct values."""
     t0 = time.perf_counter()
-    bound = max(lengths)
+    bound, data = lengths.bound, lengths.data
     counterexamples = []
-    for side, values in (("positive", range(1, bound + 1)),
-                         ("negative", range(-1, -bound - 1, -1))):
+    for side, sign, values in (("positive", 1, data[bound + 1:]),
+                               ("negative", -1, reversed(data[:bound]))):
         prev = None
-        for z in values:
-            L = lengths[z]
+        for magnitude, L in enumerate(values, 1):
             if prev is not None and L != prev and L - prev < 3:
-                counterexamples.append([side, z, prev, L])
+                counterexamples.append([side, sign * magnitude, prev, L])
             prev = L
     params = {"bound": bound}
     return _finish("gap3", params, counterexamples, [], t0)
@@ -379,7 +450,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
 
 def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
                           grid_bound: int = GRID_BOUND,
-                          lengths: Mapping[int, int]) -> VerificationReport:
+                          lengths: LengthTable) -> VerificationReport:
     """Claimed: len(x + y) <= len(x) + len(y) + 2 and
     len(xy) <= len(x) + len(y) + 10 over the same grid and seeded pairs as
     the leading-block check.
@@ -394,21 +465,15 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
     recorded in the params.
     """
     t0 = time.perf_counter()
-    # values outside the shared table are computed once each
-    miss = cache(lambda v: cns_length(v, STANDARD_POLY))
-
-    def length(v: int) -> int:
-        return lengths.get(v) or miss(v)  # no length is 0
-
     counterexamples = []
     max_sum_excess = None
     max_product_excess = None
 
     def probe(x: int, y: int) -> None:
         nonlocal max_sum_excess, max_product_excess
-        lx, ly = length(x), length(y)
-        sum_excess = length(x + y) - lx - ly
-        product_excess = length(x * y) - lx - ly
+        lx, ly = lengths[x], lengths[y]
+        sum_excess = lengths[x + y] - lx - ly
+        product_excess = lengths[x * y] - lx - ly
         if max_sum_excess is None or sum_excess > max_sum_excess:
             max_sum_excess = sum_excess
         if max_product_excess is None or product_excess > max_product_excess:
@@ -530,9 +595,9 @@ def run_suite(names: Iterable[str] = ("all",), *,
     ordered = [s for s in SUITE_ORDER if s in selected]
     table_bound, formula_bound, digit_sum_bound = (
         (SWEEP_BOUND, FORMULA_BOUND, DIGIT_SUM_BOUND) if bound is None else (bound,) * 3)
-    lengths: dict[int, int] = {}
+    lengths = None
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
-        lengths = compute_length_table(table_bound, jobs=jobs)
+        lengths = compute_length_table(table_bound)
     # each entry looks its check up when it runs, so a wrapper patched onto
     # the module-level name is the one called
     suite = {

@@ -40,7 +40,7 @@ def announce(num, ok, desc):
 
 @pytest.fixture(scope="module")
 def lengths():
-    return compute_length_table(100_000, jobs=2)
+    return compute_length_table(100_000)
 
 
 def enc(z, poly=STANDARD_POLY):

@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cnskit
 from cnskit.cli import main
 
 
@@ -180,17 +186,55 @@ def test_verify_report_file(tmp_path, capsys):
         assert record["passed"] is True
 
 
+def test_verify_report_matches_the_golden_file(tmp_path, capsys):
+    """Every report line of a small full run, apart from elapsed_ms, equals
+    the checked-in record; a change to any check's output shows here."""
+    path = tmp_path / "checks.jsonl"
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--range", "2000",
+                     "--samples", "200", "--report", str(path))
+    assert code == 1
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        del record["elapsed_ms"]
+    golden = (Path(__file__).parent / "data" / "verify_small.jsonl").read_text()
+    assert records == [json.loads(line) for line in golden.splitlines()]
+
+
 @pytest.mark.parametrize("argv", [
     # the first integer of the sweep exhausts the default budget
     ["verify", "--suite", "i", "--range", str(2**5000)],
     ["verify", "--suite", "ix", "--range", str(2**5000)],
     ["scheme", "--max-steps", "1"],
     ["convert", "--value", "5", "--max-steps", "1"],
+    ["verify", "--suite", "ii", "--range", str(2**5000)],
 ])
 def test_budget_exhaustion_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
+    assert err.startswith("error: no decision for ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["i", "ix"])
+def test_failing_sweep_stops_its_workers(suite):
+    """With two workers, the chunk at the bottom of the range exhausts the
+    budget while the one from 0 upwards never ends; the run must still
+    exit at once.  The process group is killed whatever happens."""
+    src = str(Path(cnskit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "cnskit.cli", "verify", "--suite", suite,
+            "--range", str(2**5000), "--jobs", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert (proc.returncode, out) == (3, "")
     assert err.startswith("error: no decision for ")
     assert err.count("\n") == 1
 
@@ -223,6 +267,8 @@ def test_decode_error_abbreviates_digits_and_residue(capsys, digits):
     ["verify", "--suite", ""],
     ["verify", "--suite", ","],
     ["verify", "--suite", "iv", "--report", "{missing}/checks.jsonl"],
+    # 2 * bound + 1 bytes of table overflow an index
+    ["verify", "--suite", "ii", "--range", str(2**70)],
 ])
 def test_verify_fails_before_any_check(tmp_path, capsys, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

@@ -2,13 +2,15 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 import cnskit.verify
+from cnskit.cns import StepBudgetError, brute_force_oracle, cns_length
 from cnskit.poly import IntPoly
-from cnskit.verify import (DEFAULT_SEED, VerificationReport,
+from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, VerificationReport,
                            check_additive_bounds, check_boundary_jumps,
                            check_digit_sums, check_gap3, check_lambda_bounds,
                            check_length_formula, check_length_set,
@@ -31,12 +33,56 @@ def strip_elapsed(report):
 
 
 def test_table_partition_invariance():
-    whole = compute_length_table(400, jobs=1)
-    split = compute_length_table(400, jobs=3)
-    assert whole == split
+    """Where the bound cuts the range changes no stored length."""
+    whole = compute_length_table(400)
+    wider = compute_length_table(1000)
+    assert whole.data == wider.data[600:1401]
     assert whole[0] == 1
     assert whole[2] == 4
     assert whole[-1] == 5
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    return compute_length_table(SWEEP_BOUND)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 100])
+def test_table_holds_one_entry_per_integer(bound):
+    assert len(compute_length_table(bound)) == 2 * bound + 1
+
+
+def test_table_equals_direct_lengths(full_table):
+    for z in range(-2000, 2001):
+        assert full_table[z] == cns_length(z, STANDARD_POLY)
+    rng = random.Random(5)
+    for z in (rng.randint(-SWEEP_BOUND, SWEEP_BOUND) for _ in range(2000)):
+        assert full_table[z] == cns_length(z, STANDARD_POLY)
+
+
+def test_table_agrees_with_the_oracle_on_short_lengths(table):
+    """Exactly the integers of length at most 8 have an expansion that
+    short, and it is as long as the table says."""
+    for z in range(-SMALL_BOUND, SMALL_BOUND + 1):
+        found = brute_force_oracle(z, STANDARD_POLY, 8)
+        if table[z] <= 8:
+            assert found is not None and found.length == table[z]
+        else:
+            assert found is None
+
+
+def test_table_walks_down_beyond_its_bound(table):
+    rng = random.Random(11)
+    for z in (rng.randint(-10**10, 10**10) for _ in range(2000)):
+        assert table[z] == cns_length(z, STANDARD_POLY)
+
+
+def test_table_beyond_the_budget_raises_as_cns_length(table):
+    with pytest.raises(StepBudgetError) as direct:
+        cns_length(2**20000, STANDARD_POLY)
+    with pytest.raises(StepBudgetError) as walked:
+        table[2**20000]
+    assert str(walked.value) == str(direct.value)
 
 
 def test_length_formula_passes(table):
@@ -56,13 +102,13 @@ def test_length_formula_jobs_equivalence(check):
 
 
 def test_sweep_workers_are_capped_at_the_core_count(monkeypatch):
-    """--jobs N must not fork N processes; the fake pool maps in-process,
+    """--jobs N must not start N processes; the fake pool maps in-process,
     so this test starts none."""
     recorded = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
+        def __init__(self, processes):
+            recorded.append(processes)
 
         def __enter__(self):
             return self
@@ -70,11 +116,15 @@ def test_sweep_workers_are_capped_at_the_core_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def imap(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cnskit.verify, "ProcessPoolExecutor", InProcessPool)
-    assert compute_length_table(50, jobs=10_000) == compute_length_table(50, jobs=1)
+    class InProcessContext:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(cnskit.verify, "_POOL_CONTEXT", InProcessContext)
+    for check in (check_length_formula, check_digit_sums):
+        assert strip_elapsed(check(50, jobs=10_000)) == strip_elapsed(check(50, jobs=1))
     assert all(workers <= (os.cpu_count() or 1) for workers in recorded)
 
 
