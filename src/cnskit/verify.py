@@ -2,29 +2,27 @@
 
 Each check sweeps a stated range exactly (no floating point, no tolerance)
 and returns a VerificationReport whose content is deterministic given its
-parameters; only the elapsed-time field varies between runs.  Checks i
-and ix sweep through one function that can fan out over processes and
-returns values in order, so the worker count never matters.  Checks ii,
-iii, v, vi and viii read one LengthTable, built in one process by
-backward division that stops at the first integer state already stored.
+parameters; only the elapsed-time field varies between runs.  The whole
+suite runs in one process.  The per-integer sweeps (the LengthTable that
+checks ii, iii, v, vi and viii read, and checks i and ix) share one walk:
+backward division that stops at the first integer state whose answer is
+already stored.  Check vii reads leading block lengths from a byte store
+filled by the base -4 digit recurrence.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import random
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable,
                   NotRepresentableError, Residue, cns_encode, cns_length, expansion_of)
-from .negabase import Representation, extremal_of_length, length_negabase
-from .penney import (STANDARD_POLY, PenneyScheme, SchemeViolation, ViolationKind,
+from .negabase import Representation, extremal_of_length, format_digits, length_negabase
+from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
                      build_scheme, convert, leading_digit_length, penney_standard,
                      predicted_length)
 from .poly import IntPoly
@@ -52,10 +50,6 @@ PAIR_COUNT = 4
 MAX_RECORDED = 20
 
 SUITE_ORDER = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "remark")
-
-# sweep workers start from a fresh interpreter: a forked worker would
-# inherit the state of any thread the calling process runs
-_POOL_CONTEXT = multiprocessing.get_context("spawn")
 
 
 @dataclass
@@ -118,64 +112,90 @@ def _finish(check_id: str, params: dict, counterexamples: list,
     )
 
 
-def _sweep_chunk(args: tuple[Callable[[int], object], int, int]) -> list:
-    fn, lo, hi = args
-    return [fn(z) for z in range(lo, hi)]
-
-
-def _sweep(fn: Callable[[int], object], bound: int, jobs: int) -> list:
-    """[fn(z) for z in -bound..bound], in order.
-
-    jobs is capped at the core count.  With more than one job the range is
-    cut into four consecutive chunks per job, mapped in worker processes;
-    leaving the pool terminates them, so the first chunk that raises stops
-    the sweep at once.
-    """
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return [fn(z) for z in range(-bound, bound + 1)]
-    total = 2 * bound + 1
-    parts = min(4 * jobs, total)
-    cuts = [-bound + total * k // parts for k in range(parts + 1)]
-    with _POOL_CONTEXT.Pool(jobs) as pool:
-        chunks = pool.imap(_sweep_chunk, [(fn, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
-        return [value for chunk in chunks for value in chunk]
-
-
 def _expansion(z: int, p: IntPoly) -> Representation:
     return expansion_of(cns_encode(z, p), z, p)
 
 
-def _walk_length(z: int, stored: Callable[[int], int]) -> int:
-    """Length of z over X^2 + 2X + 2 by backward division, cut short at
-    the first integer state (w, 0) for which stored(w) is nonzero.
+def _walk(z: int, known: Callable[[int], int]) -> tuple[dict, int, int]:
+    """Backward division over X^2 + 2X + 2 from the state (z, 0), cut short
+    at the first integer state (w, 0) reached for which known(w) is nonzero.
 
-    From (w, 0) on, the digits are w's own, so the length is the steps
-    taken plus stored(w).  A revisited state raises NotRepresentableError
-    and a length above DEFAULT_MAX_STEPS raises StepBudgetError, with
-    cns_length's messages.
+    Returns the states stepped from, in order, as the keys of a dict (the
+    digit emitted at (a0, a1) is a0 mod 2), then w and known(w); at the
+    zero state both are 0.  From (w, 0) on, the digits are w's own, so the
+    caller completes them from what it stored for w.  known(w) counts as
+    that many more digits against the budget: w's length in the length
+    table and in check i, its digit sum (at most its length) in check ix.
+    A revisited state raises NotRepresentableError and a length above
+    DEFAULT_MAX_STEPS raises StepBudgetError, with cns_length's messages.
+    Zero takes one step, from (0, 0) to itself, so its expansion is "0".
     """
     a0, a1 = z, 0
-    seen = set()
-    steps = 0
+    path: dict[tuple[int, int], None] = {}
+    rest = 0
     # one step past the budget shows that the length exceeds it
-    while (a0 or a1) and steps <= DEFAULT_MAX_STEPS:
-        if not a1:
-            known = stored(a0)
-            if known:
-                steps += known
-                break
+    for _ in range(DEFAULT_MAX_STEPS + 1):
         state = (a0, a1)
-        if state in seen:
+        if state in path:
             expansion_of(CnsNotRepresentable(Residue(state)), z, STANDARD_POLY)  # raises
-        seen.add(state)
+        path[state] = None
         # digit a0 mod 2, quotient q = floor(a0 / 2); p0 = p1 = 2
-        q = a0 // 2
+        q = a0 >> 1
         a0, a1 = a1 - 2 * q, -q
-        steps += 1
-    if steps > DEFAULT_MAX_STEPS:
+        if not a1:
+            if not a0:
+                break
+            rest = known(a0)
+            if rest:
+                break
+    if len(path) + rest > DEFAULT_MAX_STEPS:
         expansion_of(CnsExhausted(DEFAULT_MAX_STEPS), z, STANDARD_POLY)  # raises
-    return steps or 1
+    return path, a0, rest
+
+
+def _walk_ends(bound: int) -> None:
+    """Walk -bound and then bound in full, so that a range beyond the step
+    budget raises at its lowest value before any sweep from 0 starts: one
+    from 0 outwards would never reach the end of such a range."""
+    for z in (-bound, bound):
+        _walk(z, lambda w: 0)
+
+
+def _outward(bound: int) -> Iterator[int]:
+    """0, 1, -1, 2, -2, ..., bound, -bound.
+
+    A walk from (z, 0) reaches ((z - z mod 4) / -4, 0) within four steps,
+    and for |z| >= 2 that integer is smaller in magnitude, so in this
+    order its answer is always stored already.
+    """
+    yield 0
+    for magnitude in range(1, bound + 1):
+        yield magnitude
+        yield -magnitude
+
+
+def _zeroed_bytes(bound: int) -> bytearray:
+    """One zero byte per integer |z| <= bound, at index z + bound; a bound
+    whose bytes cannot be indexed or allocated raises ValueError."""
+    size = 2 * bound + 1
+    if size > sys.maxsize:
+        raise ValueError(f"bound must be at most {sys.maxsize // 2}")
+    try:
+        return bytearray(size)
+    except MemoryError:
+        raise ValueError(f"bound {bound} needs {size} bytes, "
+                         "more memory than can be allocated") from None
+
+
+def _stored_in(data: bytearray, bound: int) -> Callable[[int], int]:
+    """data[z + bound] for |z| <= bound, and 0 beyond."""
+    size = len(data)
+
+    def stored(z: int) -> int:
+        index = z + bound
+        return data[index] if 0 <= index < size else 0
+
+    return stored
 
 
 @dataclass(frozen=True)
@@ -192,13 +212,12 @@ class LengthTable:
     def __len__(self) -> int:
         return len(self.data)
 
-    def _stored(self, z: int) -> int:
-        """The stored length of z, 0 beyond the bound or not yet computed."""
-        index = z + self.bound
-        return self.data[index] if 0 <= index < len(self.data) else 0
-
     def __getitem__(self, z: int) -> int:
-        return self._stored(z) or _walk_length(z, self._stored)
+        bound = self.bound
+        if -bound <= z <= bound:
+            return self.data[z + bound]
+        path, _, rest = _walk(z, _stored_in(self.data, bound))
+        return len(path) + rest
 
 
 def compute_length_table(bound: int) -> LengthTable:
@@ -211,34 +230,53 @@ def compute_length_table(bound: int) -> LengthTable:
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    # walking -bound first reports a bound beyond the step budget at the
-    # lowest value of the range, before anything is allocated
-    _walk_length(-bound, lambda w: 0)
-    if 2 * bound + 1 > sys.maxsize:
-        raise ValueError(f"bound must be at most {sys.maxsize // 2}")
-    table = LengthTable(bound, bytearray(2 * bound + 1))
-    for magnitude in range(bound + 1):
-        for z in (magnitude, -magnitude):
-            table.data[z + bound] = _walk_length(z, table._stored)
-    return table
+    _walk_ends(bound)
+    data = _zeroed_bytes(bound)
+    stored = _stored_in(data, bound)
+    for z in _outward(bound):
+        path, _, rest = _walk(z, stored)
+        data[z + bound] = len(path) + rest
+    return LengthTable(bound, data)
 
 
-def _formula_mismatch(z: int, scheme: PenneyScheme) -> list | None:
-    direct = _expansion(z, STANDARD_POLY)
-    substituted = convert(z, scheme)
-    predicted = predicted_length(z, scheme)
-    if direct.digits != substituted.digits or predicted != direct.length:
-        return [z, direct.digit_string(), substituted.digit_string(), predicted]
-    return None
+def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(z, digits of z over X^2 + 2X + 2) for every |z| <= bound, least
+    significant digit first, in the order of _outward.
+
+    Each digit string is the emitted prefix of z's walk plus the stored
+    digits of the integer it stopped at.  Only |z| <= bound // 4 + 2 are
+    stored: no walk from the range stops anywhere else.
+    """
+    _walk_ends(bound)
+    reach = bound // 4 + 2
+    memo: dict[int, tuple[int, ...]] = {0: ()}
+
+    def known(w: int) -> int:
+        return len(memo.get(w, ()))
+
+    for z in _outward(bound):
+        path, w, _ = _walk(z, known)
+        expansion = (*[a0 & 1 for a0, _ in path], *memo[w])
+        # memo[0] stays empty: a walk that reaches the zero state ends there
+        if z and abs(z) <= reach:
+            memo[z] = expansion
+        yield z, expansion
 
 
-def check_length_formula(bound: int = FORMULA_BOUND, *, jobs: int = 1) -> VerificationReport:
+def check_length_formula(bound: int = FORMULA_BOUND) -> VerificationReport:
     """Every |z| <= bound: block substitution reproduces direct digit
     extraction digit for digit, and the length matches
     d * (negabase length - 1) + leading block length."""
     t0 = time.perf_counter()
-    mismatches = _sweep(partial(_formula_mismatch, scheme=penney_standard()), bound, jobs)
-    counterexamples = [bad for bad in mismatches if bad]
+    scheme = penney_standard()
+    counterexamples = []
+    for z, direct in _direct_expansions(bound):
+        substituted = convert(z, scheme)
+        predicted = predicted_length(z, scheme)
+        if direct != substituted.digits or predicted != len(direct):
+            counterexamples.append([z, format_digits(direct), substituted.digit_string(),
+                                    predicted])
+    counterexamples.sort()  # ascending z; each z appears at most once
     params = {"bound": bound, "max_steps": DEFAULT_MAX_STEPS}
     return _finish("length_formula", params, counterexamples, [], t0)
 
@@ -403,6 +441,30 @@ def _sweep_pairs(probe: Callable[[int, int], None], grid_bound: int,
         probe(x, y)
 
 
+def _leading_block_lengths(bound: int) -> Callable[[int], int]:
+    """lam(v), the unpadded block length of the leading base -4 digit of v
+    in the standard scheme, read from one byte per |v| <= bound.
+
+    The leading digit of v is that of (v - v mod 4) / -4, unless that is
+    0 and v is itself the digit; the store is filled by this recurrence,
+    and beyond the bound lam steps v down by it to a stored value.  The
+    bound is raised to 3 so that every single digit is stored.
+    """
+    block_lengths = penney_standard().block_lengths
+    bound = max(bound, 3)
+    data = _zeroed_bytes(bound)
+    for v in _outward(bound):
+        head = -(v >> 2)  # (v - v mod 4) / -4
+        data[v + bound] = data[head + bound] if head else block_lengths[v]
+
+    def lam(v: int) -> int:
+        while v > bound or v < -bound:
+            v = -(v >> 2)
+        return data[v + bound]
+
+    return lam
+
+
 def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
                         grid_bound: int = GRID_BOUND) -> VerificationReport:
     """-2 <= lam(x) + lam(y) - lam(xy) <= 7 for nonzero x, y, where lam is
@@ -415,8 +477,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
     of the claim.
     """
     t0 = time.perf_counter()
-    scheme = penney_standard()
-    lam = cache(lambda v: leading_digit_length(v, scheme))
+    lam = _leading_block_lengths(grid_bound * grid_bound)
     counterexamples = []
     witnesses = []
     for x, y, expected in ((4, 5, -2), (2, 410, 7)):
@@ -518,20 +579,33 @@ def digit_sum_probe(z: int, max_iter: int = 48) -> DigitSumProbe:
     return DigitSumProbe(z, digit_sum, s_k, trace, stabilized)
 
 
-def _digit_sum_mismatch(z: int) -> list | None:
-    digit_sum = sum(_expansion(z, STANDARD_POLY).digits)
-    return [z, digit_sum] if (2 * (z - digit_sum)) % 10 else None
+def _digit_sums(bound: int) -> bytearray:
+    """Digit sum over X^2 + 2X + 2 of every |z| <= bound, at index z + bound.
+
+    Each sum is that of the emitted prefix of z's walk plus the stored sum
+    of the integer it stopped at; every nonzero integer has a nonzero
+    digit, so a zero byte means not yet computed.
+    """
+    _walk_ends(bound)
+    sums = _zeroed_bytes(bound)
+    stored = _stored_in(sums, bound)
+    for z in _outward(bound):
+        path, _, rest = _walk(z, stored)
+        sums[z + bound] = sum([a0 & 1 for a0, _ in path]) + rest
+    return sums
 
 
 def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
-                     max_iter: int = 48, jobs: int = 1) -> VerificationReport:
+                     max_iter: int = 48) -> VerificationReport:
     """digit_sum(z) = z mod 5 and 2(z - digit_sum)/5 even for |z| <= bound.
 
     How often the literal recurrence happens to stabilize near zero is
     recorded in the params, never asserted.
     """
     t0 = time.perf_counter()
-    counterexamples = [bad for bad in _sweep(_digit_sum_mismatch, bound, jobs) if bad]
+    counterexamples = [[z, digit_sum] for z, digit_sum
+                       in zip(range(-bound, bound + 1), _digit_sums(bound))
+                       if (2 * (z - digit_sum)) % 10]
     stabilized = 0
     for z in range(-trace_bound, trace_bound + 1):
         if digit_sum_probe(z, max_iter).stabilized:
@@ -575,8 +649,7 @@ def run_suite(names: Iterable[str] = ("all",), *,
               bound: int | None = None,
               samples: int = SAMPLE_COUNT,
               seed: int = DEFAULT_SEED,
-              grid_bound: int = GRID_BOUND,
-              jobs: int = 1) -> list[VerificationReport]:
+              grid_bound: int = GRID_BOUND) -> list[VerificationReport]:
     """Run the named checks in canonical order and return their reports.
 
     bound, when given, replaces the range of i, of the length table and of
@@ -601,7 +674,7 @@ def run_suite(names: Iterable[str] = ("all",), *,
     # each entry looks its check up when it runs, so a wrapper patched onto
     # the module-level name is the one called
     suite = {
-        "i": lambda: check_length_formula(formula_bound, jobs=jobs),
+        "i": lambda: check_length_formula(formula_bound),
         "ii": lambda: check_length_set(lengths=lengths),
         "iii": lambda: check_sign_disjoint(lengths=lengths),
         "iv": lambda: check_boundary_jumps(),
@@ -610,7 +683,7 @@ def run_suite(names: Iterable[str] = ("all",), *,
         "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound),
         "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
                                               lengths=lengths),
-        "ix": lambda: check_digit_sums(digit_sum_bound, jobs=jobs),
+        "ix": lambda: check_digit_sums(digit_sum_bound),
         "remark": lambda: check_scheme_counterexample(),
     }
     return [suite[name]() for name in ordered]

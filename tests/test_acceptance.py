@@ -55,7 +55,7 @@ def test_criterion_01_digit_tables():
 
 
 def test_criterion_02_block_substitution_equivalence():
-    report = check_length_formula(10_000, jobs=2)
+    report = check_length_formula(10_000)
     ok = report.passed and report.counterexamples == []
     announce(2, ok, "block substitution matches backward division on "
                     "|z| <= 10^4 with length 4(l-1)+lambda")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -237,6 +238,67 @@ def test_failing_sweep_stops_its_workers(suite):
     assert (proc.returncode, out) == (3, "")
     assert err.startswith("error: no decision for ")
     assert err.count("\n") == 1
+
+
+def cli_argv(*argv):
+    """argv and environment that run the cnskit CLI of this source tree in a
+    fresh interpreter."""
+    src = str(Path(cnskit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return [sys.executable, "-m", "cnskit.cli", *argv], env
+
+
+def test_verify_leaves_no_process_behind():
+    """Right after the CLI exits, no process it started is left in its
+    process group.  The group is killed whatever happens."""
+    argv, env = cli_argv("verify", "--suite", "i,ix", "--range", "300", "--jobs", "2")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert (proc.returncode, out, err) == (0, "PASS length_formula\nPASS digit_sums\n", "")
+
+
+def limit_address_space():
+    """Cap the child's address space at 4,000,000 KiB, as `ulimit -v 4000000`."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (4_000_000 * 1024, hard))
+
+
+@pytest.mark.parametrize("suite", ["ii", "ix"])
+def test_unallocatable_range_exits_2(suite):
+    """A range whose byte store does not fit in memory exits 2 with one
+    line, not with a MemoryError traceback and the exit code of a failed
+    check.  Only the child runs under the memory limit."""
+    argv, env = cli_argv("verify", "--suite", suite, "--range", "1000000000000")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_jobs_changes_no_output(tmp_path, capsys):
+    """--jobs is accepted and has no effect: stdout and report lines at
+    --jobs 1 and 2 are identical apart from elapsed_ms."""
+    runs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs-{jobs}.jsonl"
+        code, out, err = run(capsys, "verify", "--suite", "i,ii,iii,iv,v,vi,ix,remark",
+                             "--range", "300", "--jobs", jobs, "--report", str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            del record["elapsed_ms"]
+        runs.append((code, out, err, records))
+    assert runs[0] == runs[1]
+    assert len(runs[0][3]) == 8
 
 
 def test_huge_integer_is_abbreviated_in_the_error(capsys):

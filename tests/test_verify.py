@@ -1,14 +1,16 @@
 """The claim checks: pass/fail behavior, determinism, partition invariance."""
 
 import json
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import cnskit.verify
-from cnskit.cns import StepBudgetError, brute_force_oracle, cns_length
+from cnskit.cli import main
+from cnskit.cns import StepBudgetError, brute_force_oracle, cns_encode, cns_length
+from cnskit.negabase import Representation
+from cnskit.penney import leading_digit_length, penney_standard, predicted_length
 from cnskit.poly import IntPoly
 from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, VerificationReport,
                            check_additive_bounds, check_boundary_jumps,
@@ -17,6 +19,7 @@ from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, Verificatio
                            check_pair_subsequences, check_scheme_counterexample,
                            check_sign_disjoint, compute_length_table,
                            digit_sum_probe, run_suite)
+from cnskit.verify import _digit_sums, _direct_expansions, _leading_block_lengths
 
 SMALL_BOUND = 3000
 
@@ -93,39 +96,88 @@ def test_length_formula_passes(table):
     assert report.params["counterexample_count"] == 0
 
 
-@pytest.mark.parametrize("check", [check_length_formula, check_digit_sums],
-                         ids=["i", "ix"])
-def test_length_formula_jobs_equivalence(check):
-    lone = check(400, jobs=1)
-    multi = check(400, jobs=3)
-    assert strip_elapsed(lone) == strip_elapsed(multi)
+@pytest.mark.parametrize("suite", ["i", "ix"], ids=["i", "ix"])
+def test_length_formula_jobs_equivalence(suite, tmp_path, capsys):
+    """--jobs is accepted only by the command line; checks i and ix report
+    the same at --jobs 1 and 3, apart from elapsed_ms."""
+    records = []
+    for jobs in ("1", "3"):
+        path = tmp_path / f"{suite}-{jobs}.jsonl"
+        assert main(["verify", "--suite", suite, "--range", "400",
+                     "--jobs", jobs, "--report", str(path)]) == 0
+        (record,) = [json.loads(line) for line in path.read_text().splitlines()]
+        del record["elapsed_ms"]
+        records.append(record)
+    capsys.readouterr()
+    assert records[0] == records[1]
+    assert records[0]["passed"]
 
 
-def test_sweep_workers_are_capped_at_the_core_count(monkeypatch):
-    """--jobs N must not start N processes; the fake pool maps in-process,
-    so this test starts none."""
-    recorded = []
+def test_direct_expansions_equal_the_encoder():
+    direct = dict(_direct_expansions(10_000))
+    assert len(direct) == 20_001
+    for z in range(-2000, 2001):
+        assert direct[z] == cns_encode(z, STANDARD_POLY).representation.digits
+    rng = random.Random(7)
+    for z in (rng.randint(-10_000, 10_000) for _ in range(2000)):
+        assert direct[z] == cns_encode(z, STANDARD_POLY).representation.digits
 
-    class InProcessPool:
-        def __init__(self, processes):
-            recorded.append(processes)
 
-        def __enter__(self):
-            return self
+def test_direct_expansions_agree_with_the_oracle_on_short_lengths():
+    for z, digits in _direct_expansions(SMALL_BOUND):
+        found = brute_force_oracle(z, STANDARD_POLY, 8)
+        if len(digits) <= 8:
+            assert found is not None and found.digits == digits
+        else:
+            assert found is None
 
-        def __exit__(self, *exc):
-            return False
 
-        def imap(self, fn, items):
-            return map(fn, items)
+def test_digit_sums_equal_the_encoder():
+    sums = _digit_sums(10_000)
+    for z in range(-10_000, 10_001):
+        assert sums[z + 10_000] == sum(cns_encode(z, STANDARD_POLY).representation.digits)
 
-    class InProcessContext:
-        Pool = InProcessPool
 
-    monkeypatch.setattr(cnskit.verify, "_POOL_CONTEXT", InProcessContext)
-    for check in (check_length_formula, check_digit_sums):
-        assert strip_elapsed(check(50, jobs=10_000)) == strip_elapsed(check(50, jobs=1))
-    assert all(workers <= (os.cpu_count() or 1) for workers in recorded)
+def test_leading_block_lengths_equal_penney():
+    scheme = penney_standard()
+    lam = _leading_block_lengths(300 * 300)
+    for v in range(-3000, 3001):
+        assert lam(v) == leading_digit_length(v, scheme)
+    for x in range(-300, 301, 7):
+        for y in range(-300, 301, 11):
+            assert lam(x * y) == leading_digit_length(x * y, scheme)
+    rng = random.Random(13)
+    for v in (rng.randint(-10**10, 10**10) for _ in range(2000)):
+        assert lam(v) == leading_digit_length(v, scheme)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_leading_block_lengths_below_the_single_digits(bound):
+    scheme = penney_standard()
+    lam = _leading_block_lengths(bound)
+    for v in range(-20, 21):
+        assert lam(v) == leading_digit_length(v, scheme)
+
+
+def test_length_formula_reports_corrupted_values_in_ascending_order(monkeypatch):
+    """Three wrong conversions, corrupted out of sweep order, are reported
+    in ascending z order, each as [z, direct, substituted, predicted]."""
+    real_convert = cnskit.verify.convert
+    corrupted = {150: "1", -37: "11", 9: "101"}
+
+    def convert(z, scheme):
+        if z in corrupted:
+            return Representation.from_string(scheme.base, corrupted[z])
+        return real_convert(z, scheme)
+
+    monkeypatch.setattr(cnskit.verify, "convert", convert)
+    report = check_length_formula(400)
+    scheme = penney_standard()
+    assert report.counterexamples == [
+        [z, cns_encode(z, STANDARD_POLY).representation.digit_string(), corrupted[z],
+         predicted_length(z, scheme)]
+        for z in sorted(corrupted)]
+    assert report.params["counterexample_count"] == 3
 
 
 def test_length_set_passes(table):
@@ -263,11 +315,10 @@ def test_run_suite_calls_the_module_level_check(monkeypatch):
 
 
 def test_run_suite_small_all_is_deterministic():
-    # sweep must reach 30000 to attain four length pairs of each sign; the
-    # second run splits the three sweeps over worker processes
+    # sweep must reach 30000 to attain four length pairs of each sign
     kwargs = dict(bound=30_000, samples=200, grid_bound=40)
-    first = run_suite(["all"], **kwargs, jobs=1)
-    second = run_suite(["all"], **kwargs, jobs=2)
+    first = run_suite(["all"], **kwargs)
+    second = run_suite(["all"], **kwargs)
     assert [strip_elapsed(r) for r in first] == [strip_elapsed(r) for r in second]
     by_id = {r.check_id: r for r in first}
     assert len(first) == 10
