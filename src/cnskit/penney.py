@@ -16,9 +16,9 @@ from enum import Enum
 from functools import cached_property
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
-                  cns_encode, reduce_digits)
+                  cns_encode)
 from .negabase import CnsBase, Representation, encode_negabase, format_digits, parse_digits
-from .poly import IntPoly, divides_xd_plus_c, has_simple_roots
+from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_power_mod
 
 # X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
 STANDARD_POLY = IntPoly((2, 2, 1))
@@ -185,9 +185,7 @@ def scheme_pairs(p: IntPoly, c_max: int, d_max: int) -> list[tuple[int, int]]:
     CnsBase(p)  # rejects non-monic p and |p(0)| <= 1
     pairs = []
     for d in range(1, d_max + 1):
-        residue = reduce_digits((0,) * d + (1,), p)
-        if residue.is_constant:
-            c = -residue.constant_value()
-            if 1 <= c <= c_max:
-                pairs.append((c, d))
+        residue = x_power_mod(d, p).coeffs
+        if len(residue) == 1 and 1 <= -residue[0] <= c_max:
+            pairs.append((-residue[0], d))
     return pairs

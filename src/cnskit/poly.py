@@ -141,10 +141,26 @@ def x_power_plus_c(d: int, c: int) -> IntPoly:
     return IntPoly((c,) + (0,) * (d - 1) + (1,))
 
 
+def x_power_mod(d: int, p: IntPoly) -> IntPoly:
+    """X^d mod a monic p by repeated squaring; X^d is never written out."""
+    if d < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = poly_divrem(ONE, p)[1]
+    square = poly_divrem(IntPoly((0, 1)), p)[1]
+    while d:
+        if d & 1:
+            result = poly_divrem(poly_mul(result, square), p)[1]
+        d >>= 1
+        if d:
+            square = poly_divrem(poly_mul(square, square), p)[1]
+    return result
+
+
 def divides_xd_plus_c(p: IntPoly, d: int, c: int) -> bool:
-    """Whether p divides X^d + c exactly."""
-    _, r = poly_divrem(x_power_plus_c(d, c), p)
-    return r.is_zero
+    """Whether a monic p divides X^d + c exactly: X^d and -c agree mod p."""
+    if d < 1:
+        raise ValueError("exponent must be positive")
+    return x_power_mod(d, p) == poly_divrem(IntPoly((-c,)), p)[1]
 
 
 def compose_x_power(p: IntPoly, k: int) -> IntPoly:

@@ -3,11 +3,12 @@
 Each check sweeps a stated range exactly (no floating point, no tolerance)
 and returns a VerificationReport whose content is deterministic given its
 parameters; only the elapsed-time field varies between runs.  The whole
-suite runs in one process.  The per-integer sweeps (the LengthTable that
-checks ii, iii, v, vi and viii read, and checks i and ix) share one walk:
-backward division that stops at the first integer state whose answer is
-already stored.  Check vii reads leading block lengths from a byte store
-filled by the base -4 digit recurrence.
+suite runs in one process.  The per-integer sweeps run on cns's one
+quadratic kernel, quadratic_walk, cut short at the first integer state
+whose answer is already stored: the LengthTable that checks ii, iii, v,
+vi and viii read, and the expansion sweep that check i compares digit
+for digit and check ix sums.  Check vii reads leading block lengths from
+a byte store filled by the base -4 digit recurrence.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable,
-                  NotRepresentableError, Residue, cns_encode, cns_length, expansion_of)
+from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
+                  expansion_of, quadratic_walk)
 from .negabase import Representation, extremal_of_length, format_digits, length_negabase
 from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
                      build_scheme, convert, leading_digit_length, penney_standard,
@@ -116,49 +117,14 @@ def _expansion(z: int, p: IntPoly) -> Representation:
     return expansion_of(cns_encode(z, p), z, p)
 
 
-def _walk(z: int, known: Callable[[int], int]) -> tuple[dict, int, int]:
-    """Backward division over X^2 + 2X + 2 from the state (z, 0), cut short
-    at the first integer state (w, 0) reached for which known(w) is nonzero.
-
-    Returns the states stepped from, in order, as the keys of a dict (the
-    digit emitted at (a0, a1) is a0 mod 2), then w and known(w); at the
-    zero state both are 0.  From (w, 0) on, the digits are w's own, so the
-    caller completes them from what it stored for w.  known(w) counts as
-    that many more digits against the budget: w's length in the length
-    table and in check i, its digit sum (at most its length) in check ix.
-    A revisited state raises NotRepresentableError and a length above
-    DEFAULT_MAX_STEPS raises StepBudgetError, with cns_length's messages.
-    Zero takes one step, from (0, 0) to itself, so its expansion is "0".
-    """
-    a0, a1 = z, 0
-    path: dict[tuple[int, int], None] = {}
-    rest = 0
-    # one step past the budget shows that the length exceeds it
-    for _ in range(DEFAULT_MAX_STEPS + 1):
-        state = (a0, a1)
-        if state in path:
-            expansion_of(CnsNotRepresentable(Residue(state)), z, STANDARD_POLY)  # raises
-        path[state] = None
-        # digit a0 mod 2, quotient q = floor(a0 / 2); p0 = p1 = 2
-        q = a0 >> 1
-        a0, a1 = a1 - 2 * q, -q
-        if not a1:
-            if not a0:
-                break
-            rest = known(a0)
-            if rest:
-                break
-    if len(path) + rest > DEFAULT_MAX_STEPS:
-        expansion_of(CnsExhausted(DEFAULT_MAX_STEPS), z, STANDARD_POLY)  # raises
-    return path, a0, rest
-
-
 def _walk_ends(bound: int) -> None:
     """Walk -bound and then bound in full, so that a range beyond the step
     budget raises at its lowest value before any sweep from 0 starts: one
     from 0 outwards would never reach the end of such a range."""
     for z in (-bound, bound):
-        _walk(z, lambda w: 0)
+        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
+        if not isinstance(walk, tuple):
+            expansion_of(walk, z, STANDARD_POLY)  # raises
 
 
 def _outward(bound: int) -> Iterator[int]:
@@ -174,16 +140,17 @@ def _outward(bound: int) -> Iterator[int]:
         yield -magnitude
 
 
-def _zeroed_bytes(bound: int) -> bytearray:
-    """One zero byte per integer |z| <= bound, at index z + bound; a bound
-    whose bytes cannot be indexed or allocated raises ValueError."""
+def _store(bound: int, make: Callable[[int], bytearray | list]) -> bytearray | list:
+    """make(2 * bound + 1): one entry per integer |z| <= bound, at index
+    z + bound.  A bound whose entries cannot be indexed or allocated
+    raises ValueError."""
     size = 2 * bound + 1
     if size > sys.maxsize:
         raise ValueError(f"bound must be at most {sys.maxsize // 2}")
     try:
-        return bytearray(size)
+        return make(size)
     except MemoryError:
-        raise ValueError(f"bound {bound} needs {size} bytes, "
+        raise ValueError(f"bound {bound} needs {size} entries, "
                          "more memory than can be allocated") from None
 
 
@@ -216,8 +183,10 @@ class LengthTable:
         bound = self.bound
         if -bound <= z <= bound:
             return self.data[z + bound]
-        path, _, rest = _walk(z, _stored_in(self.data, bound))
-        return len(path) + rest
+        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, _stored_in(self.data, bound))
+        if not isinstance(walk, tuple):
+            expansion_of(walk, z, STANDARD_POLY)  # raises
+        return len(walk[0]) + walk[2]
 
 
 def compute_length_table(bound: int) -> LengthTable:
@@ -231,11 +200,13 @@ def compute_length_table(bound: int) -> LengthTable:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _walk_ends(bound)
-    data = _zeroed_bytes(bound)
+    data = _store(bound, bytearray)
     stored = _stored_in(data, bound)
     for z in _outward(bound):
-        path, _, rest = _walk(z, stored)
-        data[z + bound] = len(path) + rest
+        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, stored)
+        if not isinstance(walk, tuple):
+            expansion_of(walk, z, STANDARD_POLY)  # raises
+        data[z + bound] = len(walk[0]) + walk[2]
     return LengthTable(bound, data)
 
 
@@ -244,22 +215,28 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     significant digit first, in the order of _outward.
 
     Each digit string is the emitted prefix of z's walk plus the stored
-    digits of the integer it stopped at.  Only |z| <= bound // 4 + 2 are
-    stored: no walk from the range stops anywhere else.
+    digits of the integer it stopped at, memo[w + reach].  Only
+    |w| <= reach = bound // 4 + 2 are stored: no walk from the range
+    stops anywhere else.
     """
     _walk_ends(bound)
     reach = bound // 4 + 2
-    memo: dict[int, tuple[int, ...]] = {0: ()}
+    memo = _store(reach, lambda size: [()] * size)
+    size = len(memo)
 
     def known(w: int) -> int:
-        return len(memo.get(w, ()))
+        index = w + reach
+        return len(memo[index]) if 0 <= index < size else 0
 
     for z in _outward(bound):
-        path, w, _ = _walk(z, known)
-        expansion = (*[a0 & 1 for a0, _ in path], *memo[w])
-        # memo[0] stays empty: a walk that reaches the zero state ends there
-        if z and abs(z) <= reach:
-            memo[z] = expansion
+        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
+        if not isinstance(walk, tuple):
+            expansion_of(walk, z, STANDARD_POLY)  # raises
+        states, w, _ = walk
+        expansion = (*[a0 & 1 for a0, _ in states], *memo[w + reach])
+        # the entry of 0 stays empty: a walk that reaches the zero state ends there
+        if z and -reach <= z <= reach:
+            memo[z + reach] = expansion
         yield z, expansion
 
 
@@ -418,15 +395,16 @@ def check_gap3(*, lengths: LengthTable) -> VerificationReport:
     return _finish("gap3", params, counterexamples, [], t0)
 
 
-def _sample_pairs(count: int, seed: int, bound: int) -> list[tuple[int, int]]:
+def _sample_pairs(count: int, seed: int, bound: int) -> Iterator[tuple[int, int]]:
+    """count seeded pairs of nonzero integers |x|, |y| <= bound, drawn one
+    at a time, so that a huge count holds no list of pairs."""
     rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count:
-        x = rng.randint(-bound, bound)
-        y = rng.randint(-bound, bound)
-        if x and y:
-            pairs.append((x, y))
-    return pairs
+    for _ in range(count):
+        x = y = 0
+        while not (x and y):
+            x = rng.randint(-bound, bound)
+            y = rng.randint(-bound, bound)
+        yield x, y
 
 
 def _sweep_pairs(probe: Callable[[int, int], None], grid_bound: int,
@@ -452,7 +430,7 @@ def _leading_block_lengths(bound: int) -> Callable[[int], int]:
     """
     block_lengths = penney_standard().block_lengths
     bound = max(bound, 3)
-    data = _zeroed_bytes(bound)
+    data = _store(bound, bytearray)
     for v in _outward(bound):
         head = -(v >> 2)  # (v - v mod 4) / -4
         data[v + bound] = data[head + bound] if head else block_lengths[v]
@@ -579,22 +557,6 @@ def digit_sum_probe(z: int, max_iter: int = 48) -> DigitSumProbe:
     return DigitSumProbe(z, digit_sum, s_k, trace, stabilized)
 
 
-def _digit_sums(bound: int) -> bytearray:
-    """Digit sum over X^2 + 2X + 2 of every |z| <= bound, at index z + bound.
-
-    Each sum is that of the emitted prefix of z's walk plus the stored sum
-    of the integer it stopped at; every nonzero integer has a nonzero
-    digit, so a zero byte means not yet computed.
-    """
-    _walk_ends(bound)
-    sums = _zeroed_bytes(bound)
-    stored = _stored_in(sums, bound)
-    for z in _outward(bound):
-        path, _, rest = _walk(z, stored)
-        sums[z + bound] = sum([a0 & 1 for a0, _ in path]) + rest
-    return sums
-
-
 def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
                      max_iter: int = 48) -> VerificationReport:
     """digit_sum(z) = z mod 5 and 2(z - digit_sum)/5 even for |z| <= bound.
@@ -603,9 +565,9 @@ def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
     recorded in the params, never asserted.
     """
     t0 = time.perf_counter()
-    counterexamples = [[z, digit_sum] for z, digit_sum
-                       in zip(range(-bound, bound + 1), _digit_sums(bound))
-                       if (2 * (z - digit_sum)) % 10]
+    # sorted into ascending z: the sweep runs outward from 0
+    counterexamples = sorted([z, sum(digits)] for z, digits in _direct_expansions(bound)
+                             if (2 * (z - sum(digits))) % 10)
     stabilized = 0
     for z in range(-trace_bound, trace_bound + 1):
         if digit_sum_probe(z, max_iter).stabilized:

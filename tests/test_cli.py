@@ -240,13 +240,19 @@ def test_failing_sweep_stops_its_workers(suite):
     assert err.count("\n") == 1
 
 
-def cli_argv(*argv):
-    """argv and environment that run the cnskit CLI of this source tree in a
-    fresh interpreter."""
+def python_argv(*argv):
+    """argv and environment that run Python with cnskit of this source tree
+    importable, in a fresh interpreter."""
     src = str(Path(cnskit.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return [sys.executable, "-m", "cnskit.cli", *argv], env
+    return [sys.executable, *argv], env
+
+
+def cli_argv(*argv):
+    """argv and environment that run the cnskit CLI of this source tree in a
+    fresh interpreter."""
+    return python_argv("-m", "cnskit.cli", *argv)
 
 
 def test_verify_leaves_no_process_behind():
@@ -266,10 +272,12 @@ def test_verify_leaves_no_process_behind():
     assert (proc.returncode, out, err) == (0, "PASS length_formula\nPASS digit_sums\n", "")
 
 
-def limit_address_space():
-    """Cap the child's address space at 4,000,000 KiB, as `ulimit -v 4000000`."""
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    resource.setrlimit(resource.RLIMIT_AS, (4_000_000 * 1024, hard))
+def address_space_limit(kib):
+    """A preexec_fn that caps the child's address space, as `ulimit -v kib`."""
+    def limit():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (kib * 1024, hard))
+    return limit
 
 
 @pytest.mark.parametrize("suite", ["ii", "ix"])
@@ -279,10 +287,38 @@ def test_unallocatable_range_exits_2(suite):
     check.  Only the child runs under the memory limit."""
     argv, env = cli_argv("verify", "--suite", suite, "--range", "1000000000000")
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60,
-                          preexec_fn=limit_address_space)
+                          preexec_fn=address_space_limit(4_000_000))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_huge_block_width_is_no_divisibility():
+    """scheme and convert at d = 10^8 report the violation without writing
+    out the 10^8 coefficients of X^d + c.  One child runs both, under a
+    memory limit and a timeout that hold for it alone."""
+    code = ("from cnskit.cli import main\n"
+            "for argv in (['scheme', '--d', '100000000'],\n"
+            "             ['convert', '--d', '100000000', '--value', '5']):\n"
+            "    print(main(argv))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=address_space_limit(800_000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "violation no divisibility\n1\n" * 2, "")
+
+
+def test_sample_pairs_are_drawn_lazily():
+    """The first 5 of 10^9 sample pairs are the 5 pairs of a request for 5,
+    taken in a child whose memory could not hold 10^9 pairs."""
+    code = ("from itertools import islice\n"
+            "from cnskit.verify import DEFAULT_SEED, SAMPLE_BOUND, _sample_pairs\n"
+            "first = list(islice(_sample_pairs(10**9, DEFAULT_SEED, SAMPLE_BOUND), 5))\n"
+            "print(first == list(_sample_pairs(5, DEFAULT_SEED, SAMPLE_BOUND)))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=address_space_limit(800_000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 def test_jobs_changes_no_output(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Canonical expansion by backward division: digit tables, cycles, the oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnskit.cns import (CnsDigits, CnsExhausted, CnsNotRepresentable,
-                        NotRepresentableError, StepBudgetError,
+from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepresentable,
+                        NotRepresentableError, Residue, StepBudgetError,
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
-                        expansion_of, reduce_digits)
+                        expansion_of, quadratic_walk, reduce_digits)
 from cnskit.negabase import CnsBase, Representation
 from cnskit.poly import IntPoly
 from cnskit.trinomial import lift_representation
@@ -123,14 +125,81 @@ def test_reduce_digits_matches_decode():
 
 
 def test_quadratic_and_generic_paths_agree():
-    # the quartic lift exercises the generic state loop on the same values,
-    # and its expansion is the quadratic one with zeros interleaved
+    """The quadratic kernel's digits are the ones the exhaustive oracle
+    finds, and, with zeros interleaved, the ones the generic state loop
+    finds over the quartic lift X^4 + 2X^2 + 2."""
+    max_len = 12
     for z in range(-300, 301):
-        fast = cns_encode(z, P)
+        states, w, rest = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
+        assert (w, rest) == (0, 0)
+        fast = Representation(CnsBase(P), tuple(a0 % 2 for a0, _ in states))
+        found = brute_force_oracle(z, P, max_len)
+        if fast.length <= max_len:
+            assert found == fast
+        else:
+            assert found is None
         generic = cns_encode(z, QUARTIC)
-        assert isinstance(fast, CnsDigits)
         assert isinstance(generic, CnsDigits)
-        assert generic.representation == lift_representation(fast.representation, 2)
+        assert generic.representation == lift_representation(fast, 2)
+
+
+def reference_encode(z, p, max_steps):
+    """cns_encode's docstring as a plain loop: the zero residue ends it,
+    then the step budget, then a revisited residue."""
+    pc = p.coeffs
+    d = len(pc) - 1
+    radix = abs(pc[0])
+    state = (z,) + (0,) * (d - 1)
+    digits, seen = [], set()
+    for steps in itertools.count():
+        if not any(state):
+            return CnsDigits(Representation(CnsBase(p), tuple(digits) or (0,)))
+        if steps >= max_steps:
+            return CnsExhausted(max_steps)
+        if state in seen:
+            return CnsNotRepresentable(Residue(state))
+        seen.add(state)
+        u = state[0] % radix
+        q = (state[0] - u) // pc[0]
+        digits.append(u)
+        state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
+
+
+@pytest.mark.parametrize("p", [P, NONCNS, COUNTER], ids=str)
+def test_encode_outcomes_equal_the_reference_loop(p):
+    for max_steps in (1, 3, 5, 30, 10_000):
+        for z in range(-3000, 3001):
+            assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+
+
+def test_revisit_at_the_budget_exhausts_it():
+    # -1 over X^2 - 2X + 2 steps to (-2, 1), then (-1, 1) twice
+    assert cns_encode(-1, NONCNS, 3) == CnsExhausted(3)
+    assert cns_encode(-1, NONCNS, 4) == CnsNotRepresentable(Residue((-1, 1)))
+
+
+@pytest.mark.parametrize("p", [P, COUNTER], ids=str)
+def test_memo_hook_changes_no_digit(p):
+    """A walk that stops where known(w) answers, completed by w's stored
+    digits, gives the digits of the walk without the hook; an expansion
+    one digit over the budget exhausts it either way."""
+    p0, p1, _ = p.coeffs
+
+    def digits_of_walk(walk):
+        states, w, rest = walk
+        return [a0 % p0 for a0, _ in states] + memo.get(w, [])
+
+    memo = {}
+    for w in range(-500, 501):
+        if w:
+            memo[w] = digits_of_walk(quadratic_walk(w, p0, p1, DEFAULT_MAX_STEPS))
+    for z in range(-3000, 3001):
+        full = digits_of_walk(quadratic_walk(z, p0, p1, DEFAULT_MAX_STEPS))
+        walk = quadratic_walk(z, p0, p1, DEFAULT_MAX_STEPS, lambda w: len(memo.get(w, ())))
+        assert walk[2] == len(memo.get(walk[1], ()))
+        assert digits_of_walk(walk) == full
+        short = quadratic_walk(z, p0, p1, len(full) - 1 or 1, lambda w: len(memo.get(w, ())))
+        assert isinstance(short, CnsExhausted) == (len(full) > 1)
 
 
 @given(st.integers(-10**12, 10**12))

@@ -19,7 +19,7 @@ from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, Verificatio
                            check_pair_subsequences, check_scheme_counterexample,
                            check_sign_disjoint, compute_length_table,
                            digit_sum_probe, run_suite)
-from cnskit.verify import _digit_sums, _direct_expansions, _leading_block_lengths
+from cnskit.verify import _direct_expansions, _leading_block_lengths
 
 SMALL_BOUND = 3000
 
@@ -133,9 +133,28 @@ def test_direct_expansions_agree_with_the_oracle_on_short_lengths():
 
 
 def test_digit_sums_equal_the_encoder():
-    sums = _digit_sums(10_000)
-    for z in range(-10_000, 10_001):
-        assert sums[z + 10_000] == sum(cns_encode(z, STANDARD_POLY).representation.digits)
+    """Check ix sums the digits of the expansion sweep: it yields every
+    |z| <= 10^4 once, and each sum is that of the encoder's digits."""
+    sums = {z: sum(digits) for z, digits in _direct_expansions(10_000)}
+    assert sorted(sums) == list(range(-10_000, 10_001))
+    for z, digit_sum in sums.items():
+        assert digit_sum == sum(cns_encode(z, STANDARD_POLY).representation.digits)
+
+
+def test_digit_sums_reports_corrupted_sums_in_ascending_order(monkeypatch):
+    """Check ix reads the expansion sweep, which runs outward from 0, and
+    reports the sums that break the identity in ascending z order."""
+    real_expansions = cnskit.verify._direct_expansions
+    corrupted = {150: (1,), -37: (1, 1), 9: (1, 0, 1)}
+
+    def expansions(bound):
+        for z, digits in real_expansions(bound):
+            yield z, corrupted.get(z, digits)
+
+    monkeypatch.setattr(cnskit.verify, "_direct_expansions", expansions)
+    report = check_digit_sums(400, trace_bound=0)
+    assert report.counterexamples == [[-37, 2], [9, 2], [150, 1]]
+    assert report.params["counterexample_count"] == 3
 
 
 def test_leading_block_lengths_equal_penney():
