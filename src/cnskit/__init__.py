@@ -19,9 +19,8 @@ from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
 from .penney import (PenneyScheme, SchemeViolation, ViolationKind, build_scheme,
                      convert, leading_digit_length, penney_standard,
                      predicted_length, scheme_pairs)
-from .poly import (IntPoly, NEG_INFINITY, Rational, compose_x_power,
-                   divides_xd_plus_c, has_simple_roots, poly_add, poly_divrem,
-                   poly_eval, poly_mul, x_power_plus_c)
+from .poly import (IntPoly, NEG_INFINITY, compose_x_power, divides_xd_plus_c,
+                   has_simple_roots, poly_add, poly_divrem, poly_eval, poly_mul)
 from .trinomial import (SequenceConsistencyError, SequenceId,
                         lift_representation, seq_a, seq_b, seq_c, seq_values,
                         trinomial_length_set)
@@ -45,9 +44,8 @@ __all__ = [
     "PenneyScheme", "SchemeViolation", "ViolationKind", "build_scheme",
     "convert", "leading_digit_length", "penney_standard", "predicted_length",
     "scheme_pairs",
-    "IntPoly", "NEG_INFINITY", "Rational", "compose_x_power",
-    "divides_xd_plus_c", "has_simple_roots", "poly_add", "poly_divrem",
-    "poly_eval", "poly_mul", "x_power_plus_c",
+    "IntPoly", "NEG_INFINITY", "compose_x_power", "divides_xd_plus_c",
+    "has_simple_roots", "poly_add", "poly_divrem", "poly_eval", "poly_mul",
     "SequenceConsistencyError", "SequenceId", "lift_representation", "seq_a",
     "seq_b", "seq_c", "seq_values", "trinomial_length_set",
     "DigitSumProbe", "VerificationReport", "check_additive_bounds",

@@ -4,7 +4,8 @@ All behavior is flag-driven and deterministic: identical argv produces
 byte-identical standard output.  Results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success (and, for verify, all checks passed),
 1 verification failure, unrepresentable value, non-constant decode or
-scheme violation, 2 invalid input, 3 step budget exhausted.
+scheme violation, 2 invalid input or a request too large for memory,
+3 step budget exhausted.
 """
 
 from __future__ import annotations
@@ -253,6 +254,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command} needs more memory than can be allocated",
+              file=sys.stderr)
         return 2
 
 

@@ -3,12 +3,12 @@
 The encoder runs backward division on a residue vector of the remaining
 value: the next digit is forced by the constant coefficient modulo
 |p(0)|, the stripped residue is divided by X, and the process repeats.
-Visited states are tracked so integers without an expansion are caught
-by cycle detection instead of looping forever.
-
-Monic quadratics with p(0) > 0, X^2 + 2X + 2 among them, run on one
-kernel over two plain integers, quadratic_walk, which verify's memoised
-sweeps share; every other base runs the generic loop on a state tuple.
+One walk policy serves every base: one insertion-ordered dict of the
+states stepped from is the cycle set, the digit record (a state's digit
+is its first coordinate mod |p(0)|) and the step count.  Monic
+quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one kernel
+over two plain integers, quadratic_walk, which verify's memoised sweeps
+share; every other base walks a state tuple, and only the step differs.
 
 Correctness is established externally: every emitted expansion reduces
 back to its integer (see reduce_digits), and an exhaustive search over
@@ -125,34 +125,28 @@ def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOut
         raise ValueError("max_steps must be positive")
     pc = p.coeffs
     p0 = pc[0]
+    radix = abs(p0)
     if len(pc) == 3 and p0 > 0:
         # quadratic_walk runs on two plain integers; the state loop below
         # is 2.4x slower on X^2 + 2X + 2
         walk = quadratic_walk(z, p0, pc[1], max_steps)
         if not isinstance(walk, tuple):
             return walk
-        return CnsDigits(Representation(base, tuple([a0 % p0 for a0, _ in walk[0]])))
-    d = len(pc) - 1
-    radix = abs(p0)
-    state = (z,) + (0,) * (d - 1)
-    zero = (0,) * d
-    digits: list[int] = []
-    seen: set[tuple[int, ...]] = set()
-    steps = 0
-    while True:
-        if state == zero:
-            return CnsDigits(Representation(base, tuple(digits) if digits else (0,)))
-        if steps >= max_steps:
-            return CnsExhausted(max_steps)
-        if state in seen:
-            return CnsNotRepresentable(Residue(state))
-        seen.add(state)
-        a0 = state[0]
-        u = a0 % radix
-        q = (a0 - u) // p0
-        digits.append(u)
-        state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
-        steps += 1
+        states = walk[0]
+    else:
+        d = len(pc) - 1
+        state = (z,) + (0,) * (d - 1)
+        zero = (0,) * d
+        states = {}
+        while state != zero:
+            if len(states) >= max_steps:
+                return CnsExhausted(max_steps)
+            if state in states:
+                return CnsNotRepresentable(Residue(state))
+            states[state] = None
+            q = (state[0] - state[0] % radix) // p0
+            state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
+    return CnsDigits(Representation(base, tuple([s[0] % radix for s in states]) or (0,)))
 
 
 def reduce_digits(digits, p: IntPoly) -> Residue:

@@ -108,18 +108,21 @@ class Representation:
         return self.digit_string()
 
 
+def _negabase_digits(z: int, b: int) -> list[int]:
+    """The base -b digits of z, least significant first; none for 0."""
+    if b < 2:
+        raise ValueError(f"negative base needs b >= 2, got {b}")
+    digits = []
+    while z:
+        r = z % b
+        digits.append(r)
+        z = (r - z) // b
+    return digits
+
+
 def encode_negabase(z: int, b: int) -> Representation:
     """Expand z in base -b; every integer has exactly one such expansion."""
-    base = NegaBase(b)
-    digits = []
-    n = z
-    while n != 0:
-        r = n % b
-        digits.append(r)
-        n = (r - n) // b
-    if not digits:
-        digits.append(0)
-    return Representation(base, tuple(digits))
+    return Representation(NegaBase(b), tuple(_negabase_digits(z, b)) or (0,))
 
 
 def decode_negabase(rep: Representation) -> int:
@@ -134,15 +137,7 @@ def decode_negabase(rep: Representation) -> int:
 
 def length_negabase(z: int, b: int) -> int:
     """Digit count of the base -b expansion; 0 counts as one digit."""
-    if b < 2:
-        raise ValueError(f"negative base needs b >= 2, got {b}")
-    count = 0
-    n = z
-    while n != 0:
-        r = n % b
-        n = (r - n) // b
-        count += 1
-    return count or 1
+    return len(_negabase_digits(z, b)) or 1
 
 
 def extremal_of_length(b: int, length: int) -> tuple[int, int]:

@@ -9,11 +9,7 @@ roots numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-
-# Exact rational numbers: always reduced, denominator always positive.
-Rational = Fraction
 
 # Degree of the zero polynomial.  A distinguished value, never -1.
 NEG_INFINITY = float("-inf")
@@ -134,13 +130,6 @@ def poly_derivative(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i))
 
 
-def x_power_plus_c(d: int, c: int) -> IntPoly:
-    """The polynomial X^d + c."""
-    if d < 1:
-        raise ValueError("exponent must be positive")
-    return IntPoly((c,) + (0,) * (d - 1) + (1,))
-
-
 def x_power_mod(d: int, p: IntPoly) -> IntPoly:
     """X^d mod a monic p by repeated squaring; X^d is never written out."""
     if d < 0:
@@ -157,9 +146,20 @@ def x_power_mod(d: int, p: IntPoly) -> IntPoly:
 
 
 def divides_xd_plus_c(p: IntPoly, d: int, c: int) -> bool:
-    """Whether a monic p divides X^d + c exactly: X^d and -c agree mod p."""
+    """Whether a monic p divides X^d + c exactly: X^d and -c agree mod p.
+
+    Each root of p is then a d-th root of -c, so |p(0)|^d = |c|^deg(p) is
+    tested first, on bit lengths before |p(0)|^d is formed: a huge d is
+    rejected without the residues of X^d, which grow like |root|^d.
+    """
     if d < 1:
         raise ValueError("exponent must be positive")
+    if not p.is_monic:
+        raise ValueError("divisor must be monic")
+    radix, norm = abs(p.constant_term), abs(c) ** (len(p.coeffs) - 1)
+    # radix^d has more than (radix.bit_length() - 1) * d bits
+    if (radix.bit_length() - 1) * d >= norm.bit_length() or radix ** d != norm:
+        return False
     return x_power_mod(d, p) == poly_divrem(IntPoly((-c,)), p)[1]
 
 

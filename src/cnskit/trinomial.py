@@ -13,7 +13,7 @@ from enum import Enum
 from math import isqrt
 
 from .negabase import CnsBase, Representation
-from .poly import compose_x_power
+from .poly import IntPoly, compose_x_power
 
 
 class SequenceId(Enum):
@@ -29,22 +29,16 @@ class SequenceConsistencyError(ArithmeticError):
 def lift_representation(rep: Representation, k: int) -> Representation:
     """Re-read an expansion over p as one over p(X^k).
 
-    Digit j moves to position j*k with zeros in between, so the length
-    becomes k*(len - 1) + 1; the digit set and the denoted integer are
-    unchanged.
+    The digits u(X) = sum u_j X^j become u(X^k): digit j moves to position
+    j*k with zeros in between, so the length becomes k*(len - 1) + 1; the
+    digit set and the denoted integer are unchanged.
     """
     if k < 2:
         raise ValueError("interleaving needs k >= 2")
     if not isinstance(rep.base, CnsBase):
         raise ValueError("expected a polynomial-base representation")
-    lifted_base = CnsBase(compose_x_power(rep.base.poly, k))
-    digits = rep.digits
-    if len(digits) == 1:
-        return Representation(lifted_base, digits)
-    out = [0] * (k * (len(digits) - 1) + 1)
-    for j, u in enumerate(digits):
-        out[j * k] = u
-    return Representation(lifted_base, tuple(out))
+    return Representation(CnsBase(compose_x_power(rep.base.poly, k)),
+                          compose_x_power(IntPoly(rep.digits), k).coeffs)
 
 
 def seq_a(n: int) -> int:

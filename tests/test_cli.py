@@ -219,9 +219,10 @@ def test_budget_exhaustion_exits_3(capsys, argv):
 
 @pytest.mark.parametrize("suite", ["i", "ix"])
 def test_failing_sweep_stops_its_workers(suite):
-    """With two workers, the chunk at the bottom of the range exhausts the
-    budget while the one from 0 upwards never ends; the run must still
-    exit at once.  The process group is killed whatever happens."""
+    """The sweep starts at the bottom of the range, whose first integer
+    exhausts the step budget: the run exits 3 at once with one line, at
+    --jobs 2 as at the default, since verify runs in one process whatever
+    --jobs says.  The process group is killed whatever happens."""
     src = str(Path(cnskit.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -306,6 +307,32 @@ def test_huge_block_width_is_no_divisibility():
                           preexec_fn=address_space_limit(800_000))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "violation no divisibility\n1\n" * 2, "")
+
+
+def test_unequal_norms_are_no_divisibility():
+    """X^2 + X + 3 cannot divide X^d + 4 for d = 10^8, since 3^d != 4^2;
+    the norm test says so before any residue of X^d is formed."""
+    argv, env = cli_argv("scheme", "--poly", "3,1,1", "--d", "100000000")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=address_space_limit(800_000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "violation no divisibility\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--name", "a", "--count", "100000000000"],
+    ["lift", "--digits", "1101", "--k", "100000000000"],
+], ids=["seq", "lift"])
+def test_out_of_memory_exits_2(argv):
+    """A result that does not fit in memory exits 2 with one line, not
+    with a MemoryError traceback and the exit code of a failed check.
+    Only the child runs under the memory limit."""
+    argv, env = cli_argv(*argv)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=address_space_limit(800_000))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_sample_pairs_are_drawn_lazily():

@@ -165,10 +165,15 @@ def reference_encode(z, p, max_steps):
         state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
 
 
-@pytest.mark.parametrize("p", [P, NONCNS, COUNTER], ids=str)
-def test_encode_outcomes_equal_the_reference_loop(p):
+@pytest.mark.parametrize("p, reach", [
+    pytest.param(p, reach, id=str(p)) for p, reach in [
+        # the quadratic kernel
+        (P, 3000), (NONCNS, 3000), (COUNTER, 3000),
+        # the generic loop: a quartic, a negative p(0), a cubic
+        (QUARTIC, 1000), (IntPoly((-2, 1, 1)), 1000), (IntPoly((2, 0, 0, 1)), 1000)]])
+def test_encode_outcomes_equal_the_reference_loop(p, reach):
     for max_steps in (1, 3, 5, 30, 10_000):
-        for z in range(-3000, 3001):
+        for z in range(-reach, reach + 1):
             assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 

@@ -1,8 +1,11 @@
-"""The package imports nothing outside the standard library, and nothing it does not use."""
+"""The package imports nothing outside the standard library, nothing it does not
+use, and exports exactly what its __init__ imports."""
 
 import ast
 import sys
 from pathlib import Path
+
+import cnskit
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "cnskit").glob("*.py"))
 
@@ -37,3 +40,15 @@ def test_every_imported_name_is_used():
     unused = {(path.name, name) for path in SOURCES if path.name != "__init__.py"
               for name in unused_imports(path)}
     assert not unused
+
+
+def test_all_is_what_the_package_imports():
+    """cnskit.__all__ lists each name src/cnskit/__init__.py imports, and
+    __version__, once; every one resolves, so deleting a name from a
+    module leaves no stale export."""
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    imported = [alias.asname or alias.name
+                for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(cnskit.__all__) == sorted(imported + ["__version__"])
+    assert all(hasattr(cnskit, name) for name in cnskit.__all__)

@@ -1,5 +1,7 @@
 """Integer polynomial arithmetic: exactness, normalization, root separation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from cnskit.poly import (IntPoly, NEG_INFINITY, compose_x_power,
                          divides_xd_plus_c, has_simple_roots, poly_add,
                          poly_derivative, poly_divrem, poly_eval, poly_mul,
-                         x_power_plus_c)
+                         x_power_mod)
 
 small_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
 
@@ -63,7 +65,7 @@ def test_product_difference_of_quadratics():
 
 
 def test_divrem_exact_division():
-    q, r = poly_divrem(x_power_plus_c(4, 4), poly(2, 2, 1))
+    q, r = poly_divrem(poly(4, 0, 0, 0, 1), poly(2, 2, 1))
     assert r.is_zero
     assert q.coeffs == (2, -2, 1)
 
@@ -88,6 +90,25 @@ def test_divides_xd_plus_c():
     assert not divides_xd_plus_c(poly(2, 2, 1), 3, 4)
     assert divides_xd_plus_c(poly(8, 4, 1), 4, 64)
     assert not divides_xd_plus_c(poly(8, 4, 1), 8, 64)
+
+
+def test_divides_xd_plus_c_equals_the_residue_comparison():
+    """The norm test that comes first changes no answer: on every small p,
+    d and c the result is the comparison of X^d and -c mod p, and a
+    non-monic p raises as that comparison does."""
+    polys = [poly(1)] + [poly(*low, 1) for n, reach in ((1, 9), (2, 4), (3, 2))
+                         for low in itertools.product(range(-reach, reach + 1), repeat=n)]
+    for p in polys:
+        for d in range(1, 9):
+            x_power = x_power_mod(d, p)
+            for c in range(-70, 71):
+                expected = x_power == poly_divrem(IntPoly((-c,)), p)[1]
+                assert divides_xd_plus_c(p, d, c) == expected, (p, d, c)
+    for p in (poly(2, 2, 2), poly(0, 3), poly(5, 0, -1)):
+        with pytest.raises(ValueError, match="monic"):
+            poly_divrem(IntPoly((-4,)), p)
+        with pytest.raises(ValueError, match="monic"):
+            divides_xd_plus_c(p, 4, 4)
 
 
 def test_compose_x_power():

@@ -69,6 +69,13 @@ def test_lift_known_value():
     assert lifted.digit_string() == "1010001"
     assert isinstance(lifted.base, CnsBase)
     assert lifted.base.poly == compose_x_power(P, 2)
+    # one digit, zero included, is its own lift
+    for digits in ("0", "1"):
+        rep = Representation.from_string(CnsBase(P), digits)
+        for k in (2, 3):
+            lifted = lift_representation(rep, k)
+            assert lifted.digit_string() == digits
+            assert lifted.base.poly == compose_x_power(P, k)
 
 
 def test_lift_validates():
