@@ -10,6 +10,19 @@ quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one kernel
 over two plain integers, quadratic_walk, which verify's memoised sweeps
 share; every other base walks a state tuple, and only the step differs.
 
+Big integers on a quadratic with complex roots (p1^2 < 4 p0) jump: the
+first k steps depend only on A mod p0^k, so with a_i = L_i + p0^k H_i
+the walk runs k steps on the small L and lands on L' + H N_k, where
+N_k = (-(X + p1))^k mod p.  Its digits are the plain loop's, and two
+rules keep every outcome exact as well:
+  - a jump is kept only if it lands outside the box that holds every
+    periodic state; a state it skips is then not periodic, so it is
+    never revisited and is not zero, and the cycle residue stays;
+  - a jump counts k steps and is taken only while k steps remain, so
+    the budget runs out at the same step.
+Long digit strings are reduced by halves, value[lo, hi) =
+value[lo, mid) + X^(mid - lo) value[mid, hi) mod p.
+
 Correctness is established externally: every emitted expansion reduces
 back to its integer (see reduce_digits), and an exhaustive search over
 short digit strings must agree with the encoder wherever both apply.
@@ -19,12 +32,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
+from math import isqrt
+from operator import mul
 from typing import Callable
 
 from .negabase import CnsBase, Representation
-from .poly import IntPoly
+from .poly import IntPoly, poly_divrem, poly_mul, x_power_mod
 
 DEFAULT_MAX_STEPS = 10_000
+
+# a walk from z of more bits than this jumps _JUMP_STEPS steps at a time
+_JUMP_MIN_BITS = 256
+_JUMP_STEPS = 128
+# a digit string longer than this is reduced by halves
+_SPLIT_DIGITS = 256
 
 # Guard for the exhaustive oracle; radix**max_len strings get enumerated.
 _ORACLE_NODE_LIMIT = 20_000_000
@@ -78,9 +100,10 @@ QuadraticWalk = (tuple[dict[tuple[int, int], None], int, int]
 
 
 def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
-                   known: Callable[[int], int] | None = None) -> QuadraticWalk:
-    """Backward division of z over X^2 + p1 X + p0, p0 > 0, on the residue
-    (a0, a1): emit a0 mod p0, then step to (a1 - q p1, -q), q = a0 // p0.
+                   known: Callable[[int], int] | None = None, a1: int = 0) -> QuadraticWalk:
+    """Backward division of z + a1 X over X^2 + p1 X + p0, p0 > 0, on the
+    residue (a0, a1): emit a0 mod p0, then step to (a1 - q p1, -q),
+    q = a0 // p0.
 
     The states stepped from are the keys of one dict, in order, which
     detects a revisit and records the digits (a0 mod p0 each); zero steps
@@ -91,7 +114,7 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
     at a revisit; CnsExhausted past max_steps digits or steps, a revisit
     found only at step max_steps included.
     """
-    a0, a1 = z, 0
+    a0 = z
     states: dict[tuple[int, int], None] = {}
     for _ in range(max_steps):
         state = (a0, a1)
@@ -112,6 +135,63 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
     return CnsExhausted(max_steps)
 
 
+def periodic_box(p0: int) -> tuple[int, int]:
+    """Bounds (b0, b1) with |a0| <= b0 and |a1| <= b1 at every periodic
+    state over X^2 + p1 X + p0 with complex roots, whatever p1.
+
+    A periodic A has |A(alpha)| <= (p0 - 1)/(|alpha| - 1) = sqrt(p0) + 1
+    at both roots, |alpha| = sqrt(p0), and the roots lie at least 1 apart.
+    """
+    s = isqrt(p0) + 1
+    return (s + 1) * (2 * s + 1), 2 * (s + 1)
+
+
+@lru_cache(maxsize=32)
+def _jump_residue(p0: int, p1: int, k: int) -> tuple[int, int]:
+    """N_k = (-(X + p1))^k mod X^2 + p1 X + p0, as (n0, n1): k steps take
+    p0^k H to H N_k."""
+    n0, n1 = 1, 0
+    for _ in range(k):
+        n0, n1 = p0 * n1 - p1 * n0, -n0
+    return n0, n1
+
+
+def _jump_walk(z: int, p0: int, p1: int, max_steps: int) -> tuple[list[int], QuadraticWalk]:
+    """quadratic_walk(z, p0, p1, max_steps) in jumps of _JUMP_STEPS steps
+    while each lands outside periodic_box(p0): the jumps' digits, and the
+    plain walk from the last landing state on the steps left."""
+    k = _JUMP_STEPS
+    n0, n1 = _jump_residue(p0, p1, k)
+    # H N_k = (h0 n0 - h1 m0) + (h0 n1 + h1 m1) X
+    m0, m1 = p0 * n1, n0 - p1 * n1
+    box0, box1 = periodic_box(p0)
+    chunk = p0 ** k
+    mask = chunk - 1
+    shift = mask.bit_length() if not chunk & mask else 0
+    digits: list[int] = []
+    a0, a1 = z, 0
+    left = max_steps
+    while left >= k:
+        if shift:
+            h0, l0, h1, l1 = a0 >> shift, a0 & mask, a1 >> shift, a1 & mask
+        else:
+            (h0, l0), (h1, l1) = divmod(a0, chunk), divmod(a1, chunk)
+        mark = len(digits)
+        for _ in range(k):
+            q = l0 // p0
+            digits.append(l0 - q * p0)
+            l0, l1 = l1 - q * p1, -q
+        l0 += h0 * n0 - h1 * m0
+        l1 += h0 * n1 + h1 * m1
+        if -box0 <= l0 <= box0 and -box1 <= l1 <= box1:
+            del digits[mark:]
+            break
+        a0, a1 = l0, l1
+        left -= k
+    walk = quadratic_walk(a0, p0, p1, left, a1=a1)
+    return digits, CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
+
+
 def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOutcome:
     """Extract the canonical digits of z in base p.
 
@@ -126,10 +206,14 @@ def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOut
     pc = p.coeffs
     p0 = pc[0]
     radix = abs(p0)
+    digits: list[int] = []
     if len(pc) == 3 and p0 > 0:
         # quadratic_walk runs on two plain integers; the state loop below
         # is 2.4x slower on X^2 + 2X + 2
-        walk = quadratic_walk(z, p0, pc[1], max_steps)
+        if z.bit_length() > _JUMP_MIN_BITS and pc[1] ** 2 < 4 * p0:
+            digits, walk = _jump_walk(z, p0, pc[1], max_steps)
+        else:
+            walk = quadratic_walk(z, p0, pc[1], max_steps)
         if not isinstance(walk, tuple):
             return walk
         states = walk[0]
@@ -146,7 +230,8 @@ def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOut
             states[state] = None
             q = (state[0] - state[0] % radix) // p0
             state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
-    return CnsDigits(Representation(base, tuple([s[0] % radix for s in states]) or (0,)))
+    digits += [s[0] % radix for s in states]
+    return CnsDigits(Representation(base, tuple(digits) or (0,)))
 
 
 def reduce_digits(digits, p: IntPoly) -> Residue:
@@ -161,6 +246,8 @@ def reduce_digits(digits, p: IntPoly) -> Residue:
     d = len(pc) - 1
     if d == 0:
         raise ValueError("base polynomial must have positive degree")
+    if len(digits) > _SPLIT_DIGITS:
+        return Residue(_reduce_halves(tuple(digits), p, {}))
     acc = [0] * d
     for u in reversed(digits):
         # acc * X + u, using X^d = -(p[0] + ... + p[d-1] X^(d-1))
@@ -170,6 +257,29 @@ def reduce_digits(digits, p: IntPoly) -> Residue:
             new.append(acc[i - 1] - h * pc[i])
         acc = new
     return Residue(tuple(acc))
+
+
+def _reduce_halves(digits: tuple[int, ...], p: IntPoly,
+                   powers: dict[int, IntPoly]) -> tuple[int, ...]:
+    """reduce_digits(digits, p).coeffs: the low half plus X^m times the
+    high half, m = len(digits) // 2, down to strings of _SPLIT_DIGITS,
+    which are sums of digits times the table of X^j mod p."""
+    if len(digits) <= _SPLIT_DIGITS:
+        return tuple(sum(map(mul, digits, column))
+                     for column in _x_power_columns(p, _SPLIT_DIGITS))
+    m = len(digits) // 2
+    if m not in powers:
+        powers[m] = x_power_mod(m, p)
+    high = IntPoly(_reduce_halves(digits[m:], p, powers))
+    high = poly_divrem(poly_mul(powers[m], high), p)[1].coeffs
+    low = _reduce_halves(digits[:m], p, powers)
+    return tuple(a + b for a, b in zip_longest(low, high, fillvalue=0))
+
+
+@lru_cache(maxsize=32)
+def _x_power_columns(p: IntPoly, count: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient i of X^j mod p for j < count, one column per i."""
+    return tuple(zip(*(reduce_digits((0,) * j + (1,), p).coeffs for j in range(count))))
 
 
 def cns_decode(rep: Representation) -> Residue:

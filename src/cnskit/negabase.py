@@ -4,6 +4,12 @@ A Representation pairs a base descriptor (negative integer base, or monic
 polynomial base) with a digit sequence stored least significant first.
 Digit strings are printed most significant first; digits above 9 force a
 dotted form so multi-digit entries stay unambiguous.
+
+Base -b digits come one division at a time, z -> -(z div b).  A big z
+jumps k digits at once: with z = l + b^k h and 0 <= l < b^k, the k
+steps on the small l give the digits, and z becomes l_k + (-1)^k h.
+A jump is taken only while |h| >= 2, so no state it skips is 0 and the
+digits are the plain loop's.
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .poly import IntPoly
+
+# an integer of more bits than this takes its digits _JUMP_DIGITS (even) at a time
+_JUMP_MIN_BITS = 256
+_JUMP_DIGITS = 64
 
 
 @dataclass(frozen=True)
@@ -109,10 +119,27 @@ class Representation:
 
 
 def _negabase_digits(z: int, b: int) -> list[int]:
-    """The base -b digits of z, least significant first; none for 0."""
+    """The base -b digits of z, least significant first; none for 0.
+
+    Beyond _JUMP_MIN_BITS bits, z jumps _JUMP_DIGITS = k digits at a time
+    (k is even, so (-1)^k h = h).  The state after j < k steps is
+    l_j + (-1)^j b^(k-j) h with |l_j| <= b^(k-j), which |h| >= 2 keeps
+    from 0.
+    """
     if b < 2:
         raise ValueError(f"negative base needs b >= 2, got {b}")
     digits = []
+    if z.bit_length() > _JUMP_MIN_BITS:
+        chunk = b ** _JUMP_DIGITS
+        while True:
+            high, low = divmod(z, chunk)
+            if -2 < high < 2:
+                break
+            for _ in range(_JUMP_DIGITS):
+                r = low % b
+                digits.append(r)
+                low = (r - low) // b
+            z = low + high
     while z:
         r = z % b
         digits.append(r)

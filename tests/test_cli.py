@@ -309,6 +309,21 @@ def test_huge_block_width_is_no_divisibility():
         0, "violation no divisibility\n1\n" * 2, "")
 
 
+def test_encode_budget_grows_with_the_value():
+    """Without --max-steps, encode settles 2^6000, whose expansion is
+    longer than the library's 10,000-step default, and its digits are
+    convert's.  One child runs both commands."""
+    code = ("from cnskit.cli import main\n"
+            "for command in ('encode', 'convert'):\n"
+            f"    print(main([command, '--value', '{2**6000}']))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    encoded, encode_code, converted, convert_code = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, encode_code, convert_code) == (0, "", "0", "0")
+    assert len(encoded) > 10_000
+    assert encoded == converted
+
+
 def test_unequal_norms_are_no_divisibility():
     """X^2 + X + 3 cannot divide X^d + 4 for d = 10^8, since 3^d != 4^2;
     the norm test says so before any residue of X^d is formed."""
@@ -365,7 +380,7 @@ def test_jobs_changes_no_output(tmp_path, capsys):
 
 
 def test_huge_integer_is_abbreviated_in_the_error(capsys):
-    code, out, err = run(capsys, "encode", "--value", str(2**6000))
+    code, out, err = run(capsys, "encode", "--value", str(2**6000), "--max-steps", "10000")
     assert (code, out) == (3, "")
     assert err.count("\n") == 1
     assert len(err) < 200

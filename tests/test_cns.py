@@ -1,15 +1,18 @@
 """Canonical expansion by backward division: digit tables, cycles, the oracle."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnskit import cns
 from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepresentable,
                         NotRepresentableError, Residue, StepBudgetError,
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
-                        expansion_of, quadratic_walk, reduce_digits)
+                        expansion_of, periodic_box, quadratic_walk, reduce_digits)
 from cnskit.negabase import CnsBase, Representation
 from cnskit.poly import IntPoly
 from cnskit.trinomial import lift_representation
@@ -258,3 +261,142 @@ def test_oracle_counterexample_base():
 def test_oracle_rejects_huge_enumeration():
     with pytest.raises(ValueError):
         brute_force_oracle(1, P, 10**9)
+
+
+# complex-root quadratics on which big integers jump; X^2 - 2X + 2
+# represents no big integer, so its walks end in a cycle
+JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]
+
+
+@st.composite
+def big_integers(draw, max_bits):
+    bits = draw(st.integers(0, max_bits))
+    magnitude = draw(st.integers(0, 2**bits - 1)) | (1 << bits >> 1)
+    return magnitude if draw(st.booleans()) else -magnitude
+
+
+@pytest.mark.parametrize("p", JUMP_BASES, ids=str)
+@given(z=big_integers(4000))
+@settings(max_examples=30, deadline=None)
+def test_jumps_equal_the_reference_loop(p, z):
+    """Every outcome of the jumping encoder, cycle residue included, is
+    the plain loop's, at a budget that settles every size drawn."""
+    max_steps = 4 * z.bit_length() + 64
+    assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+
+
+def plain_steps(z, p):
+    """Steps of the plain walk from z until it reaches zero or steps to a
+    state it has stepped from."""
+    p0, p1, _ = p.coeffs
+    state, seen = (z, 0), set()
+    while any(state) and state not in seen:
+        seen.add(state)
+        q = state[0] // p0
+        state = (state[1] - q * p1, -q)
+    return len(seen)
+
+
+@pytest.mark.parametrize("p", JUMP_BASES, ids=str)
+def test_jumps_exhaust_the_budget_at_the_same_step(p):
+    """Just above the size that jumps, a budget one short of the plain
+    walk's n steps, exactly n or one more, or a whole number of jumps,
+    gives the plain loop's outcome."""
+    rng = random.Random(13)
+    k = cns._JUMP_STEPS
+    for bits in range(cns._JUMP_MIN_BITS + 1, cns._JUMP_MIN_BITS + 41, 4):
+        for sign in (1, -1):
+            z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
+            n = plain_steps(z, p)
+            whole = n // k * k
+            for max_steps in {n - 1, n, n + 1, whole - 1, whole, whole + 1}:
+                assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+
+
+@pytest.mark.parametrize("p", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_short_jumps_equal_the_oracle_and_the_reference_loop(monkeypatch, p, k):
+    """With jumps of k steps from every size, the jumps come close to the
+    periodic states: the outcomes still equal the plain loop's at every
+    budget, and the digits the oracle's."""
+    monkeypatch.setattr(cns, "_JUMP_MIN_BITS", 0)
+    monkeypatch.setattr(cns, "_JUMP_STEPS", k)
+    # about 10^4 strings or fewer for the oracle to enumerate
+    max_len = {2: 12, 3: 8, 8: 4}[p.coeffs[0]]
+    for z in range(-300, 301):
+        for max_steps in (1, 3, 5, 30, 10_000):
+            assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+        outcome = cns_encode(z, p)
+        if isinstance(outcome, CnsDigits) and outcome.representation.length <= max_len:
+            assert brute_force_oracle(z, p, max_len) == outcome.representation
+
+
+def test_big_integer_digits_are_pinned():
+    """The digits of one 2^14-bit integer, as the plain loop found them."""
+    rng = random.Random(2023)
+    z = -(rng.getrandbits(16384) | 1 << 16383)
+    rep = cns_encode(z, P, 4 * 16384 + 64).representation
+    text = rep.digit_string()
+    assert len(text) == 32768
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "68131c590468a4fdb5ba4ab1bd4b6e496d23a8e14263c47e235bb16144539f75")
+    assert cns_decode(rep).coeffs == (z, 0)
+
+
+def test_every_periodic_state_lies_in_the_box():
+    """Over every quadratic with complex roots and p0 <= 8, the walk from
+    every start with |a_i| <= 60 ends in a cycle or at zero, whose states
+    lie inside periodic_box(p0).  A jump is legal only if this holds."""
+    reach = 60
+    bases = [(p0, p1) for p0 in range(2, 9) for p1 in range(-5, 6) if p1 * p1 < 4 * p0]
+    assert len(bases) == 59
+    for p0, p1 in bases:
+        box0, box1 = periodic_box(p0)
+        done: set[tuple[int, int]] = set()
+        for start in itertools.product(range(-reach, reach + 1), repeat=2):
+            path: dict[tuple[int, int], None] = {}
+            state = start
+            while state not in done and state not in path:
+                path[state] = None
+                q = state[0] // p0
+                state = (state[1] - q * p1, -q)
+            if state in path:
+                cycle = list(path)[list(path).index(state):]
+                assert all(abs(a0) <= box0 and abs(a1) <= box1
+                           for a0, a1 in cycle), (p0, p1, cycle)
+            done.update(path)
+
+
+def reference_decode(digits, p):
+    """Horner's rule on residue vectors, one digit at a time."""
+    pc = p.coeffs
+    d = len(pc) - 1
+    acc = [0] * d
+    for u in reversed(digits):
+        h = acc[-1]
+        acc = [u - h * pc[0]] + [acc[i - 1] - h * pc[i] for i in range(1, d)]
+    return tuple(acc)
+
+
+@pytest.mark.parametrize("p", [P, NONCNS, QUARTIC, IntPoly((3, 1, 1)), IntPoly((-2, 1, 1))],
+                         ids=str)
+def test_long_strings_reduce_as_horner(p):
+    """Strings longer than one leaf are reduced by halves; random digits
+    mostly denote non-constant residues."""
+    rng = random.Random(7)
+    radix = abs(p.coeffs[0])
+    split = cns._SPLIT_DIGITS
+    for length in (split - 1, split, split + 1, 2 * split + 1, 4 * split - 3, 5000):
+        digits = [rng.randrange(radix) for _ in range(length)]
+        assert reduce_digits(digits, p).coeffs == reference_decode(digits, p)
+
+
+@pytest.mark.parametrize("split", [1, 2, 3, 5])
+def test_tiny_leaves_reduce_as_horner(monkeypatch, split):
+    monkeypatch.setattr(cns, "_SPLIT_DIGITS", split)
+    rng = random.Random(split)
+    for p in (P, QUARTIC, IntPoly((5, -3, 1))):
+        radix = abs(p.coeffs[0])
+        for length in range(0, 70):
+            digits = tuple(rng.randrange(radix) for _ in range(length))
+            assert reduce_digits(digits, p).coeffs == reference_decode(digits, p)

@@ -1,9 +1,12 @@
 """Negative-base expansions: round trips, length structure, extremal integers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnskit import negabase
 from cnskit.negabase import (CnsBase, NegaBase, Representation,
                              decode_negabase, encode_negabase,
                              extremal_of_length, format_digits,
@@ -180,3 +183,38 @@ def test_product_length_offset(x, y, b):
     offset = (length_negabase(x * y, b)
               - length_negabase(x, b) - length_negabase(y, b))
     assert offset in (-3, -1, 1)
+
+
+def plain_negabase_digits(z, b):
+    """The base -b digits of z, one division at a time."""
+    digits = []
+    while z:
+        r = z % b
+        digits.append(r)
+        z = (r - z) // b
+    return tuple(digits) or (0,)
+
+
+@pytest.mark.parametrize("b", BASES)
+def test_big_integers_equal_the_plain_loop(b):
+    rng = random.Random(b)
+    for bits in (negabase._JUMP_MIN_BITS + 1, 300, 1000, 4000, 12_000):
+        for _ in range(4):
+            z = rng.getrandbits(bits) | 1 << (bits - 1)
+            for value in (z, -z):
+                assert encode_negabase(value, b).digits == plain_negabase_digits(value, b)
+
+
+@pytest.mark.parametrize("jump_min_bits", ["module", 0])
+@pytest.mark.parametrize("b", BASES)
+def test_jump_edges_equal_the_plain_loop(monkeypatch, b, jump_min_bits):
+    """Every z within b^2 of +-b^k, +-2 b^k, +-b^(2k) and +-2^_JUMP_MIN_BITS,
+    where a jump's high part crosses |h| = 2 or the size bound, at the
+    module's bound and with jumps from every size."""
+    if jump_min_bits != "module":
+        monkeypatch.setattr(negabase, "_JUMP_MIN_BITS", jump_min_bits)
+    k = negabase._JUMP_DIGITS
+    for edge in (b**k, 2 * b**k, b**(2 * k), 2**negabase._JUMP_MIN_BITS):
+        for centre in (edge, -edge):
+            for z in range(centre - b * b, centre + b * b + 1):
+                assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
