@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Sequence
 
-from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, _brief,
+from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, brief,
                   cns_decode, cns_encode, expansion_of)
 from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
                        encode_negabase)
@@ -79,8 +79,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     rep = Representation.from_string(CnsBase(args.poly), args.digits)
     residue = cns_decode(rep)
     if not residue.is_constant:
-        coeffs = ", ".join(map(_brief, residue.coeffs))
-        print(f"error: digits {_brief(args.digits)} denote the non-constant residue "
+        coeffs = ", ".join(map(brief, residue.coeffs))
+        print(f"error: digits {brief(args.digits)} denote the non-constant residue "
               f"({coeffs}) over {args.poly.to_string()}", file=sys.stderr)
         return 1
     value = residue.constant_value()

@@ -20,8 +20,9 @@ rules keep every outcome exact as well:
     never revisited and is not zero, and the cycle residue stays;
   - a jump counts k steps and is taken only while k steps remain, so
     the budget runs out at the same step.
-Long digit strings are reduced by halves, value[lo, hi) =
-value[lo, mid) + X^(mid - lo) value[mid, hi) mod p.
+A digit string is read back k digits at a time from the top, the
+chunked Horner rule: acc <- chunk + X^k acc mod p, one dot product per
+coefficient against a table of X^j mod p.
 
 Correctness is established externally: every emitted expansion reduces
 back to its integer (see reduce_digits), and an exhaustive search over
@@ -32,21 +33,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
 from math import isqrt
 from operator import mul
 from typing import Callable
 
 from .negabase import CnsBase, Representation
-from .poly import IntPoly, poly_divrem, poly_mul, x_power_mod
+from .poly import IntPoly
 
 DEFAULT_MAX_STEPS = 10_000
 
 # a walk from z of more bits than this jumps _JUMP_STEPS steps at a time
 _JUMP_MIN_BITS = 256
 _JUMP_STEPS = 128
-# a digit string longer than this is reduced by halves
-_SPLIT_DIGITS = 256
+# a digit string is reduced this many digits at a time
+_CHUNK_DIGITS = 256
 
 # Guard for the exhaustive oracle; radix**max_len strings get enumerated.
 _ORACLE_NODE_LIMIT = 20_000_000
@@ -246,40 +246,34 @@ def reduce_digits(digits, p: IntPoly) -> Residue:
     d = len(pc) - 1
     if d == 0:
         raise ValueError("base polynomial must have positive degree")
-    if len(digits) > _SPLIT_DIGITS:
-        return Residue(_reduce_halves(tuple(digits), p, {}))
-    acc = [0] * d
-    for u in reversed(digits):
-        # acc * X + u, using X^d = -(p[0] + ... + p[d-1] X^(d-1))
-        h = acc[d - 1]
-        new = [u - h * pc[0]]
-        for i in range(1, d):
-            new.append(acc[i - 1] - h * pc[i])
-        acc = new
-    return Residue(tuple(acc))
-
-
-def _reduce_halves(digits: tuple[int, ...], p: IntPoly,
-                   powers: dict[int, IntPoly]) -> tuple[int, ...]:
-    """reduce_digits(digits, p).coeffs: the low half plus X^m times the
-    high half, m = len(digits) // 2, down to strings of _SPLIT_DIGITS,
-    which are sums of digits times the table of X^j mod p."""
-    if len(digits) <= _SPLIT_DIGITS:
-        return tuple(sum(map(mul, digits, column))
-                     for column in _x_power_columns(p, _SPLIT_DIGITS))
-    m = len(digits) // 2
-    if m not in powers:
-        powers[m] = x_power_mod(m, p)
-    high = IntPoly(_reduce_halves(digits[m:], p, powers))
-    high = poly_divrem(poly_mul(powers[m], high), p)[1].coeffs
-    low = _reduce_halves(digits[:m], p, powers)
-    return tuple(a + b for a, b in zip_longest(low, high, fillvalue=0))
+    k = _CHUNK_DIGITS
+    digits = tuple(digits)
+    # chunk + X^k acc reads at most k + d rows of the table; a short string
+    # builds only the rows it reads, as the entries of row j can have j
+    # times the digits of p's, rounded up to a power of two so that few
+    # tables are cached per base
+    rows = min(1 << (len(digits) + d - 1).bit_length(), k + d)
+    columns = _x_power_columns(p, rows)
+    acc = (0,) * d
+    for start in reversed(range(0, len(digits), k)):
+        row = digits[start:start + k] + acc
+        acc = tuple(sum(map(mul, row, column)) for column in columns)
+    return Residue(acc)
 
 
 @lru_cache(maxsize=32)
-def _x_power_columns(p: IntPoly, count: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient i of X^j mod p for j < count, one column per i."""
-    return tuple(zip(*(reduce_digits((0,) * j + (1,), p).coeffs for j in range(count))))
+def _x_power_columns(p: IntPoly, rows: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient i of X^j mod p for j < rows, one column per i."""
+    pc = p.coeffs
+    d = len(pc) - 1
+    power = (1,) + (0,) * (d - 1)
+    table = []
+    for _ in range(rows):
+        table.append(power)
+        # X * power, using X^d = -(p[0] + ... + p[d-1] X^(d-1))
+        h = power[-1]
+        power = (-h * pc[0],) + tuple(power[i - 1] - h * pc[i] for i in range(1, d))
+    return tuple(zip(*table))
 
 
 def cns_decode(rep: Representation) -> Residue:
@@ -292,7 +286,7 @@ def cns_decode(rep: Representation) -> Residue:
     return reduce_digits(rep.digits, rep.base.poly)
 
 
-def _brief(z: int | str) -> str:
+def brief(z: int | str) -> str:
     """An integer in decimal, or a digit string quoted; beyond 40 digits,
     the leading ones and the count."""
     if isinstance(z, str):
@@ -316,9 +310,9 @@ def expansion_of(outcome: CnsOutcome, z: int, p: IntPoly) -> Representation:
     if isinstance(outcome, CnsDigits):
         return outcome.representation
     if isinstance(outcome, CnsNotRepresentable):
-        raise NotRepresentableError(f"{_brief(z)} is not representable over {p} "
+        raise NotRepresentableError(f"{brief(z)} is not representable over {p} "
                                     f"(cycle residue {outcome.cycle.coeffs})")
-    raise StepBudgetError(f"no decision for {_brief(z)} within {outcome.max_steps} steps")
+    raise StepBudgetError(f"no decision for {brief(z)} within {outcome.max_steps} steps")
 
 
 def cns_length(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> int:

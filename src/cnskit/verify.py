@@ -117,14 +117,22 @@ def _expansion(z: int, p: IntPoly) -> Representation:
     return expansion_of(cns_encode(z, p), z, p)
 
 
+def _walk(z: int, known: Callable[[int], int] | None = None
+          ) -> tuple[dict[tuple[int, int], None], int, int]:
+    """quadratic_walk of z over X^2 + 2X + 2 on the default budget; a walk
+    without digits raises NotRepresentableError or StepBudgetError."""
+    walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
+    if not isinstance(walk, tuple):
+        expansion_of(walk, z, STANDARD_POLY)  # raises
+    return walk
+
+
 def _walk_ends(bound: int) -> None:
     """Walk -bound and then bound in full, so that a range beyond the step
     budget raises at its lowest value before any sweep from 0 starts: one
     from 0 outwards would never reach the end of such a range."""
     for z in (-bound, bound):
-        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
-        if not isinstance(walk, tuple):
-            expansion_of(walk, z, STANDARD_POLY)  # raises
+        _walk(z)
 
 
 def _outward(bound: int) -> Iterator[int]:
@@ -183,9 +191,7 @@ class LengthTable:
         bound = self.bound
         if -bound <= z <= bound:
             return self.data[z + bound]
-        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, _stored_in(self.data, bound))
-        if not isinstance(walk, tuple):
-            expansion_of(walk, z, STANDARD_POLY)  # raises
+        walk = _walk(z, _stored_in(self.data, bound))
         return len(walk[0]) + walk[2]
 
 
@@ -203,9 +209,7 @@ def compute_length_table(bound: int) -> LengthTable:
     data = _store(bound, bytearray)
     stored = _stored_in(data, bound)
     for z in _outward(bound):
-        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, stored)
-        if not isinstance(walk, tuple):
-            expansion_of(walk, z, STANDARD_POLY)  # raises
+        walk = _walk(z, stored)
         data[z + bound] = len(walk[0]) + walk[2]
     return LengthTable(bound, data)
 
@@ -229,10 +233,7 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         return len(memo[index]) if 0 <= index < size else 0
 
     for z in _outward(bound):
-        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
-        if not isinstance(walk, tuple):
-            expansion_of(walk, z, STANDARD_POLY)  # raises
-        states, w, _ = walk
+        states, w, _ = _walk(z, known)
         expansion = (*[a0 & 1 for a0, _ in states], *memo[w + reach])
         # the entry of 0 stays empty: a walk that reaches the zero state ends there
         if z and -reach <= z <= reach:

@@ -14,7 +14,7 @@ from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepres
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
                         expansion_of, periodic_box, quadratic_walk, reduce_digits)
 from cnskit.negabase import CnsBase, Representation
-from cnskit.poly import IntPoly
+from cnskit.poly import IntPoly, poly_divrem
 from cnskit.trinomial import lift_representation
 
 P = IntPoly((2, 2, 1))
@@ -378,25 +378,52 @@ def reference_decode(digits, p):
     return tuple(acc)
 
 
-@pytest.mark.parametrize("p", [P, NONCNS, QUARTIC, IntPoly((3, 1, 1)), IntPoly((-2, 1, 1))],
-                         ids=str)
+@pytest.mark.parametrize("p", [P, NONCNS, QUARTIC, IntPoly((3, 1, 1)), IntPoly((-2, 1, 1)),
+                               IntPoly((3, 1)), IntPoly((2, 0, 0, 1))], ids=str)
 def test_long_strings_reduce_as_horner(p):
-    """Strings longer than one leaf are reduced by halves; random digits
-    mostly denote non-constant residues."""
+    """Strings of one chunk, of several and of a partial top chunk reduce
+    as Horner's rule and as polynomial division do; random digits mostly
+    denote non-constant residues."""
     rng = random.Random(7)
     radix = abs(p.coeffs[0])
-    split = cns._SPLIT_DIGITS
-    for length in (split - 1, split, split + 1, 2 * split + 1, 4 * split - 3, 5000):
+    d = len(p.coeffs) - 1
+    k = cns._CHUNK_DIGITS
+    for length in (k - 1, k, k + 1, 2 * k, 2 * k + 1, 4 * k - 3, 5000):
         digits = [rng.randrange(radix) for _ in range(length)]
+        remainder = poly_divrem(IntPoly(digits), p)[1].coeffs
         assert reduce_digits(digits, p).coeffs == reference_decode(digits, p)
+        assert reduce_digits(digits, p).coeffs == remainder + (0,) * (d - len(remainder))
 
 
 @pytest.mark.parametrize("split", [1, 2, 3, 5])
 def test_tiny_leaves_reduce_as_horner(monkeypatch, split):
-    monkeypatch.setattr(cns, "_SPLIT_DIGITS", split)
+    """Chunks of a few digits: every string of more than one chunk carries
+    a residue from above."""
+    monkeypatch.setattr(cns, "_CHUNK_DIGITS", split)
     rng = random.Random(split)
     for p in (P, QUARTIC, IntPoly((5, -3, 1))):
         radix = abs(p.coeffs[0])
         for length in range(0, 70):
             digits = tuple(rng.randrange(radix) for _ in range(length))
             assert reduce_digits(digits, p).coeffs == reference_decode(digits, p)
+
+
+def test_short_strings_build_only_the_rows_they_read(monkeypatch):
+    """A 3-digit string over X^2 + 10^1000 X + 2 builds a table of a few
+    rows, not of a whole chunk: row j has coefficients near 10^(1000 j)."""
+    p = IntPoly((2, 10 ** 1000, 1))
+    digits = (1, 0, 1)
+    table = cns._x_power_columns
+    table.cache_clear()
+    built = []
+
+    def recording(p, rows):
+        columns = table(p, rows)
+        built.append(len(columns[0]))
+        return columns
+
+    monkeypatch.setattr(cns, "_x_power_columns", recording)
+    assert reduce_digits(digits, p).coeffs == reference_decode(digits, p)
+    # the string and the carried residue, rounded up to a power of two
+    assert built and max(built) < 2 * (len(digits) + 2)
+    assert table.cache_info().currsize == len(set(built))

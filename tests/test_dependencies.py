@@ -52,3 +52,15 @@ def test_all_is_what_the_package_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(cnskit.__all__) == sorted(imported + ["__version__"])
     assert all(hasattr(cnskit, name) for name in cnskit.__all__)
+
+
+def private_imports(path):
+    """_-prefixed names the module imports from a sibling module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cnskit")):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_module_imports_a_private_name():
+    private = {(path.name, name) for path in SOURCES for name in private_imports(path)}
+    assert not private
