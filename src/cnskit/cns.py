@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 from .negabase import CnsBase, Representation
@@ -356,6 +356,8 @@ def _expansion_table(p: IntPoly, max_len: int) -> dict[int, tuple[int, ...]]:
         xpow.append(tuple(cur))
         h = cur[d - 1]
         cur = [-h * pc[0]] + [cur[i - 1] - h * pc[i] for i in range(1, d)]
+    # steps[depth][u] is u X^depth mod p
+    steps = [[tuple(u * x for x in xp) for u in range(radix)] for xp in xpow]
     table: dict[int, tuple[int, ...]] = {}
 
     def record(value: int, digits: tuple[int, ...]) -> None:
@@ -365,13 +367,14 @@ def _expansion_table(p: IntPoly, max_len: int) -> dict[int, tuple[int, ...]]:
         table[value] = digits
 
     def visit(depth: int, residue: tuple[int, ...], digits: list[int]) -> None:
-        for u in range(radix):
-            new_res = tuple(r + u * x for r, x in zip(residue, xpow[depth]))
+        deeper = depth + 1 < max_len
+        for u, step in enumerate(steps[depth]):
+            new_res = tuple(map(add, residue, step))
             digits.append(u)
             # a candidate string never carries a leading zero, except "0"
-            if (u != 0 or depth == 0) and all(c == 0 for c in new_res[1:]):
+            if (u or not depth) and not any(new_res[1:]):
                 record(new_res[0], tuple(digits))
-            if depth + 1 < max_len:
+            if deeper:
                 visit(depth + 1, new_res, digits)
             digits.pop()
 

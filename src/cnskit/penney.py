@@ -16,12 +16,16 @@ from enum import Enum
 from functools import cached_property
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
-                  cns_encode)
+                  brief, cns_encode)
 from .negabase import CnsBase, Representation, encode_negabase, format_digits, parse_digits
 from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_power_mod
 
 # X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
 STANDARD_POLY = IntPoly((2, 2, 1))
+
+# the most block digits (c * d) a scheme may hold: c encoder runs and c
+# padded blocks of d digits; (8^6, 12) holds about 3.1 million
+MAX_BLOCK_DIGITS = 2 ** 22
 
 
 class ViolationKind(Enum):
@@ -113,8 +117,9 @@ def build_scheme(p: IntPoly, c: int, d: int,
     Hypotheses are tested in a fixed order: monicity, constant term,
     simple roots, divisibility of X^d + c, d against deg(p), then the
     digit blocks in increasing digit order.  A digit whose expansion the
-    step budget cannot settle raises StepBudgetError: that is no
-    violation of any hypothesis.
+    step budget cannot settle raises StepBudgetError, and a table of more
+    than MAX_BLOCK_DIGITS digits raises ValueError before any block is
+    built: neither is a violation of any hypothesis.
     """
     if c < 1 or d < 1:
         raise ValueError("c and d must be positive")
@@ -128,6 +133,9 @@ def build_scheme(p: IntPoly, c: int, d: int,
         return SchemeViolation(ViolationKind.NO_DIVISIBILITY)
     if d <= p.degree:
         return SchemeViolation(ViolationKind.D_TOO_SMALL_FOR_DEGREE)
+    if c * d > MAX_BLOCK_DIGITS:
+        raise ValueError(f"c * d = {brief(c * d)} block digits, more than the "
+                         f"{MAX_BLOCK_DIGITS} a scheme may hold")
     blocks: list[tuple[int, ...]] = []
     for i in range(c):
         outcome = cns_encode(i, p, max_steps)

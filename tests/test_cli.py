@@ -309,6 +309,22 @@ def test_huge_block_width_is_no_divisibility():
         0, "violation no divisibility\n1\n" * 2, "")
 
 
+def test_scheme_of_too_many_block_digits_exits_2():
+    """scheme and convert at c = 4^25, d = 100 (a valid scheme of 4^25
+    blocks) exit 2 with one line each, instead of encoding every digit.
+    One child runs both, under a memory limit and a timeout that hold for
+    it alone."""
+    code = ("from cnskit.cli import main\n"
+            f"for command in (['scheme'], ['convert', '--value', '5']):\n"
+            f"    print(main(command + ['--c', '{4**25}', '--d', '100']))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=address_space_limit(800_000))
+    assert (proc.returncode, proc.stdout) == (0, "2\n2\n")
+    assert proc.stderr == ("error: c * d = 112589990684262400 block digits, "
+                           "more than the 4194304 a scheme may hold\n") * 2
+
+
 def test_encode_budget_grows_with_the_value():
     """Without --max-steps, encode settles 2^6000, whose expansion is
     longer than the library's 10,000-step default, and its digits are

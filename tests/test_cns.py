@@ -263,6 +263,23 @@ def test_oracle_rejects_huge_enumeration():
         brute_force_oracle(1, P, 10**9)
 
 
+@pytest.mark.parametrize("p, max_len", [(P, 9), (COUNTER, 4), (QUARTIC, 8),
+                                        (IntPoly((3, 1)), 5), (IntPoly((-2, 1)), 7)])
+def test_oracle_table_is_every_string_that_denotes_an_integer(p, max_len):
+    """The oracle's table holds exactly the strings of at most max_len
+    digits, without a leading zero, that reduce to an integer."""
+    radix = abs(p.constant_term)
+    expected = {}
+    for length in range(1, max_len + 1):
+        for digits in itertools.product(range(radix), repeat=length):
+            if length > 1 and digits[-1] == 0:
+                continue
+            residue = reduce_digits(digits, p)
+            if residue.is_constant:
+                expected[residue.constant_value()] = digits
+    assert cns._expansion_table(p, max_len) == expected
+
+
 # complex-root quadratics on which big integers jump; X^2 - 2X + 2
 # represents no big integer, so its walks end in a cycle
 JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]

@@ -1,6 +1,7 @@
 """Negative-base expansions: round trips, length structure, extremal integers."""
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -54,11 +55,84 @@ def test_representation_validation():
     base = NegaBase(4)
     with pytest.raises(ValueError):
         Representation(base, ())
-    with pytest.raises(ValueError):
-        Representation(base, (4,))       # digit out of range
+    # a digit out of range; the first of several is named
+    for digits, first in (((4,), 4), ([4], 4), (iter((1, 4)), 4), ((-1, 2), -1),
+                          ((1, 5, -2, 7), 5), ((True, 9, 4), 9)):
+        with pytest.raises(ValueError, match=f"^digit {first} outside 0\\.\\.3$"):
+            Representation(base, digits)
     with pytest.raises(ValueError):
         Representation(base, (1, 0))     # zero MSD
     assert Representation(base, (0,)).digit_string() == "0"
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = 3
+
+
+def checked_loop(base, digits):
+    """The constructor's checks as one Python step per digit: the stored
+    digits, or the ValueError that names the first bad digit."""
+    digits = tuple(int(d) for d in digits)
+    if not digits:
+        raise ValueError("a representation needs at least one digit")
+    radix = base.radix
+    for d in digits:
+        if not 0 <= d < radix:
+            raise ValueError(f"digit {d} outside 0..{radix - 1}")
+    if len(digits) > 1 and digits[-1] == 0:
+        raise ValueError("most significant digit must be nonzero")
+    return digits
+
+
+def outcome(build):
+    """("ok", the stored digits), or the error's type name and text."""
+    try:
+        return "ok", build()
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+HUGE = CnsBase(IntPoly((10**1000, 0, 1)))
+LONG = tuple(random.Random(1).randrange(4) for _ in range(30_000)) + (1,)
+
+
+@pytest.mark.parametrize("base, make", [
+    (NegaBase(4), lambda: (1, 0, 3)),
+    (NegaBase(4), lambda: [1, 0, 3]),
+    (NegaBase(4), lambda: (d for d in (1, 0, 3))),
+    (NegaBase(4), lambda: "301"),
+    (NegaBase(4), lambda: "130"),
+    (NegaBase(4), lambda: (True, False, True)),
+    (NegaBase(4), lambda: (1, True)),
+    (NegaBase(4), lambda: (Colour.BLUE, 0, Colour.RED)),
+    (NegaBase(4), lambda: (2.0, 3.0)),
+    (NegaBase(4), lambda: (-1, 2)),
+    (NegaBase(4), lambda: (4,)),
+    (NegaBase(4), lambda: (1, 5, -2, 7)),
+    (NegaBase(4), lambda: (1, -2, 5, 7)),
+    (NegaBase(4), lambda: [3, 9, 4]),
+    (NegaBase(4), lambda: ()),
+    (NegaBase(4), lambda: []),
+    (NegaBase(4), lambda: (1, 0)),
+    (NegaBase(4), lambda: (0,)),
+    (NegaBase(4), lambda: ("a",)),
+    (NegaBase(4), lambda: (None,)),
+    (NegaBase(4), lambda: LONG),
+    (NegaBase(4), lambda: LONG[:-1] + (4,)),
+    (NegaBase(2), lambda: (1, 0, 1, 2, 3)),
+    (HUGE, lambda: (10**1000 - 1, 5, 10**999)),
+    (HUGE, lambda: (0, 10**1000)),
+    (HUGE, lambda: (1, -10**1000, 10**1000)),
+])
+def test_constructor_equals_the_per_digit_loop(base, make):
+    """Representation stores what the per-digit loop stores, always as a
+    tuple of plain ints, and refuses what it refuses with the same text."""
+    kind, got = outcome(lambda: Representation(base, make()).digits)
+    assert (kind, got) == outcome(lambda: checked_loop(base, make()))
+    if kind == "ok":
+        assert type(got) is tuple
+        assert all(type(d) is int for d in got)
 
 
 def test_digit_string_formats():
@@ -195,7 +269,7 @@ def plain_negabase_digits(z, b):
     return tuple(digits) or (0,)
 
 
-@pytest.mark.parametrize("b", BASES)
+@pytest.mark.parametrize("b", BASES + (16,))
 def test_big_integers_equal_the_plain_loop(b):
     rng = random.Random(b)
     for bits in (negabase._JUMP_MIN_BITS + 1, 300, 1000, 4000, 12_000):
@@ -218,3 +292,54 @@ def test_jump_edges_equal_the_plain_loop(monkeypatch, b, jump_min_bits):
         for centre in (edge, -edge):
             for z in range(centre - b * b, centre + b * b + 1):
                 assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
+
+
+MASK_BASES = (2, 4, 16, 256)
+
+
+def mask_edge_values(b):
+    """Integers where the mask's window is tightest or its bytes turn:
+    both ends of every expansion length near the jump bound, +-1; the
+    extremes of _JUMP_MIN_BITS +- 1 bits; +-(b^k - 1) and +-b^k over
+    several bytes."""
+    s = b.bit_length() - 1
+    first = negabase._JUMP_MIN_BITS // s
+    for length in range(first - 2, first + 48 // s + 4):
+        for end in extremal_of_length(b, length):
+            yield from (end - 1, end, end + 1)
+    for bits in (negabase._JUMP_MIN_BITS - 1, negabase._JUMP_MIN_BITS,
+                 negabase._JUMP_MIN_BITS + 1):
+        for z in (1 << (bits - 1), (1 << bits) - 1):
+            yield from (z, -z)
+    for k in range(first - 1, first + 40 // s + 2):
+        for z in (b**k - 1, b**k):
+            yield from (z, -z)
+
+
+@pytest.mark.parametrize("b", MASK_BASES)
+def test_mask_edges_equal_the_plain_loop(b):
+    for z in mask_edge_values(b):
+        assert encode_negabase(z, b).digits == plain_negabase_digits(z, b), z
+
+
+@pytest.mark.parametrize("b", MASK_BASES + (3, 8, 10))
+def test_only_bases_2_to_the_s_with_s_dividing_8_take_the_mask(monkeypatch, b):
+    """Above _JUMP_MIN_BITS, b in {2, 4, 16, 256} reads its digits through
+    the mask and every other b keeps the 64-digit jump; both equal the
+    plain loop.  At or below the bound nothing takes the mask."""
+    masked = []
+
+    def spy(z, s):
+        masked.append(z)
+        return mask(z, s)
+
+    mask = negabase._masked_digits
+    monkeypatch.setattr(negabase, "_masked_digits", spy)
+    rng = random.Random(b)
+    sizes = (1, 100, negabase._JUMP_MIN_BITS, negabase._JUMP_MIN_BITS + 1, 3000)
+    values = [z for bits in sizes
+              for z in (1 << (bits - 1), -(1 << (bits - 1) | rng.getrandbits(bits)))]
+    for z in values:
+        assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
+    big = [z for z in values if z.bit_length() > negabase._JUMP_MIN_BITS]
+    assert masked == (big if b in MASK_BASES else [])

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from cnskit.cns import CnsDigits, StepBudgetError, cns_encode
 from cnskit.negabase import encode_negabase, length_negabase
-from cnskit.penney import (PenneyScheme, SchemeViolation, ViolationKind,
-                           build_scheme, convert, leading_digit_length,
+from cnskit.penney import (MAX_BLOCK_DIGITS, PenneyScheme, SchemeViolation,
+                           ViolationKind, build_scheme, convert, leading_digit_length,
                            penney_standard, predicted_length, scheme_pairs)
-from cnskit.poly import IntPoly
+from cnskit.poly import IntPoly, divides_xd_plus_c
 
 P = IntPoly((2, 2, 1))
 COUNTER = IntPoly((8, 4, 1))
@@ -72,6 +72,20 @@ def test_wider_windows_also_fail_for_hard_bases():
     assert isinstance(result, SchemeViolation)
     assert result.kind is ViolationKind.BLOCK_TOO_LONG
     assert (result.digit, result.block_length) == (225848, 15)
+
+
+def test_block_digits_above_the_limit_raise_before_any_block():
+    """X^2 + 2X + 2 divides X^100 + 4^25, a valid scheme of 4^25 blocks;
+    its c * d is refused before the first digit is encoded.  The limit
+    sits above the (8^6, 12) table, which still reports its violation."""
+    assert MAX_BLOCK_DIGITS >= 2 ** 22 > 8 ** 6 * 12
+    assert divides_xd_plus_c(P, 100, 4 ** 25)
+    with pytest.raises(ValueError, match="c \\* d = 112589990684262400 block digits"):
+        build_scheme(P, 4 ** 25, 100)
+    with pytest.raises(ValueError, match="block digits"):
+        build_scheme(P, 4 ** 9, 36)      # the smallest refused (4^k, 4k)
+    # the hypotheses come first: a violation still wins over the limit
+    assert build_scheme(P, 4 ** 25, 101).kind is ViolationKind.NO_DIVISIBILITY
 
 
 def test_quartic_lift_scheme_builds():
