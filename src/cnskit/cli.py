@@ -67,8 +67,10 @@ def _emit_digits(args: argparse.Namespace, payload: dict, rep: Representation,
 def _cmd_encode(args: argparse.Namespace) -> int:
     max_steps = args.max_steps
     if max_steps is None:
-        # an expansion over X^2 + 2X + 2 has about 2 digits per bit of z
-        max_steps = max(DEFAULT_MAX_STEPS, 4 * args.value.bit_length() + 64)
+        # an expansion over X^2 + 2X + 2 has about 2 digits per bit of z,
+        # and one over X^(2m) + 2X^m + 2 about 2m
+        degree = len(args.poly.coeffs) - 1
+        max_steps = max(DEFAULT_MAX_STEPS, 2 * degree * args.value.bit_length() + 64)
     outcome = cns_encode(args.value, args.poly, max_steps)
     rep = expansion_of(outcome, args.value, args.poly)
     _emit_digits(args, {"poly": args.poly.to_string(), "value": args.value}, rep)
@@ -176,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--value", type=int, required=True)
     encode.add_argument("--max-steps", type=_positive_int, default=None,
                         help=f"step budget (default the larger of {DEFAULT_MAX_STEPS} "
-                             "and 4 * bits of the value + 64)")
+                             "and 2 * degree * bits of the value + 64)")
     _add_output_flags(encode)
     encode.set_defaults(handler=_cmd_encode)
 

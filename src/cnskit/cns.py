@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 from operator import add, mul
 from typing import Callable
 
 from .negabase import CnsBase, Representation
-from .poly import IntPoly
+from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -264,16 +265,7 @@ def reduce_digits(digits, p: IntPoly) -> Residue:
 @lru_cache(maxsize=32)
 def _x_power_columns(p: IntPoly, rows: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient i of X^j mod p for j < rows, one column per i."""
-    pc = p.coeffs
-    d = len(pc) - 1
-    power = (1,) + (0,) * (d - 1)
-    table = []
-    for _ in range(rows):
-        table.append(power)
-        # X * power, using X^d = -(p[0] + ... + p[d-1] X^(d-1))
-        h = power[-1]
-        power = (-h * pc[0],) + tuple(power[i - 1] - h * pc[i] for i in range(1, d))
-    return tuple(zip(*table))
+    return tuple(zip(*islice(x_powers_mod(p), rows)))
 
 
 def cns_decode(rep: Representation) -> Residue:
@@ -348,16 +340,9 @@ def _expansion_table(p: IntPoly, max_len: int) -> dict[int, tuple[int, ...]]:
         if nodes > _ORACLE_NODE_LIMIT:
             raise ValueError(
                 f"enumerating over {_ORACLE_NODE_LIMIT} digit strings is too large")
-    pc = p.coeffs
-    d = len(pc) - 1
-    xpow: list[tuple[int, ...]] = []
-    cur = [1] + [0] * (d - 1)
-    for _ in range(max_len):
-        xpow.append(tuple(cur))
-        h = cur[d - 1]
-        cur = [-h * pc[0]] + [cur[i - 1] - h * pc[i] for i in range(1, d)]
     # steps[depth][u] is u X^depth mod p
-    steps = [[tuple(u * x for x in xp) for u in range(radix)] for xp in xpow]
+    steps = [[tuple(u * x for x in power) for u in range(radix)]
+             for power in islice(x_powers_mod(p), max_len)]
     table: dict[int, tuple[int, ...]] = {}
 
     def record(value: int, digits: tuple[int, ...]) -> None:
@@ -378,5 +363,5 @@ def _expansion_table(p: IntPoly, max_len: int) -> dict[int, tuple[int, ...]]:
                 visit(depth + 1, new_res, digits)
             digits.pop()
 
-    visit(0, (0,) * d, [])
+    visit(0, (0,) * (len(p.coeffs) - 1), [])
     return table

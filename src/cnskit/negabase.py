@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from .poly import IntPoly
+from .poly import IntPoly, poly_eval
 
 # an integer of more bits than this takes its digits _JUMP_DIGITS (even) at a
 # time, or by the mask when b = 2^s with s dividing 8
@@ -205,10 +205,7 @@ def decode_negabase(rep: Representation) -> int:
     """Evaluate the expansion at -b."""
     if not isinstance(rep.base, NegaBase):
         raise ValueError("expected a negative-base representation")
-    acc = 0
-    for d in reversed(rep.digits):
-        acc = acc * -rep.base.b + d
-    return acc
+    return poly_eval(IntPoly(rep.digits), -rep.base.b)
 
 
 def length_negabase(z: int, b: int) -> int:

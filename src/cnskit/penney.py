@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
                   brief, cns_encode)
 from .negabase import CnsBase, Representation, encode_negabase, format_digits, parse_digits
-from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_power_mod
+from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_powers_mod
 
 # X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
 STANDARD_POLY = IntPoly((2, 2, 1))
@@ -192,8 +193,7 @@ def scheme_pairs(p: IntPoly, c_max: int, d_max: int) -> list[tuple[int, int]]:
     """
     CnsBase(p)  # rejects non-monic p and |p(0)| <= 1
     pairs = []
-    for d in range(1, d_max + 1):
-        residue = x_power_mod(d, p).coeffs
-        if len(residue) == 1 and 1 <= -residue[0] <= c_max:
+    for d, residue in enumerate(islice(x_powers_mod(p), 1, d_max + 1), 1):
+        if not any(residue[1:]) and 1 <= -residue[0] <= c_max:
             pairs.append((-residue[0], d))
     return pairs

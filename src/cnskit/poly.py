@@ -2,14 +2,17 @@
 
 Coefficients are arbitrary-precision integers stored densely, constant
 term first.  Nothing in this module touches floating point; the repeated
-root test runs an integer pseudo-remainder sequence instead of computing
-roots numerically.
+root test runs Euclid's algorithm exactly over the rationals instead of
+computing roots numerically.  One recurrence, x_powers_mod, yields
+X^0, X^1, ... mod p for every caller that walks the powers in turn;
+x_power_mod squares its way to a single huge exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from typing import Iterator
 
 # Degree of the zero polynomial.  A distinguished value, never -1.
 NEG_INFINITY = float("-inf")
@@ -130,6 +133,21 @@ def poly_derivative(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i))
 
 
+def x_powers_mod(p: IntPoly) -> Iterator[tuple[int, ...]]:
+    """X^0, X^1, ... mod a monic p of positive degree d, each as its d
+    coefficients: one multiplication by X per step, using
+    X^d = -(p[0] + ... + p[d-1] X^(d-1))."""
+    pc = p.coeffs
+    d = len(pc) - 1
+    if not p.is_monic or d < 1:
+        raise ValueError("divisor must be monic of positive degree")
+    power = (1,) + (0,) * (d - 1)
+    while True:
+        yield power
+        h = power[-1]
+        power = (-h * pc[0],) + tuple(power[i - 1] - h * pc[i] for i in range(1, d))
+
+
 def x_power_mod(d: int, p: IntPoly) -> IntPoly:
     """X^d mod a monic p by repeated squaring; X^d is never written out."""
     if d < 0:
@@ -178,47 +196,21 @@ def compose_x_power(p: IntPoly, k: int) -> IntPoly:
 def has_simple_roots(p: IntPoly) -> bool:
     """Whether gcd(p, p') is constant, i.e. p has no repeated roots.
 
-    Runs a primitive pseudo-remainder sequence, so every intermediate is an
-    exact integer vector; the gcd is constant exactly when the last nonzero
-    member of the sequence has degree zero.
+    Runs Euclid's algorithm over the rationals, so every remainder is
+    exact; the gcd is constant exactly when the last nonzero remainder
+    has degree zero.
     """
     if p.is_zero:
         return False
-    a = _primitive(list(p.coeffs))
-    b = _primitive(poly_derivative(p).coeffs)
-    while b != [0]:
-        a, b = b, _primitive(_pseudo_rem(a, b))
+    a = list(map(Fraction, p.coeffs))
+    b = list(map(Fraction, poly_derivative(p).coeffs))
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        # a mod b, in place: cancel the top coefficient of a until deg a < deg b
+        while len(a) >= len(b):
+            q = a.pop() / b[-1]
+            for i, c in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[i] -= q * c
+        a, b = b, a
     return len(a) == 1
-
-
-def _trim(v: list[int]) -> list[int]:
-    while len(v) > 1 and v[-1] == 0:
-        v.pop()
-    return v or [0]
-
-
-def _primitive(v: list[int]) -> list[int]:
-    v = _trim(list(v))
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    if g > 1:
-        v = [c // g for c in v]
-    return v
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # remainder of a scaled by powers of lc(b): exact over the integers,
-    # and a scalar multiple of the rational remainder, which is all the
-    # gcd-degree test needs
-    r = list(a)
-    n = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= n and r != [0]:
-        top = r[-1]
-        shift = len(r) - 1 - n
-        r = [lb * c for c in r]
-        for j in range(n + 1):
-            r[shift + j] -= top * b[j]
-        r = _trim(r)
-    return r

@@ -340,6 +340,30 @@ def test_encode_budget_grows_with_the_value():
     assert encoded == converted
 
 
+def test_encode_budget_grows_with_the_degree():
+    """Without --max-steps, encode settles 2^5000 over X^6 + 2X^3 + 2,
+    whose 30,001 digits are the lift by k = 3 of its 10,001 digits over
+    X^2 + 2X + 2: a budget of 4 * bits + 64 steps would run out.  One
+    child runs all three commands."""
+    code = ("from cnskit.cli import main\n"
+            "import contextlib, io\n"
+            "def run(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(list(argv))\n"
+            "    return code, out.getvalue().strip()\n"
+            f"code, quadratic = run('encode', '--value', '{2**5000}')\n"
+            "print(code, len(quadratic))\n"
+            "print(*run('lift', '--digits', quadratic, '--k', '3'))\n"
+            f"print(*run('encode', '--poly', '2,0,0,2,0,0,1', '--value', '{2**5000}'))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    first, lifted, sextic = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, first) == (0, "", "0 10001")
+    assert lifted.startswith("0 ") and len(lifted) == 2 + 30_001
+    assert sextic == lifted
+
+
 def test_unequal_norms_are_no_divisibility():
     """X^2 + X + 3 cannot divide X^d + 4 for d = 10^8, since 3^d != 4^2;
     the norm test says so before any residue of X^d is formed."""

@@ -9,7 +9,7 @@ from cnskit.negabase import encode_negabase, length_negabase
 from cnskit.penney import (MAX_BLOCK_DIGITS, PenneyScheme, SchemeViolation,
                            ViolationKind, build_scheme, convert, leading_digit_length,
                            penney_standard, predicted_length, scheme_pairs)
-from cnskit.poly import IntPoly, divides_xd_plus_c
+from cnskit.poly import IntPoly, divides_xd_plus_c, x_power_mod
 
 P = IntPoly((2, 2, 1))
 COUNTER = IntPoly((8, 4, 1))
@@ -100,6 +100,19 @@ def test_scheme_pairs():
     assert scheme_pairs(P, 64, 12) == [(4, 4), (64, 12)]
     assert scheme_pairs(COUNTER, 64, 8) == [(64, 4)]
     assert scheme_pairs(COUNTER, 8 ** 6, 12) == [(64, 4), (262144, 12)]
+
+
+@pytest.mark.parametrize("p", [P, COUNTER, IntPoly((2, 0, 2, 0, 1)), IntPoly((2, 0, 0, 2, 0, 0, 1)),
+                               IntPoly((3, 1)), IntPoly((-2, 1)), IntPoly((3, 1, 1))])
+def test_scheme_pairs_is_a_loop_over_x_power_mod(p):
+    """scheme_pairs walks the powers of X once; it finds exactly the pairs
+    that squaring to each X^d mod p separately finds."""
+    expected = []
+    for d in range(1, 61):
+        residue = x_power_mod(d, p).coeffs
+        if len(residue) == 1 and 1 <= -residue[0] <= 10 ** 12:
+            expected.append((-residue[0], d))
+    assert scheme_pairs(p, 10 ** 12, 60) == expected
 
 
 def test_round_trip_via_dict():

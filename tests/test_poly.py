@@ -1,6 +1,8 @@
 """Integer polynomial arithmetic: exactness, normalization, root separation."""
 
 import itertools
+import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from cnskit.poly import (IntPoly, NEG_INFINITY, compose_x_power,
                          divides_xd_plus_c, has_simple_roots, poly_add,
                          poly_derivative, poly_divrem, poly_eval, poly_mul,
-                         x_power_mod)
+                         x_power_mod, x_powers_mod)
 
 small_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
 
@@ -135,6 +137,77 @@ def test_derivative():
 ])
 def test_has_simple_roots(coeffs, expected):
     assert has_simple_roots(IntPoly(coeffs)) is expected
+
+
+def reference_has_simple_roots(p):
+    """The repeated-root test as a primitive integer pseudo-remainder
+    sequence, independent of Fraction arithmetic."""
+    def trim(v):
+        while len(v) > 1 and v[-1] == 0:
+            v.pop()
+        return v
+
+    def primitive(v):
+        v = trim(list(v))
+        g = 0
+        for c in v:
+            g = gcd(g, c)
+        return [c // g for c in v] if g > 1 else v
+
+    def pseudo_rem(a, b):
+        r, n, lb = list(a), len(b) - 1, b[-1]
+        while len(r) - 1 >= n and r != [0]:
+            top, shift = r[-1], len(r) - 1 - n
+            r = [lb * c for c in r]
+            for j in range(n + 1):
+                r[shift + j] -= top * b[j]
+            r = trim(r)
+        return r
+
+    if p.is_zero:
+        return False
+    a, b = primitive(p.coeffs), primitive(poly_derivative(p).coeffs)
+    while b != [0]:
+        a, b = b, primitive(pseudo_rem(a, b))
+    return len(a) == 1
+
+
+def test_has_simple_roots_agrees_with_the_pseudo_remainder_sequence():
+    """Euclid over the rationals and the integer pseudo-remainder sequence
+    agree on a seeded corpus: squares, constants, zero, huge coefficients
+    and random polynomials of degree at most 7, leading coefficient any."""
+    rng = random.Random(16)
+    corpus = [poly(0), poly(5), poly(-1), poly(2, 10 ** 1000, 1), poly(0, 0, 0, 1)]
+    for _ in range(300):
+        low = poly(*(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))), rng.randint(1, 3))
+        corpus.append(poly_mul(low, low))
+        corpus.append(poly_mul(poly_mul(low, low), poly(rng.randint(-3, 3), 1)))
+    for _ in range(3000):
+        corpus.append(poly(*(rng.randint(-6, 6) for _ in range(rng.randint(1, 8)))))
+    repeated = 0
+    for p in corpus:
+        expected = reference_has_simple_roots(p)
+        assert has_simple_roots(p) is expected, p
+        repeated += not expected
+    assert repeated > 600
+
+
+@pytest.mark.parametrize("coeffs", [(2, 2, 1), (8, 4, 1), (2, 0, 2, 0, 1), (-2, 1), (3, 1),
+                                    (5, -3, 1), (2, 0, 0, 2, 0, 0, 1), (7, -1, 0, 1)])
+def test_x_powers_mod_is_x_power_mod(coeffs):
+    """The recurrence yields X^j mod p for every j, padded to deg(p)
+    coefficients, as repeated squaring computes it one j at a time."""
+    p = IntPoly(coeffs)
+    d = len(coeffs) - 1
+    for j, power in zip(range(300), x_powers_mod(p)):
+        assert len(power) == d
+        assert IntPoly(power) == x_power_mod(j, p), j
+
+
+@pytest.mark.parametrize("coeffs", [(2, 2, 2), (5,), (1,), (0,)])
+def test_x_powers_mod_needs_monic_positive_degree(coeffs):
+    with pytest.raises(ValueError):
+        next(x_powers_mod(IntPoly(coeffs)))
 
 
 @given(small_coeffs, small_coeffs)
