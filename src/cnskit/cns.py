@@ -9,6 +9,12 @@ is its first coordinate mod |p(0)|) and the step count.  Monic
 quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one kernel
 over two plain integers, quadratic_walk, which verify's memoised sweeps
 share; every other base walks a state tuple, and only the step differs.
+A base p = q(X^m), m > 1, the paper's X^(2m) + 2X^m + 2 among them,
+walks q instead, so the trinomial takes the kernel and the jump below:
+p's digits are q's spread m apart, and q's outcome on the budget
+(B - 2) // m + 2 maps exactly to p's on budget B.  m is the gcd of the
+indices of p's nonzero coefficients.  X^2 + c with c > 0 keeps the
+kernel, as its q = X + c would walk a state tuple without a jump.
 
 Big integers on a quadratic with complex roots (p1^2 < 4 p0) jump: the
 first k steps depend only on A mod p0^k, so with a_i = L_i + p0^k H_i
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, mul
 from typing import Callable
 
@@ -200,11 +206,30 @@ def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOut
     set q = (A[0] - u) / p(0), and replace A[i] by A[i+1] - q * p[i+1]
     (reading A[d] = 0).  Terminates at the zero residue; a revisited
     residue proves no expansion exists; otherwise the step budget applies.
+
+    A base p = q(X^m) with m > 1 as large as it goes is walked over q,
+    m steps of p to each of q, with q's digits spread m apart; the budget
+    and the cycle residue map exactly (see _lift_outcome), so every
+    outcome is the one this loop gives over p.  X^2 + c with c > 0 keeps
+    the quadratic kernel.
     """
     base = CnsBase(p)  # rejects non-monic p and |p(0)| <= 1
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     pc = p.coeffs
+    # pc[1] != 0 means m = 1, so X^2 + 2X + 2 skips the scan
+    m = (1 if pc[1] or (len(pc) == 3 and pc[0] > 0)
+         else gcd(*[i for i, c in enumerate(pc) if c]))
+    walk = _walk(z, pc, max_steps) if m == 1 else _lift_outcome(z, pc, m, max_steps)
+    if isinstance(walk, list):
+        return CnsDigits(Representation(base, tuple(walk)))
+    return walk
+
+
+def _walk(z: int, pc: tuple[int, ...],
+          max_steps: int) -> list[int] | CnsNotRepresentable | CnsExhausted:
+    """The digits of z over the base with coefficients pc, or the outcome
+    that ends its walk."""
     p0 = pc[0]
     radix = abs(p0)
     digits: list[int] = []
@@ -232,7 +257,46 @@ def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOut
             q = (state[0] - state[0] % radix) // p0
             state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
     digits += [s[0] % radix for s in states]
-    return CnsDigits(Representation(base, tuple(digits) or (0,)))
+    return digits or [0]
+
+
+def _lift_outcome(z: int, pc: tuple[int, ...], m: int,
+                  max_steps: int) -> list[int] | CnsNotRepresentable | CnsExhausted:
+    """The outcome over p = q(X^m), with coefficients pc, from the walk
+    over q.  From lift(B) one step lands on X^(m-1) lift(B') and m - 1
+    more shift it down to lift(B'), emitting zeros, so with q's states
+    B_0, B_1, ... p's step n reaches lift(B_j) at n = m j and
+    X^(m-r) lift(B_j) at n = m (j - 1) + r:
+      - q's s digits take p m (s - 1) + 1 steps;
+      - a revisit of B_t, t > 0, at q's state count n is p's revisit of
+        X^(m-1) lift(B_t) at step m (n - 1) + 1;
+      - a revisit of the start B_0 = (z, 0, ...) is p's revisit of
+        lift(B_0) at step m n.
+    q decides everything p decides within max_steps on the budget
+    (max_steps - 2) // m + 2, and p's own budget decides the rest."""
+    qc = pc[::m]
+    walk = _walk(z, qc, (max_steps - 2) // m + 2)
+    if isinstance(walk, list):
+        length = m * (len(walk) - 1) + 1
+        if length > max_steps:
+            return CnsExhausted(max_steps)
+        digits = [0] * length
+        digits[::m] = walk
+        return digits
+    if isinstance(walk, CnsExhausted):
+        return CnsExhausted(max_steps)
+    cycle = walk.cycle.coeffs
+    lifted = [0] * (len(pc) - 1)
+    if cycle[0] != z or any(cycle[1:]):
+        lifted[m - 1::m] = cycle
+    elif isinstance(_walk(z, qc, (max_steps - 1) // m + 1), CnsNotRepresentable):
+        # q's walk is a cycle through its start, which p revisits at its
+        # step m n: the walk on the budget that sees n <= (max_steps - 1) // m
+        # decides it, as the kernel keeps no count of its states
+        lifted[::m] = cycle
+    else:
+        return CnsExhausted(max_steps)
+    return CnsNotRepresentable(Residue(tuple(lifted)))
 
 
 def reduce_digits(digits, p: IntPoly) -> Residue:

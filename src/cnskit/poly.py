@@ -28,9 +28,10 @@ class IntPoly:
         coeffs = tuple(int(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        top = len(coeffs) - 1
+        while top and coeffs[top] == 0:
+            top -= 1
+        object.__setattr__(self, "coeffs", coeffs[:top + 1])
 
     @classmethod
     def from_string(cls, text: str) -> IntPoly:

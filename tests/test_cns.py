@@ -16,10 +16,12 @@ from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepres
 from cnskit.negabase import CnsBase, Representation
 from cnskit.poly import IntPoly, poly_divrem
 from cnskit.trinomial import lift_representation
+from reference_loop import least_budget, reference_encode
 
 P = IntPoly((2, 2, 1))
 COUNTER = IntPoly((8, 4, 1))
 QUARTIC = IntPoly((2, 0, 2, 0, 1))
+SEXTIC = IntPoly((2, 0, 0, 2, 0, 0, 1))
 NONCNS = IntPoly((2, -2, 1))
 
 
@@ -129,8 +131,9 @@ def test_reduce_digits_matches_decode():
 
 def test_quadratic_and_generic_paths_agree():
     """The quadratic kernel's digits are the ones the exhaustive oracle
-    finds, and, with zeros interleaved, the ones the generic state loop
-    finds over the quartic lift X^4 + 2X^2 + 2."""
+    finds, and, with zeros interleaved, the ones the plain state loop
+    finds over the quartic lift X^4 + 2X^2 + 2, which cns_encode itself
+    walks over X^2 + 2X + 2."""
     max_len = 12
     for z in range(-300, 301):
         states, w, rest = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
@@ -141,43 +144,81 @@ def test_quadratic_and_generic_paths_agree():
             assert found == fast
         else:
             assert found is None
-        generic = cns_encode(z, QUARTIC)
+        generic = reference_encode(z, QUARTIC, DEFAULT_MAX_STEPS)
         assert isinstance(generic, CnsDigits)
         assert generic.representation == lift_representation(fast, 2)
-
-
-def reference_encode(z, p, max_steps):
-    """cns_encode's docstring as a plain loop: the zero residue ends it,
-    then the step budget, then a revisited residue."""
-    pc = p.coeffs
-    d = len(pc) - 1
-    radix = abs(pc[0])
-    state = (z,) + (0,) * (d - 1)
-    digits, seen = [], set()
-    for steps in itertools.count():
-        if not any(state):
-            return CnsDigits(Representation(CnsBase(p), tuple(digits) or (0,)))
-        if steps >= max_steps:
-            return CnsExhausted(max_steps)
-        if state in seen:
-            return CnsNotRepresentable(Residue(state))
-        seen.add(state)
-        u = state[0] % radix
-        q = (state[0] - u) // pc[0]
-        digits.append(u)
-        state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
 
 
 @pytest.mark.parametrize("p, reach", [
     pytest.param(p, reach, id=str(p)) for p, reach in [
         # the quadratic kernel
         (P, 3000), (NONCNS, 3000), (COUNTER, 3000),
-        # the generic loop: a quartic, a negative p(0), a cubic
-        (QUARTIC, 1000), (IntPoly((-2, 1, 1)), 1000), (IntPoly((2, 0, 0, 1)), 1000)]])
+        # the generic loop: a negative p(0); over q(X^m), q's walk: the
+        # quartic and the sextic on the kernel, X^4 - 2X^2 + 2, which
+        # cycles, q(0) < 0, and q = X - 3, X + 2 on a state of one integer
+        (QUARTIC, 1000), (IntPoly((-2, 1, 1)), 1000), (IntPoly((2, 0, 0, 1)), 1000),
+        (SEXTIC, 400), (IntPoly((2, 0, -2, 0, 1)), 400), (IntPoly((-2, 0, 1, 0, 1)), 400),
+        (IntPoly((-3, 0, 0, 0, 1)), 400), (IntPoly((-3, 0, 1)), 400)]])
 def test_encode_outcomes_equal_the_reference_loop(p, reach):
-    for max_steps in (1, 3, 5, 30, 10_000):
-        for z in range(-reach, reach + 1):
+    """Also on the budgets around each decision: the least budget that
+    decides z, one and two short of it, and one over.  Over q(X^m) with
+    q's s digits, these are m (s - 1) + 1 and m (s - 1)."""
+    for z in range(-reach, reach + 1):
+        budgets = {1, 3, 5, 30, 10_000}
+        need = least_budget(z, p, 10_000)
+        if need is not None:
+            budgets.update(b for b in (need - 2, need - 1, need, need + 1) if b >= 1)
+        for max_steps in budgets:
             assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+
+
+@pytest.mark.parametrize("p", [QUARTIC, SEXTIC], ids=str)
+def test_big_integers_over_the_trinomial_equal_the_reference_loop(p):
+    """2^10- to 2^12-bit integers, whose walks over X^2 + 2X + 2 jump, on
+    the budget of their expansion's length, one short of it and one over."""
+    rng = random.Random(17)
+    for bits in (1024, 2048, 4096):
+        for sign in (1, -1):
+            z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
+            need = least_budget(z, p, 10 * bits)
+            for max_steps in (need - 1, need, need + 1):
+                assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+
+
+def spy_on_jumps(monkeypatch):
+    """The (p0, p1) of every _jump_walk call from here on."""
+    calls = []
+    jump_walk = cns._jump_walk
+
+    def spy(z, p0, p1, max_steps):
+        calls.append((p0, p1))
+        return jump_walk(z, p0, p1, max_steps)
+
+    monkeypatch.setattr(cns, "_jump_walk", spy)
+    return calls
+
+
+def test_x_squared_plus_c_keeps_the_jump(monkeypatch):
+    """X^2 + c with c > 0 is q(X^2) with q = X + c, but stays on the
+    kernel and jumps above 256 bits: over X + c it would take one
+    interpreter step per digit."""
+    calls = spy_on_jumps(monkeypatch)
+    z = random.Random(5).getrandbits(600) | 1 << 599
+    for c in (2, 3, 7):
+        p = IntPoly((c, 0, 1))
+        del calls[:]
+        assert cns_encode(z, p, 4000) == reference_encode(z, p, 4000)
+        assert calls == [(c, 0)]
+
+
+def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
+    """X^(2m) + 2X^m + 2 walks X^2 + 2X + 2, with jumps above 256 bits."""
+    calls = spy_on_jumps(monkeypatch)
+    z = -(random.Random(6).getrandbits(600) | 1 << 599)
+    for p in (QUARTIC, SEXTIC):
+        del calls[:]
+        assert cns_encode(z, p, 8000) == reference_encode(z, p, 8000)
+        assert calls == [(2, 2)]
 
 
 def test_revisit_at_the_budget_exhausts_it():

@@ -26,6 +26,26 @@ def test_normalization_strips_trailing_zeros():
     assert poly(0).is_zero
 
 
+def test_normalization_equals_stripping_one_zero_at_a_time():
+    """One slice removes any number of trailing zeros, 40,000 of them
+    too, as the loop that removed them one at a time did."""
+    def one_at_a_time(coeffs):
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        return coeffs
+
+    assert IntPoly((1,) + (0,) * 40_000).coeffs == (1,)
+    assert IntPoly((0,) * 40_000).coeffs == (0,)
+    rng = random.Random(31)
+    cases = [(0,), (0, 0, 0), (5,), (0, 0, 1)]
+    for _ in range(500):
+        length = rng.randint(1, 12)
+        cases.append(tuple(rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(length)))
+    assert any(not any(c) for c in cases[4:])
+    for coeffs in cases:
+        assert IntPoly(coeffs).coeffs == one_at_a_time(coeffs)
+
+
 def test_empty_coefficients_rejected():
     with pytest.raises(ValueError):
         IntPoly(())
