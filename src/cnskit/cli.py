@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, brief,
-                  cns_decode, cns_encode, expansion_of)
+                  brief_coeffs, cns_decode, cns_encode, expansion_of)
 from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
                        encode_negabase)
 from .penney import (STANDARD_POLY, SchemeViolation, build_scheme, convert,
@@ -81,9 +81,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     rep = Representation.from_string(CnsBase(args.poly), args.digits)
     residue = cns_decode(rep)
     if not residue.is_constant:
-        coeffs = ", ".join(map(brief, residue.coeffs))
         print(f"error: digits {brief(args.digits)} denote the non-constant residue "
-              f"({coeffs}) over {args.poly.to_string()}", file=sys.stderr)
+              f"({brief_coeffs(residue.coeffs, ', ')}) over "
+              f"{brief_coeffs(args.poly.coeffs, ',')}", file=sys.stderr)
         return 1
     value = residue.constant_value()
     _emit(args, {"poly": args.poly.to_string(), "digits": rep.digit_string(),

@@ -360,14 +360,26 @@ def brief(z: int | str) -> str:
     return f"{'-' if z < 0 else ''}{leading}... ({count} digits)"
 
 
+def brief_coeffs(coeffs: tuple[int, ...], sep: str) -> str:
+    """Coefficients joined by sep, each by brief; beyond 40 of them, the
+    leading ones and the count."""
+    if len(coeffs) <= _MESSAGE_DIGITS:
+        return sep.join(map(brief, coeffs))
+    shown = sep.join(map(brief, coeffs[:_MESSAGE_DIGITS // 2]))
+    return f"{shown}{sep}... ({len(coeffs)} coefficients)"
+
+
 def expansion_of(outcome: CnsOutcome, z: int, p: IntPoly) -> Representation:
     """The expansion in an encoder outcome for z over p; the other two
     outcomes raise NotRepresentableError or StepBudgetError."""
     if isinstance(outcome, CnsDigits):
         return outcome.representation
     if isinstance(outcome, CnsNotRepresentable):
-        raise NotRepresentableError(f"{brief(z)} is not representable over {p} "
-                                    f"(cycle residue {outcome.cycle.coeffs})")
+        residue = outcome.cycle.coeffs
+        # printed as the tuple it is: (-1, 0) or (-1,)
+        shown = brief_coeffs(residue, ", ") + ("," if len(residue) == 1 else "")
+        raise NotRepresentableError(f"{brief(z)} is not representable over "
+                                    f"{brief_coeffs(p.coeffs, ',')} (cycle residue ({shown}))")
     raise StepBudgetError(f"no decision for {brief(z)} within {outcome.max_steps} steps")
 
 

@@ -7,8 +7,15 @@ suite runs in one process.  The per-integer sweeps run on cns's one
 quadratic kernel, quadratic_walk, cut short at the first integer state
 whose answer is already stored: the LengthTable that checks ii, iii, v,
 vi and viii read, and the expansion sweep that check i compares digit
-for digit and check ix sums.  Check vii reads leading block lengths from
-a byte store filled by the base -4 digit recurrence.
+for digit and check ix sums.  When both run on one bound, the sweep runs
+once: check i records the digit-sum failures as it walks, and check ix
+reads them.  Check vii reads leading block lengths from a byte store
+filled by the base -4 digit recurrence.
+
+Checks vii and viii take their pair grid a row at a time: for fixed x,
+the stored values of y, x + y and xy over the grid are slices of a byte
+store, compared at C speed.  Only a row with something to record, or
+one whose slices would leave the store, is probed pair by pair.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Iterable, Iterator
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
@@ -241,14 +249,28 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         yield z, expansion
 
 
-def check_length_formula(bound: int = FORMULA_BOUND) -> VerificationReport:
+def _breaks_digit_sum(z: int, digit_sum: int) -> bool:
+    """The digit sum of z is not z mod 5, or 2(z - digit_sum)/5 is odd."""
+    return (2 * (z - digit_sum)) % 10 != 0
+
+
+def check_length_formula(bound: int = FORMULA_BOUND, *,
+                         digit_sum_failures: list | None = None) -> VerificationReport:
     """Every |z| <= bound: block substitution reproduces direct digit
     extraction digit for digit, and the length matches
-    d * (negabase length - 1) + leading block length."""
+    d * (negabase length - 1) + leading block length.
+
+    A digit_sum_failures list receives [z, digit sum] for each z of the
+    sweep whose digits break check ix's identity, in sweep order.
+    """
     t0 = time.perf_counter()
     scheme = penney_standard()
     counterexamples = []
     for z, direct in _direct_expansions(bound):
+        if digit_sum_failures is not None:
+            digit_sum = sum(direct)
+            if _breaks_digit_sum(z, digit_sum):
+                digit_sum_failures.append([z, digit_sum])
         substituted = convert(z, scheme)
         predicted = predicted_length(z, scheme)
         if direct != substituted.digits or predicted != len(direct):
@@ -408,21 +430,58 @@ def _sample_pairs(count: int, seed: int, bound: int) -> Iterator[tuple[int, int]
         yield x, y
 
 
-def _sweep_pairs(probe: Callable[[int, int], None], grid_bound: int,
-                 samples: int, seed: int) -> None:
+def _sweep_pairs(probe: Callable[[int, int], None], row_done: Callable[[int], bool],
+                 grid_bound: int, samples: int, seed: int) -> None:
     """probe(x, y) on the nonzero grid |x|, |y| <= grid_bound, row by row,
-    then on the seeded random pairs."""
+    then on the seeded random pairs.  A row x for which row_done(x) is
+    true is skipped: row_done has then taken from the whole row all that
+    probe would record there."""
     nonzero = [v for v in range(-grid_bound, grid_bound + 1) if v]
     for x in nonzero:
-        for y in nonzero:
-            probe(x, y)
+        if not row_done(x):
+            for y in nonzero:
+                probe(x, y)
     for x, y in _sample_pairs(samples, seed, SAMPLE_BOUND):
         probe(x, y)
 
 
-def _leading_block_lengths(bound: int) -> Callable[[int], int]:
+def _grid_row(data: bytearray, zero: int, offset: int, step: int,
+              grid_bound: int) -> bytearray | None:
+    """data[zero + offset + step * y] for the nonzero |y| <= grid_bound in
+    ascending y, or None if one of these indices leaves data."""
+    reach = abs(step) * grid_bound
+    low, high = zero + offset - reach, zero + offset + reach
+    if low < 0 or high >= len(data):
+        return None
+    row = data[low:high + 1:abs(step)]
+    if step < 0:
+        row.reverse()
+    del row[grid_bound]  # y = 0
+    return row
+
+
+class _LeadingBlockLengths:
     """lam(v), the unpadded block length of the leading base -4 digit of v
-    in the standard scheme, read from one byte per |v| <= bound.
+    in the standard scheme; data[v + bound] holds it for |v| <= bound.
+
+    A plain class: a dataclass would add about 0.8 ms to every import.
+    """
+
+    __slots__ = ("bound", "data")
+
+    def __init__(self, bound: int, data: bytearray) -> None:
+        self.bound = bound
+        self.data = data
+
+    def __call__(self, v: int) -> int:
+        bound = self.bound
+        while v > bound or v < -bound:
+            v = -(v >> 2)
+        return self.data[v + bound]
+
+
+def _leading_block_lengths(bound: int) -> _LeadingBlockLengths:
+    """lam, stored one byte per |v| <= bound.
 
     The leading digit of v is that of (v - v mod 4) / -4, unless that is
     0 and v is itself the digit; the store is filled by this recurrence,
@@ -435,13 +494,7 @@ def _leading_block_lengths(bound: int) -> Callable[[int], int]:
     for v in _outward(bound):
         head = -(v >> 2)  # (v - v mod 4) / -4
         data[v + bound] = data[head + bound] if head else block_lengths[v]
-
-    def lam(v: int) -> int:
-        while v > bound or v < -bound:
-            v = -(v >> 2)
-        return data[v + bound]
-
-    return lam
+    return _LeadingBlockLengths(bound, data)
 
 
 def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *,
@@ -474,14 +527,25 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
         elif value in (-2, 7) and len(equality_hits) < MAX_RECORDED:
             equality_hits.append([x, y, value])
 
-    _sweep_pairs(probe, grid_bound, samples, seed)
+    # the store reaches grid_bound^2, so every grid row is a pair of slices
+    zero, data = lam.bound, lam.data
+    ys = _grid_row(data, zero, 0, 1, grid_bound)
+
+    def row_done(x: int) -> bool:
+        lx = data[zero + x]
+        differences = list(map(sub, ys, _grid_row(data, zero, 0, x, grid_bound)))
+        low, high = lx + min(differences), lx + max(differences)
+        if low < -2 or high > 7:
+            return False
+        return len(equality_hits) >= MAX_RECORDED or (low > -2 and high < 7)
+
+    _sweep_pairs(probe, row_done, grid_bound, samples, seed)
     witnesses.extend(equality_hits)
 
     # pairs with a zero member collapse to lam(0) + lam(y) - lam(0) = lam(y)
     # under the lam(0) = 1 convention; record the observed values without
     # asserting them, since the claim's status at zero is unsettled
-    zero_pair_values = {lam(y) for y in range(-grid_bound, grid_bound + 1) if y}
-    zero_pair_values.add(lam(0))
+    zero_pair_values = set(data[zero - grid_bound:zero + grid_bound + 1])
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
               "sample_bound": SAMPLE_BOUND,
               "zero_pair_values_observed": sorted(zero_pair_values)}
@@ -509,22 +573,40 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
     max_sum_excess = None
     max_product_excess = None
 
-    def probe(x: int, y: int) -> None:
+    def note(sum_excess: int, product_excess: int) -> None:
         nonlocal max_sum_excess, max_product_excess
-        lx, ly = lengths[x], lengths[y]
-        sum_excess = lengths[x + y] - lx - ly
-        product_excess = lengths[x * y] - lx - ly
         if max_sum_excess is None or sum_excess > max_sum_excess:
             max_sum_excess = sum_excess
         if max_product_excess is None or product_excess > max_product_excess:
             max_product_excess = product_excess
+
+    def probe(x: int, y: int) -> None:
+        lx, ly = lengths[x], lengths[y]
+        sum_excess = lengths[x + y] - lx - ly
+        product_excess = lengths[x * y] - lx - ly
+        note(sum_excess, product_excess)
         if sum_excess > 2:
             counterexamples.append(["sum", x, y, lx, ly, lx + ly + sum_excess])
         if product_excess > 10:
             counterexamples.append(["product", x, y, lx, ly,
                                     lx + ly + product_excess])
 
-    _sweep_pairs(probe, grid_bound, samples, seed)
+    # a row leaves a table smaller than its reach; probe then reads table[v]
+    zero, data = lengths.bound, lengths.data
+    ys = _grid_row(data, zero, 0, 1, grid_bound)
+
+    def row_done(x: int) -> bool:
+        sums = _grid_row(data, zero, x, 1, grid_bound)
+        products = _grid_row(data, zero, 0, x, grid_bound)
+        if ys is None or sums is None or products is None:
+            return False
+        lx = data[zero + x]
+        sum_excess = max(map(sub, sums, ys)) - lx
+        product_excess = max(map(sub, products, ys)) - lx
+        note(sum_excess, product_excess)
+        return sum_excess <= 2 and product_excess <= 10
+
+    _sweep_pairs(probe, row_done, grid_bound, samples, seed)
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
               "sample_bound": SAMPLE_BOUND,
               "max_sum_excess": max_sum_excess,
@@ -546,7 +628,7 @@ def digit_sum_probe(z: int, max_iter: int = 48) -> DigitSumProbe:
         raise ValueError("max_iter must be at least 2")
     digit_sum = sum(_expansion(z, STANDARD_POLY).digits)
     gap = z - digit_sum
-    if (2 * gap) % 10:
+    if _breaks_digit_sum(z, digit_sum):
         raise ArithmeticError(
             f"digit sum {digit_sum} of {z} breaks the mod-5 identity")
     s_k = 2 * gap // 5
@@ -559,16 +641,21 @@ def digit_sum_probe(z: int, max_iter: int = 48) -> DigitSumProbe:
 
 
 def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
-                     max_iter: int = 48) -> VerificationReport:
+                     max_iter: int = 48, failures: list | None = None) -> VerificationReport:
     """digit_sum(z) = z mod 5 and 2(z - digit_sum)/5 even for |z| <= bound.
 
+    failures, when given, are the [z, digit sum] pairs that check i
+    recorded on its sweep of the same bound; otherwise this check sweeps.
     How often the literal recurrence happens to stabilize near zero is
     recorded in the params, never asserted.
     """
     t0 = time.perf_counter()
+    if failures is None:
+        sums = ((z, sum(digits)) for z, digits in _direct_expansions(bound))
+        failures = [[z, digit_sum] for z, digit_sum in sums
+                    if _breaks_digit_sum(z, digit_sum)]
     # sorted into ascending z: the sweep runs outward from 0
-    counterexamples = sorted([z, sum(digits)] for z, digits in _direct_expansions(bound)
-                             if (2 * (z - sum(digits))) % 10)
+    counterexamples = sorted(failures)
     stabilized = 0
     for z in range(-trace_bound, trace_bound + 1):
         if digit_sum_probe(z, max_iter).stabilized:
@@ -617,6 +704,8 @@ def run_suite(names: Iterable[str] = ("all",), *,
 
     bound, when given, replaces the range of i, of the length table and of
     ix; the table is computed once and shared by the checks that read it.
+    When i and ix run on one bound, ix reads the digit-sum failures that
+    i's sweep recorded.
     """
     selected: list[str] = []
     for name in names:
@@ -634,10 +723,14 @@ def run_suite(names: Iterable[str] = ("all",), *,
     lengths = None
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
         lengths = compute_length_table(table_bound)
+    digit_sum_failures = None
+    if {"i", "ix"} <= set(ordered) and formula_bound == digit_sum_bound:
+        digit_sum_failures = []
     # each entry looks its check up when it runs, so a wrapper patched onto
     # the module-level name is the one called
     suite = {
-        "i": lambda: check_length_formula(formula_bound),
+        "i": lambda: check_length_formula(formula_bound,
+                                          digit_sum_failures=digit_sum_failures),
         "ii": lambda: check_length_set(lengths=lengths),
         "iii": lambda: check_sign_disjoint(lengths=lengths),
         "iv": lambda: check_boundary_jumps(),
@@ -646,7 +739,7 @@ def run_suite(names: Iterable[str] = ("all",), *,
         "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound),
         "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
                                               lengths=lengths),
-        "ix": lambda: check_digit_sums(digit_sum_bound),
+        "ix": lambda: check_digit_sums(digit_sum_bound, failures=digit_sum_failures),
         "remark": lambda: check_scheme_counterexample(),
     }
     return [suite[name]() for name in ordered]

@@ -187,18 +187,48 @@ def test_verify_report_file(tmp_path, capsys):
         assert record["passed"] is True
 
 
-def test_verify_report_matches_the_golden_file(tmp_path, capsys):
-    """Every report line of a small full run, apart from elapsed_ms, equals
-    the checked-in record; a change to any check's output shows here."""
+def verify_records(capsys, tmp_path, *argv):
+    """Exit code and report lines, without elapsed_ms, of one verify run."""
     path = tmp_path / "checks.jsonl"
-    code, _, _ = run(capsys, "verify", "--suite", "all", "--range", "2000",
-                     "--samples", "200", "--report", str(path))
-    assert code == 1
+    code, _, _ = run(capsys, "verify", *argv, "--report", str(path))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for record in records:
         del record["elapsed_ms"]
-    golden = (Path(__file__).parent / "data" / "verify_small.jsonl").read_text()
-    assert records == [json.loads(line) for line in golden.splitlines()]
+    return code, records
+
+
+def golden_records(name):
+    golden = (Path(__file__).parent / "data" / name).read_text()
+    return [json.loads(line) for line in golden.splitlines()]
+
+
+def test_verify_report_matches_the_golden_file(tmp_path, capsys):
+    """Every report line of a small full run, apart from elapsed_ms, equals
+    the checked-in record; a change to any check's output shows here."""
+    code, records = verify_records(capsys, tmp_path, "--suite", "all", "--range", "2000",
+                                   "--samples", "200")
+    assert code == 1
+    assert records == golden_records("verify_small.jsonl")
+
+
+def test_verify_default_report_matches_the_golden_file(tmp_path, capsys):
+    """The same at the default arguments, where every grid row of checks
+    vii and viii lies in its store and is compared as a whole."""
+    code, records = verify_records(capsys, tmp_path, "--suite", "all")
+    assert code == 1
+    assert records == golden_records("verify_default.jsonl")
+
+
+@pytest.mark.parametrize("bound", [[], ["--range", "2000"]], ids=["default", "2000"])
+def test_verify_digit_sums_line_is_one_with_or_without_check_i(tmp_path, capsys, bound):
+    """Check ix reads the digit sums that check i's sweep recorded when both
+    run, and sweeps on its own otherwise; its report line is the same."""
+    lines = []
+    for suite in ("ix", "i,ix", "all"):
+        code, records = verify_records(capsys, tmp_path, "--suite", suite, *bound)
+        lines.append(records[-2] if suite == "all" else records[-1])
+    assert lines[0]["check_id"] == "digit_sums"
+    assert lines[0] == lines[1] == lines[2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -441,6 +471,21 @@ def test_decode_error_abbreviates_digits_and_residue(capsys, digits):
     assert err.count("\n") == 1
     assert len(err.encode()) < 200
     assert "non-constant residue" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["encode", "--poly=-3," + "0," * 2000 + "1", "--value=-1"], "not representable"),
+    (["decode", "--poly=2," + "0," * 2000 + "1", "--digits=10"], "non-constant residue"),
+], ids=["encode", "decode"])
+def test_error_abbreviates_a_long_polynomial_and_residue(capsys, argv, text):
+    """Over a base of 2,002 coefficients, the one error line names the
+    polynomial and the residue by their leading coefficients and count."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert text in err
+    assert "(2002 coefficients)" in err
 
 
 @pytest.mark.parametrize("argv", [

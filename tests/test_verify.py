@@ -157,6 +157,29 @@ def test_digit_sums_reports_corrupted_sums_in_ascending_order(monkeypatch):
     assert report.params["counterexample_count"] == 3
 
 
+def test_checks_i_and_ix_share_one_sweep(monkeypatch):
+    """run_suite walks the expansion sweep once for checks i and ix on one
+    bound; ix then reports the digit sums that i's sweep saw break the
+    identity, in ascending z order, as its own sweep would."""
+    real_expansions = cnskit.verify._direct_expansions
+    corrupted = {150: (1,), -37: (1, 1), 9: (1, 0, 1)}
+    sweeps = []
+
+    def expansions(bound):
+        sweeps.append(bound)
+        for z, digits in real_expansions(bound):
+            yield z, corrupted.get(z, digits)
+
+    monkeypatch.setattr(cnskit.verify, "_direct_expansions", expansions)
+    alone = run_suite(["ix"], bound=400)[0]
+    assert sweeps == [400]
+    formula, shared = run_suite(["i", "ix"], bound=400)
+    assert sweeps == [400, 400]
+    assert shared.counterexamples == [[-37, 2], [9, 2], [150, 1]]
+    assert strip_elapsed(shared) == strip_elapsed(alone)
+    assert [z for z, *_ in formula.counterexamples] == [-37, 9, 150]
+
+
 def test_leading_block_lengths_equal_penney():
     scheme = penney_standard()
     lam = _leading_block_lengths(300 * 300)
