@@ -23,7 +23,7 @@ from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
 from .penney import (STANDARD_POLY, SchemeViolation, build_scheme, convert,
                      predicted_length)
 from .poly import IntPoly, compose_x_power
-from .trinomial import SequenceId, lift_representation, seq_values
+from .trinomial import SequenceId, lift_representation, seq_terms
 from .verify import DEFAULT_SEED, SAMPLE_COUNT, run_suite
 
 
@@ -147,8 +147,16 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    values = seq_values(SequenceId(args.name), args.count)
-    _emit(args, {"name": args.name, "values": values}, "\n".join(map(str, values)))
+    """Each value is written as it is computed, so no count is held in
+    memory; --json writes the bytes json.dumps would."""
+    values = seq_terms(SequenceId(args.name), args.count)
+    out = sys.stdout
+    if args.json:
+        out.write(f'{{"name": {json.dumps(args.name)}, "values": [{next(values)}')
+        out.writelines(f", {v}" for v in values)
+        out.write("]}\n")
+    else:
+        out.writelines(f"{v}\n" for v in values)
     return 0
 
 

@@ -19,8 +19,12 @@ kernel, as its q = X + c would walk a state tuple without a jump.
 Big integers on a quadratic with complex roots (p1^2 < 4 p0) jump: the
 first k steps depend only on A mod p0^k, so with a_i = L_i + p0^k H_i
 the walk runs k steps on the small L and lands on L' + H N_k, where
-N_k = (-(X + p1))^k mod p.  Its digits are the plain loop's, and two
-rules keep every outcome exact as well:
+N_k = (-(X + p1))^k mod p.  The k steps on L go j at a time, by one
+table lookup each: the first j digits of a state depend only on
+(a0 mod p0^j, a1 mod p0^(j-1)), and with D = sum d_i X^i mod p their
+residue, the state j steps on is exactly (A - D) N_j / p0^j, as
+A = D + X^j A_j and X^j N_j = p0^j.  Its digits are the plain loop's,
+and two rules keep every outcome exact as well:
   - a jump is kept only if it lands outside the box that holds every
     periodic state; a state it skips is then not periodic, so it is
     never revisited and is not zero, and the cycle residue stays;
@@ -52,6 +56,10 @@ DEFAULT_MAX_STEPS = 10_000
 # a walk from z of more bits than this jumps _JUMP_STEPS steps at a time
 _JUMP_MIN_BITS = 256
 _JUMP_STEPS = 128
+# a lookup reads j digits from a table of at most this many digit strings
+# and keys (a table of p0 = 2, j = 8 has 2^15 keys in 32 KiB)
+_GROUP_CODES = 256
+_GROUP_KEYS = 1 << 15
 # a digit string is reduced this many digits at a time
 _CHUNK_DIGITS = 256
 
@@ -163,6 +171,49 @@ def _jump_residue(p0: int, p1: int, k: int) -> tuple[int, int]:
     return n0, n1
 
 
+def _group_length(p0: int, k: int) -> int:
+    """The digits per table lookup in a jump of k steps: the largest power
+    of two j dividing k whose p0^j digit strings and p0^(2j - 1) keys fit
+    the bounds above, or 1 if no j >= 2 does (then every step is one)."""
+    j = k & -k
+    while j > 1 and (p0 ** j > _GROUP_CODES or p0 ** (2 * j - 1) > _GROUP_KEYS):
+        j >>= 1
+    return j
+
+
+@lru_cache(maxsize=8)
+def _digit_groups(p0: int, p1: int,
+                  j: int) -> tuple[bytes, tuple[tuple[tuple[int, ...], int, int], ...]]:
+    """The first j digits of every state (a0, a1) over X^2 + p1 X + p0,
+    as (codes, groups).
+
+    The digits depend only on a0 mod p0^j and a1 mod p0^(j - 1).
+    codes[(a1 mod p0^(j - 1)) p0^j + a0 mod p0^j] is the code of the
+    digits, which read as a number in base p0, least significant first,
+    and groups[code] is (digits, d0, d1), d0 + d1 X = sum d_i X^i mod p.
+    The codes are built from j - 1 up: the first digit of (a0, a1) is
+    u = a0 mod p0, and the rest are the j - 1 digits of (a1 - q p1, -q),
+    q = a0 // p0, whose key needs q mod p0^(j - 1) only.
+    """
+    codes = bytes(range(p0))  # j = 1: the key is a0 mod p0, the code its digit
+    for i in range(2, j + 1):
+        width, width1 = p0 ** (i - 1), p0 ** (i - 2)  # the next state's key
+        rest = [p0 * codes[-q % width1 * width + (a1 - q * p1) % width]
+                for a1 in range(width) for q in range(width)]
+        codes = bytes(u + r for r in rest for u in range(p0))
+    groups = []
+    for code in range(p0 ** j):
+        digits = []
+        for _ in range(j):
+            code, u = divmod(code, p0)
+            digits.append(u)
+        d0 = d1 = 0
+        for u in reversed(digits):  # D <- u + X D
+            d0, d1 = u - p0 * d1, d0 - p1 * d1
+        groups.append((tuple(digits), d0, d1))
+    return codes, tuple(groups)
+
+
 def _jump_walk(z: int, p0: int, p1: int, max_steps: int) -> tuple[list[int], QuadraticWalk]:
     """quadratic_walk(z, p0, p1, max_steps) in jumps of _JUMP_STEPS steps
     while each lands outside periodic_box(p0): the jumps' digits, and the
@@ -171,6 +222,12 @@ def _jump_walk(z: int, p0: int, p1: int, max_steps: int) -> tuple[list[int], Qua
     n0, n1 = _jump_residue(p0, p1, k)
     # H N_k = (h0 n0 - h1 m0) + (h0 n1 + h1 m1) X
     m0, m1 = p0 * n1, n0 - p1 * n1
+    j = _group_length(p0, k)
+    if j > 1:
+        codes, groups = _digit_groups(p0, p1, j)
+        g0, g1 = _jump_residue(p0, p1, j)
+        c0, c1 = p0 * g1, g0 - p1 * g1
+        width, width1 = p0 ** j, p0 ** (j - 1)
     box0, box1 = periodic_box(p0)
     chunk = p0 ** k
     mask = chunk - 1
@@ -184,10 +241,20 @@ def _jump_walk(z: int, p0: int, p1: int, max_steps: int) -> tuple[list[int], Qua
         else:
             (h0, l0), (h1, l1) = divmod(a0, chunk), divmod(a1, chunk)
         mark = len(digits)
-        for _ in range(k):
-            q = l0 // p0
-            digits.append(l0 - q * p0)
-            l0, l1 = l1 - q * p1, -q
+        if j > 1:
+            for _ in range(k // j):
+                group, d0, d1 = groups[codes[l1 % width1 * width + l0 % width]]
+                digits += group
+                l0 -= d0
+                l1 -= d1
+                # j steps land on (L - D) N_j / p0^j, exactly; the floor
+                # division is as fast as a shift on these few-word integers
+                l0, l1 = (l0 * g0 - l1 * c0) // width, (l0 * g1 + l1 * c1) // width
+        else:
+            for _ in range(k):
+                q = l0 // p0
+                digits.append(l0 - q * p0)
+                l0, l1 = l1 - q * p1, -q
         l0 += h0 * n0 - h1 * m0
         l1 += h0 * n1 + h1 * m1
         if -box0 <= l0 <= box0 and -box1 <= l1 <= box1:

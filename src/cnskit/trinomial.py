@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import isqrt
+from typing import Iterator
 
 from .negabase import CnsBase, Representation
 from .poly import IntPoly, compose_x_power
@@ -75,15 +76,21 @@ def seq_b(n: int) -> int:
     return root
 
 
-def seq_values(which: SequenceId, count: int) -> list[int]:
-    """First count values; a and b start at index 0, c starts at index 1."""
+def seq_terms(which: SequenceId, count: int) -> Iterator[int]:
+    """First count values, one at a time; a and b start at index 0, c
+    starts at index 1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if which is SequenceId.A:
-        return [seq_a(n) for n in range(count)]
+        return map(seq_a, range(count))
     if which is SequenceId.B:
-        return [seq_b(n) for n in range(count)]
-    return [seq_c(n) for n in range(1, count + 1)]
+        return map(seq_b, range(count))
+    return map(seq_c, range(1, count + 1))
+
+
+def seq_values(which: SequenceId, count: int) -> list[int]:
+    """First count values, as a list."""
+    return list(seq_terms(which, count))
 
 
 def trinomial_length_set(m: int, count: int) -> list[int]:

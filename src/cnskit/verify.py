@@ -483,17 +483,29 @@ class _LeadingBlockLengths:
 def _leading_block_lengths(bound: int) -> _LeadingBlockLengths:
     """lam, stored one byte per |v| <= bound.
 
-    The leading digit of v is that of (v - v mod 4) / -4, unless that is
-    0 and v is itself the digit; the store is filled by this recurrence,
-    and beyond the bound lam steps v down by it to a stored value.  The
-    bound is raised to 3 so that every single digit is stored.
+    The leading digit of v = 4k + r, 0 <= r < 4, is that of -k, unless k
+    is 0 and v is itself the digit; beyond the bound lam steps v down by
+    this recurrence to a stored value.  The store is filled by it a level
+    at a time: once lam is stored on [low, high], it follows on
+    [-4 high, -4 low + 3], each residue class r on each side by one
+    stride-4 slice of the reversed slice of its heads.  The bound is
+    raised to 3 so that every single digit is stored.
     """
     block_lengths = penney_standard().block_lengths
     bound = max(bound, 3)
     data = _store(bound, bytearray)
-    for v in _outward(bound):
-        head = -(v >> 2)  # (v - v mod 4) / -4
-        data[v + bound] = data[head + bound] if head else block_lengths[v]
+    data[bound:bound + 4] = bytes(block_lengths[:4])
+    low, high = 0, 3
+    while low > -bound or high < bound:
+        new_low, new_high = max(-4 * high, -bound), min(-4 * low + 3, bound)
+        for first, last in ((new_low, low - 1), (high + 1, new_high)):
+            for r in range(4):
+                # v = 4k + r in [first, last] for first_k <= k <= last_k
+                first_k, last_k = (first - r + 3) // 4, (last - r) // 4
+                if first_k <= last_k:
+                    heads = data[bound - last_k:bound - first_k + 1]
+                    data[bound + 4 * first_k + r:bound + 4 * last_k + r + 1:4] = heads[::-1]
+        low, high = new_low, new_high
     return _LeadingBlockLengths(bound, data)
 
 

@@ -8,6 +8,8 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,37 @@ def test_seq_json(capsys):
     code, out, _ = run(capsys, "seq", "--name", "c", "--count", "5", "--json")
     assert json.loads(out) == {"name": "c", "values": [1, 7, 11, 29, 37]}
     assert code == 0
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_seq_json_is_the_bytes_of_json_dumps(capsys, name):
+    """The values are written as they come, in the bytes json.dumps
+    writes for the whole object."""
+    for count in (1, 2, 50):
+        code, out, _ = run(capsys, "seq", "--name", name, "--count", str(count), "--json")
+        values = cnskit.seq_values(cnskit.SequenceId(name), count)
+        assert (code, out) == (0, json.dumps({"name": name, "values": values}) + "\n")
+
+
+def test_seq_streams_its_values():
+    """seq --count 10^12 writes its first 1,000 values within seconds, in a
+    child that could not hold them all, and is then killed (after 60 s at
+    the latest, so a child that writes nothing ends the reads)."""
+    argv, env = cli_argv("seq", "--name", "a", "--count", str(10**12))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            text=True, env=env, preexec_fn=address_space_limit(800_000))
+    deadline = threading.Timer(60, proc.kill)
+    deadline.start()
+    try:
+        start = time.monotonic()
+        lines = [proc.stdout.readline() for _ in range(1000)]
+        elapsed = time.monotonic() - start
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.communicate()
+    assert lines == [f"{cnskit.seq_a(n)}\n" for n in range(1000)]
+    assert elapsed < 10
 
 
 def test_seq_rejects_unknown_name(capsys):
@@ -405,9 +438,8 @@ def test_unequal_norms_are_no_divisibility():
 
 
 @pytest.mark.parametrize("argv", [
-    ["seq", "--name", "a", "--count", "100000000000"],
     ["lift", "--digits", "1101", "--k", "100000000000"],
-], ids=["seq", "lift"])
+], ids=["lift"])
 def test_out_of_memory_exits_2(argv):
     """A result that does not fit in memory exits 2 with one line, not
     with a MemoryError traceback and the exit code of a failed check.

@@ -2,7 +2,11 @@
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -322,8 +326,9 @@ def test_oracle_table_is_every_string_that_denotes_an_integer(p, max_len):
 
 
 # complex-root quadratics on which big integers jump; X^2 - 2X + 2
-# represents no big integer, so its walks end in a cycle
-JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]
+# represents no big integer, so its walks end in a cycle; X^2 + X + 300
+# reads no digits by table, one step each
+JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1)), IntPoly((300, 1, 1))]
 
 
 @st.composite
@@ -368,7 +373,10 @@ def test_jumps_exhaust_the_budget_at_the_same_step(p):
             n = plain_steps(z, p)
             whole = n // k * k
             for max_steps in {n - 1, n, n + 1, whole - 1, whole, whole + 1}:
-                assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+                # over X^2 + X + 300 these walks take fewer steps than one
+                # jump, so whole is 0, and a budget must be positive
+                if max_steps >= 1:
+                    assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
 @pytest.mark.parametrize("p", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
@@ -387,6 +395,87 @@ def test_short_jumps_equal_the_oracle_and_the_reference_loop(monkeypatch, p, k):
         outcome = cns_encode(z, p)
         if isinstance(outcome, CnsDigits) and outcome.representation.length <= max_len:
             assert brute_force_oracle(z, p, max_len) == outcome.representation
+
+
+@pytest.mark.parametrize("p", JUMP_BASES, ids=str)
+def test_digit_groups_equal_plain_steps(p):
+    """Every key of the table a jump reads: its code and digits are the
+    first j digits of the plain walk, and (A - D) N_j / p0^j is exactly
+    the state j steps on, also from A off the key by random multiples of
+    p0^j and p0^(j - 1).  X^2 + X + 300 has no table; X^2 + 2X + 2 and
+    X^2 - 2X + 2 read 8 digits a lookup, X^2 + X + 3 4, X^2 - 3X + 5 2."""
+    p0, p1, _ = p.coeffs
+    j = cns._group_length(p0, cns._JUMP_STEPS)
+    assert j == {2: 8, 3: 4, 5: 2, 300: 1}[p0]
+    if j == 1:
+        return
+    codes, groups = cns._digit_groups(p0, p1, j)
+    width, width1 = p0 ** j, p0 ** (j - 1)
+    assert len(codes) == width * width1 and len(groups) == width
+    g0, g1 = cns._jump_residue(p0, p1, j)
+    rng = random.Random(p0)
+    for a1 in range(width1):
+        for a0 in range(width):
+            code = codes[a1 * width + a0]
+            group, d0, d1 = groups[code]
+            assert code == sum(u * p0 ** i for i, u in enumerate(group))
+            for b0, b1 in ((a0, a1), (a0 + rng.randint(-9, 9) * width,
+                                      a1 + rng.randint(-9, 9) * width1)):
+                state, digits = (b0, b1), []
+                for _ in range(j):
+                    q = state[0] // p0
+                    digits.append(state[0] - q * p0)
+                    state = (state[1] - q * p1, -q)
+                assert tuple(digits) == group
+                e0, e1 = b0 - d0, b1 - d1
+                # (e0 + e1 X)(g0 + g1 X) mod X^2 + p1 X + p0
+                land0 = e0 * g0 - p0 * e1 * g1
+                land1 = e0 * g1 + e1 * g0 - p1 * e1 * g1
+                assert land0 % width == land1 % width == 0
+                assert (land0 // width, land1 // width) == state
+
+
+def test_small_integers_build_no_digit_table():
+    """Importing cnskit builds no table, and neither does encoding every
+    |z| <= 10^5 over X^2 + 2X + 2, as no such walk jumps; a 257-bit
+    integer builds one.  In a fresh interpreter."""
+    code = ("import cnskit\n"
+            "from cnskit import cns\n"
+            "sizes = [cns._digit_groups.cache_info().currsize]\n"
+            "p = cnskit.IntPoly((2, 2, 1))\n"
+            "for z in range(-10**5, 10**5 + 1):\n"
+            "    cns.cns_encode(z, p)\n"
+            "sizes.append(cns._digit_groups.cache_info().currsize)\n"
+            "cns.cns_encode(2**256, p)\n"
+            "sizes.append(cns._digit_groups.cache_info().currsize)\n"
+            "print(sizes)\n")
+    src = str(Path(cns.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 1]\n", "")
+
+
+def test_the_sextic_reads_its_jumps_by_table(monkeypatch):
+    """X^6 + 2X^3 + 2 at 2^11 bits walks X^2 + 2X + 2 in jumps that read
+    8 digits a lookup; on budgets around its decision and on a budget a
+    few jumps long, the outcome is the plain loop's over the sextic."""
+    groups = []
+    digit_groups = cns._digit_groups
+
+    def spy(*key):
+        groups.append(key)
+        return digit_groups(*key)
+
+    monkeypatch.setattr(cns, "_digit_groups", spy)
+    rng = random.Random(11)
+    for sign in (1, -1):
+        z = sign * (rng.getrandbits(2048) | 1 << 2047)
+        need = least_budget(z, SEXTIC, 30_000)
+        for max_steps in (need - 1, need, need + 1, 3 * 3 * cns._JUMP_STEPS + 1):
+            assert cns_encode(z, SEXTIC, max_steps) == reference_encode(z, SEXTIC, max_steps)
+    assert set(groups) == {(2, 2, 8)}
 
 
 def test_big_integer_digits_are_pinned():
