@@ -60,6 +60,10 @@ _JUMP_STEPS = 128
 # and keys (a table of p0 = 2, j = 8 has 2^15 keys in 32 KiB)
 _GROUP_CODES = 256
 _GROUP_KEYS = 1 << 15
+# and reads no fewer digits than this: in jumps from 2^14 bits, 2 digits a
+# lookup (p0 = 5 to 16) ran 1.1-1.3x slower than one step per digit, 4
+# digits (p0 = 3, 4) 1.4-1.6x faster and 8 digits (p0 = 2) 3.4x faster
+_GROUP_MIN_DIGITS = 4
 # a digit string is reduced this many digits at a time
 _CHUNK_DIGITS = 256
 
@@ -174,11 +178,12 @@ def _jump_residue(p0: int, p1: int, k: int) -> tuple[int, int]:
 def _group_length(p0: int, k: int) -> int:
     """The digits per table lookup in a jump of k steps: the largest power
     of two j dividing k whose p0^j digit strings and p0^(2j - 1) keys fit
-    the bounds above, or 1 if no j >= 2 does (then every step is one)."""
+    the bounds above, or 1 if that j is below _GROUP_MIN_DIGITS (then
+    every step is one)."""
     j = k & -k
     while j > 1 and (p0 ** j > _GROUP_CODES or p0 ** (2 * j - 1) > _GROUP_KEYS):
         j >>= 1
-    return j
+    return j if j >= _GROUP_MIN_DIGITS else 1
 
 
 @lru_cache(maxsize=8)

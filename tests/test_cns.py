@@ -326,9 +326,10 @@ def test_oracle_table_is_every_string_that_denotes_an_integer(p, max_len):
 
 
 # complex-root quadratics on which big integers jump; X^2 - 2X + 2
-# represents no big integer, so its walks end in a cycle; X^2 + X + 300
-# reads no digits by table, one step each
-JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1)), IntPoly((300, 1, 1))]
+# represents no big integer, so its walks end in a cycle
+JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]
+# and one whose jumps are 128 base-300 digits, about 1,053 bits
+WIDE_JUMP_BASES = JUMP_BASES + [IntPoly((300, 1, 1))]
 
 
 @st.composite
@@ -338,7 +339,7 @@ def big_integers(draw, max_bits):
     return magnitude if draw(st.booleans()) else -magnitude
 
 
-@pytest.mark.parametrize("p", JUMP_BASES, ids=str)
+@pytest.mark.parametrize("p", WIDE_JUMP_BASES, ids=str)
 @given(z=big_integers(4000))
 @settings(max_examples=30, deadline=None)
 def test_jumps_equal_the_reference_loop(p, z):
@@ -373,10 +374,7 @@ def test_jumps_exhaust_the_budget_at_the_same_step(p):
             n = plain_steps(z, p)
             whole = n // k * k
             for max_steps in {n - 1, n, n + 1, whole - 1, whole, whole + 1}:
-                # over X^2 + X + 300 these walks take fewer steps than one
-                # jump, so whole is 0, and a budget must be positive
-                if max_steps >= 1:
-                    assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+                assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
 @pytest.mark.parametrize("p", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
@@ -397,16 +395,17 @@ def test_short_jumps_equal_the_oracle_and_the_reference_loop(monkeypatch, p, k):
             assert brute_force_oracle(z, p, max_len) == outcome.representation
 
 
-@pytest.mark.parametrize("p", JUMP_BASES, ids=str)
+@pytest.mark.parametrize("p", WIDE_JUMP_BASES + [IntPoly((4, 1, 1))], ids=str)
 def test_digit_groups_equal_plain_steps(p):
     """Every key of the table a jump reads: its code and digits are the
     first j digits of the plain walk, and (A - D) N_j / p0^j is exactly
     the state j steps on, also from A off the key by random multiples of
-    p0^j and p0^(j - 1).  X^2 + X + 300 has no table; X^2 + 2X + 2 and
-    X^2 - 2X + 2 read 8 digits a lookup, X^2 + X + 3 4, X^2 - 3X + 5 2."""
+    p0^j and p0^(j - 1).  X^2 + 2X + 2 and X^2 - 2X + 2 read 8 digits a
+    lookup, X^2 + X + 3 and X^2 + X + 4 4; X^2 - 3X + 5 and X^2 + X + 300
+    have no table, as 2 digits a lookup is slower than a step each."""
     p0, p1, _ = p.coeffs
     j = cns._group_length(p0, cns._JUMP_STEPS)
-    assert j == {2: 8, 3: 4, 5: 2, 300: 1}[p0]
+    assert j == {2: 8, 3: 4, 4: 4, 5: 1, 300: 1}[p0]
     if j == 1:
         return
     codes, groups = cns._digit_groups(p0, p1, j)
