@@ -5,7 +5,8 @@ byte-identical standard output.  Results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success (and, for verify, all checks passed),
 1 verification failure, unrepresentable value, non-constant decode or
 scheme violation, 2 invalid input or a request too large for memory,
-3 step budget exhausted.
+3 step budget exhausted.  A reader that closes stdout early ends the
+run with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -268,6 +269,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotRepresentableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout, as `cnskit seq ... | head -1` does: stop
+        # quietly, with stdout on os.devnull so that the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,13 @@ window of n digits that contains the expansion; an even n with
 n s >= bits(z) + 16 does.  Only z of more than _JUMP_MIN_BITS bits take
 the mask: at |z| <= 10^5 it costs about three times the plain loop
 (3.6 against 1.2 us, base -4, 2 cores, Python 3.11).
+
+Reading digits back at t = +-2^s, |t| <= 32, is the same mask the other
+way: the digits as ASCII, most significant first, are one int(text, |t|)
+parse y, linear in the length and exempt from int_max_str_digits for
+these bases, and for t < 0 the value is (y XOR M) - M.  The parse reads
+every e-th digit as easily, which the polynomial decoder uses (see
+values_at_power_of_two).
 """
 
 from __future__ import annotations
@@ -38,6 +45,14 @@ from .poly import IntPoly, poly_eval
 # time, or by the mask when b = 2^s with s dividing 8
 _JUMP_MIN_BITS = 256
 _JUMP_DIGITS = 64
+
+# the |t| that values_at_power_of_two reads: int() parses a string in these
+# bases in linear time, and exempts them from int_max_str_digits
+PARSE_RADICES = (2, 4, 8, 16, 32)
+# the characters int() reads as the digits 0..31; every other byte maps to
+# one it rejects, so a digit out of range raises ValueError
+_DIGIT_TEXT = b"0123456789abcdefghijklmnopqrstuv"
+_DIGIT_CHARS = bytes.maketrans(bytes(range(256)), _DIGIT_TEXT + b"!" * (256 - 32))
 
 
 @dataclass(frozen=True)
@@ -196,16 +211,42 @@ def _masked_digits(z: int, s: int) -> list[int]:
     return digits
 
 
+def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[int]:
+    """The e values sum_k digits[e k + r] t^k, r < e, for |t| in
+    PARSE_RADICES; a digit outside 0..|t|-1 raises ValueError.
+
+    Each substring digits[r::e] is one int() parse in base |t| of the
+    string reversed as ASCII digits; for t < 0 the parse y is mapped to
+    (y XOR M) - M, M having |t|-1 at every odd place, which turns digit k
+    into (-1)^k times itself (see the module docstring).  One M serves
+    every substring, as places beyond a substring's length cancel.
+    """
+    b = abs(t)
+    text = bytes(digits).translate(_DIGIT_CHARS)[::-1]
+    n = len(text)
+    # digit e k + r sits at n - 1 - r - e k of the reversed text
+    values = [int(text[(n - 1 - r) % e::e], b) for r in range(min(e, n))]
+    if t < 0 and values:
+        pairs = (-(-n // e) + 1) // 2
+        mask = int((_DIGIT_TEXT[b - 1:b] + b"0") * pairs, b)
+        values = [(y ^ mask) - mask for y in values]
+    return values + [0] * (e - len(values))
+
+
 def encode_negabase(z: int, b: int) -> Representation:
     """Expand z in base -b; every integer has exactly one such expansion."""
     return Representation(NegaBase(b), tuple(_negabase_digits(z, b)) or (0,))
 
 
 def decode_negabase(rep: Representation) -> int:
-    """Evaluate the expansion at -b."""
+    """Evaluate the expansion at -b: for b = 2, 4, 8, 16, 32 by one
+    integer parse, linear in the length, otherwise by Horner's rule."""
     if not isinstance(rep.base, NegaBase):
         raise ValueError("expected a negative-base representation")
-    return poly_eval(IntPoly(rep.digits), -rep.base.b)
+    b = rep.base.b
+    if b in PARSE_RADICES:
+        return values_at_power_of_two(rep.digits, -b)[0]
+    return poly_eval(IntPoly(rep.digits), -b)
 
 
 def length_negabase(z: int, b: int) -> int:

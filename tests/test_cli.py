@@ -179,6 +179,36 @@ def test_seq_streams_its_values():
     assert elapsed < 10
 
 
+def test_closed_pipe_exits_0_quietly():
+    """A reader that leaves after one line, as `cnskit seq ... | head -1`
+    does, ends the run with exit 0 and nothing on stderr."""
+    argv, env = cli_argv("seq", "--name", "a", "--count", str(10**6))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
+    deadline = threading.Timer(60, proc.kill)
+    deadline.start()
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    finally:
+        deadline.cancel()
+        proc.kill()
+    assert first == f"{cnskit.seq_a(0)}\n"
+    assert (code, err) == (0, "")
+
+
+def test_unwritable_report_exits_2(tmp_path):
+    """An OSError other than a closed pipe still exits 2 with one line."""
+    argv, env = cli_argv("verify", "--suite", "iv",
+                         "--report", str(tmp_path / "missing" / "checks.jsonl"))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_seq_rejects_unknown_name(capsys):
     code, _, err = run(capsys, "seq", "--name", "z", "--count", "5")
     assert code == 2

@@ -573,3 +573,105 @@ def test_short_strings_build_only_the_rows_they_read(monkeypatch):
     # the string and the carried residue, rounded up to a power of two
     assert built and max(built) < 2 * (len(digits) + 2)
     assert table.cache_info().currsize == len(set(built))
+
+
+# bases with X^period = t mod p for t = +-2^s, |t| <= 32, as (p, period,
+# t), whose strings cns_decode reads by integer parses; and bases without
+POWER_BASES = [(P, 4, -4), (QUARTIC, 8, -4), (SEXTIC, 12, -4), (IntPoly((2, 0, 1)), 2, -2),
+               (IntPoly((4, 0, 1)), 2, -4), (IntPoly((-2, 0, 1)), 2, 2), (NONCNS, 4, -4),
+               (IntPoly((4, 2, 1)), 3, 8)]
+HORNER_BASES = [IntPoly((3, 3, 1)), IntPoly((3, 1, 1)), IntPoly((2, 1, 1, 1))]
+
+
+def test_interleave_finds_the_constant_power():
+    for p, period, t in POWER_BASES:
+        m, t_found, columns = cns._interleave(p)
+        assert (m * len(columns[0]), t_found) == (period, t)
+        assert reference_decode((0,) * period + (1,), p) == (t,) + (0,) * (len(p.coeffs) - 2)
+    for p in HORNER_BASES:
+        assert cns._interleave(p) is None
+    # X^6 = -27 mod X^2 + 3X + 3: constant, but no power of two
+    assert reference_decode((0,) * 6 + (1,), HORNER_BASES[0]) == (-27, 0)
+
+
+@pytest.mark.parametrize("parse_min", [None, 1], ids=["short-by-reduction", "all-parsed"])
+@pytest.mark.parametrize("p", [p for p, _, _ in POWER_BASES] + HORNER_BASES, ids=str)
+def test_decode_routes_agree(monkeypatch, p, parse_min):
+    """cns_decode, reduce_digits and Horner's rule agree on random strings
+    of lengths 1, e - 1, e, e + 1, 300 and either side of the length
+    from which cns_decode parses, e the period of the base's constant
+    power (6 for a base without one); also when every string is parsed."""
+    if parse_min is not None:
+        monkeypatch.setattr(cns, "_PARSE_MIN_DIGITS", parse_min)
+    rng = random.Random(20)
+    radix = abs(p.coeffs[0])
+    route = cns._interleave(p)
+    e = route[0] * len(route[2][0]) if route else 6
+    edge = cns._PARSE_MIN_DIGITS
+    for length in sorted({1, max(e - 1, 1), e, e + 1, max(edge - 1, 1), edge, 300}):
+        for _ in range(20):
+            digits = [rng.randrange(radix) for _ in range(length)]
+            if length > 1 and not digits[-1]:
+                digits[-1] = 1
+            want = reference_decode(digits, p)
+            assert cns_decode(Representation(CnsBase(p), tuple(digits))).coeffs == want
+            assert reduce_digits(digits, p).coeffs == want
+
+
+@pytest.mark.parametrize("p", [P, QUARTIC, SEXTIC, IntPoly((2, 0, 1)), IntPoly((4, 0, 1))],
+                         ids=str)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_big_expansions_decode_to_their_integer(p, sign):
+    """The expansions of a 2^14-bit integer of either sign read back to it
+    by both routes."""
+    rng = random.Random(16384)
+    z = sign * (rng.getrandbits(16384) | 1 << 16383)
+    degree = len(p.coeffs) - 1
+    rep = cns_encode(z, p, 2 * degree * 16384 + 64).representation
+    want = (z,) + (0,) * (degree - 1)
+    assert cns_decode(rep).coeffs == want
+    assert reduce_digits(rep.digits, p).coeffs == want
+
+
+def test_only_bases_without_a_power_take_reduce_digits(monkeypatch):
+    """The 2^14-bit trinomial expansion is read without reduce_digits;
+    X^2 + 3X + 3 goes through it, and so does a string too short to
+    parse."""
+    calls = []
+    real = cns.reduce_digits
+
+    def spy(digits, p):
+        calls.append(p)
+        return real(digits, p)
+
+    monkeypatch.setattr(cns, "reduce_digits", spy)
+    z = random.Random(6).getrandbits(16384) | 1 << 16383
+    rep = cns_encode(z, SEXTIC, 6 * 16384 + 64).representation
+    assert cns_decode(rep).coeffs == (z,) + (0,) * 5
+    assert calls == []
+    slow = HORNER_BASES[0]
+    rep = cns_encode(-z, slow, 8 * 16384).representation
+    assert cns_decode(rep).coeffs == (-z, 0)
+    assert calls == [slow]
+    short = cns_encode(-100, SEXTIC).representation
+    assert short.length < cns._PARSE_MIN_DIGITS
+    assert cns_decode(short).coeffs == (-100,) + (0,) * 5
+    assert calls == [slow, SEXTIC]
+
+
+def test_decode_is_exempt_from_the_int_string_limit():
+    """With str/int conversions capped at 640 digits, 2^14-bit expansions
+    and long random strings still decode: every parse is in base 2^s."""
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(640)
+    z = -(rng.getrandbits(16384) | 1 << 16383)
+    reps = [cns_encode(z, p, 6 * 16384 + 64).representation for p in (P, SEXTIC)]
+    digits = tuple(rng.randrange(4) for _ in range(4999)) + (1,)
+    long_rep = Representation(CnsBase(IntPoly((4, 2, 1))), digits)
+    want = reference_decode(digits, long_rep.base.poly)
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [cns_decode(rep).coeffs[0] for rep in reps] == [z, z]
+        assert cns_decode(long_rep).coeffs == want
+    finally:
+        sys.set_int_max_str_digits(limit)

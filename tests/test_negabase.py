@@ -1,6 +1,7 @@
 """Negative-base expansions: round trips, length structure, extremal integers."""
 
 import random
+import sys
 from enum import IntEnum
 
 import pytest
@@ -12,7 +13,7 @@ from cnskit.negabase import (CnsBase, NegaBase, Representation,
                              decode_negabase, encode_negabase,
                              extremal_of_length, format_digits,
                              length_negabase, parse_digits)
-from cnskit.poly import IntPoly
+from cnskit.poly import IntPoly, poly_eval
 
 BASES = (2, 3, 4, 10)
 
@@ -343,3 +344,57 @@ def test_only_bases_2_to_the_s_with_s_dividing_8_take_the_mask(monkeypatch, b):
         assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
     big = [z for z in values if z.bit_length() > negabase._JUMP_MIN_BITS]
     assert masked == (big if b in MASK_BASES else [])
+
+
+def random_digits(rng, b, length):
+    digits = [rng.randrange(b) for _ in range(length)]
+    if length > 1 and not digits[-1]:
+        digits[-1] = 1
+    return digits
+
+
+def pieces_eval(digits, x, size=10_000):
+    """poly_eval on pieces of size digits, joined by powers of x: Horner's
+    rule on 10^5 digits alone takes seconds."""
+    return sum(poly_eval(IntPoly(digits[i:i + size]), x) * x ** i
+               for i in range(0, len(digits), size))
+
+
+@pytest.mark.parametrize("b", [2, 4, 8, 16, 32, 3, 10])
+def test_decode_equals_horner(b):
+    """Every string of length 1 to 300, and for b = 2^s one of 10^5
+    digits, decodes to its value at -b, also while str/int conversions of
+    more than 640 digits are refused: the parse in bases 2, 4, 8, 16, 32
+    is exempt.  Any other b still evaluates by Horner's rule."""
+    rng = random.Random(b)
+    limit = sys.get_int_max_str_digits()
+    try:
+        for cap in (limit, 640):
+            sys.set_int_max_str_digits(cap)
+            for length in range(1, 301):
+                digits = random_digits(rng, b, length)
+                rep = Representation(NegaBase(b), tuple(digits))
+                assert decode_negabase(rep) == poly_eval(IntPoly(digits), -b)
+        if b & (b - 1):
+            return
+        digits = random_digits(rng, b, 10**5)
+        assert decode_negabase(Representation(NegaBase(b), tuple(digits))) == pieces_eval(digits, -b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("t", [2, -2, 4, -4, 8, -8, 16, -16, 32, -32])
+def test_values_at_power_of_two_read_every_eth_digit(t):
+    """values_at_power_of_two(digits, t, e)[r] is digits[r::e] evaluated at
+    t, zero where the string is shorter than r + 1; a digit of |t| or more
+    raises."""
+    rng = random.Random(t)
+    for e in (1, 2, 3, 4, 12):
+        for length in (1, e - 1, e, e + 1, 2 * e + 1, 97):
+            digits = random_digits(rng, abs(t), max(length, 1))
+            want = [poly_eval(IntPoly(digits[r::e]), t) if digits[r::e] else 0
+                    for r in range(e)]
+            assert negabase.values_at_power_of_two(digits, t, e) == want
+    for bad in ([abs(t)], [0, abs(t)], [-1], [256], [abs(t) + 48]):
+        with pytest.raises(ValueError):
+            negabase.values_at_power_of_two(bad, t, 2)
