@@ -404,11 +404,16 @@ def reduce_digits(digits, p: IntPoly) -> Residue:
     pc = p.coeffs
     if pc[-1] != 1:
         raise ValueError("base polynomial must be monic")
-    d = len(pc) - 1
-    if d == 0:
+    if len(pc) == 1:
         raise ValueError("base polynomial must have positive degree")
+    return _chunked_horner(tuple(digits), p)
+
+
+def _chunked_horner(digits: tuple[int, ...], p: IntPoly) -> Residue:
+    """reduce_digits on a tuple, over a p known to be monic of positive
+    degree, as a CnsBase's is."""
+    d = len(p.coeffs) - 1
     k = _CHUNK_DIGITS
-    digits = tuple(digits)
     # chunk + X^k acc reads at most k + d rows of the table; a short string
     # builds only the rows it reads, as the entries of row j can have j
     # times the digits of p's, rounded up to a power of two so that few
@@ -454,15 +459,14 @@ def cns_decode(rep: Representation) -> Residue:
     Over a base with X^e = +-2^s mod p, |2^s| <= 32 (X^2 + 2X + 2 and the
     trinomials X^(2m) + 2X^m + 2 among them), a string of 64 digits or
     more is e integer parses of every e-th digit, linear in its length;
-    any other base or string takes reduce_digits.  Either way the residue
-    is the same.
+    any other base or string takes the chunked Horner rule of
+    reduce_digits.  Either way the residue is the same.
     """
     if not isinstance(rep.base, CnsBase):
         raise ValueError("expected a polynomial-base representation")
     p = rep.base.poly
-    route = _interleave(p) if len(rep.digits) >= _PARSE_MIN_DIGITS else None
-    if route is None:
-        return reduce_digits(rep.digits, p)
+    if len(rep.digits) < _PARSE_MIN_DIGITS or (route := _interleave(p)) is None:
+        return _chunked_horner(rep.digits, p)
     m, t, columns = route
     values = values_at_power_of_two(rep.digits, t, m * len(columns[0]))
     return Residue(tuple(sum(map(mul, values[s::m], column))

@@ -638,13 +638,13 @@ def test_only_bases_without_a_power_take_reduce_digits(monkeypatch):
     X^2 + 3X + 3 goes through it, and so does a string too short to
     parse."""
     calls = []
-    real = cns.reduce_digits
+    real = cns._chunked_horner
 
     def spy(digits, p):
         calls.append(p)
         return real(digits, p)
 
-    monkeypatch.setattr(cns, "reduce_digits", spy)
+    monkeypatch.setattr(cns, "_chunked_horner", spy)
     z = random.Random(6).getrandbits(16384) | 1 << 16383
     rep = cns_encode(z, SEXTIC, 6 * 16384 + 64).representation
     assert cns_decode(rep).coeffs == (z,) + (0,) * 5
