@@ -419,7 +419,7 @@ def _chunked_horner(digits: tuple[int, ...], p: IntPoly) -> Residue:
     # times the digits of p's, rounded up to a power of two so that few
     # tables are cached per base
     rows = min(1 << (len(digits) + d - 1).bit_length(), k + d)
-    columns = _x_power_columns(p, rows)
+    columns = _x_power_columns(p.coeffs, rows)
     acc = (0,) * d
     for start in reversed(range(0, len(digits), k)):
         row = digits[start:start + k] + acc
@@ -428,9 +428,11 @@ def _chunked_horner(digits: tuple[int, ...], p: IntPoly) -> Residue:
 
 
 @lru_cache(maxsize=32)
-def _x_power_columns(p: IntPoly, rows: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient i of X^j mod p for j < rows, one column per i."""
-    return tuple(zip(*islice(x_powers_mod(p), rows)))
+def _x_power_columns(pc: tuple[int, ...], rows: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient i of X^j mod p for j < rows, one column per i, p the
+    polynomial with coefficients pc: a tuple hashes in C, an IntPoly in
+    Python (65 against 273 ns), which a short string would notice."""
+    return tuple(zip(*islice(x_powers_mod(IntPoly(pc)), rows)))
 
 
 @lru_cache(maxsize=32)

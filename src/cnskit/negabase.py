@@ -227,6 +227,7 @@ def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[in
     # digit e k + r sits at n - 1 - r - e k of the reversed text
     values = [int(text[(n - 1 - r) % e::e], b) for r in range(min(e, n))]
     if t < 0 and values:
+        # whole (b-1, 0) pairs over the longest substring, ceil(n / e) digits
         pairs = (-(-n // e) + 1) // 2
         mask = int((_DIGIT_TEXT[b - 1:b] + b"0") * pairs, b)
         values = [(y ^ mask) - mask for y in values]
