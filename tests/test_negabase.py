@@ -378,7 +378,8 @@ def test_decode_equals_horner(b):
         if b & (b - 1):
             return
         digits = random_digits(rng, b, 10**5)
-        assert decode_negabase(Representation(NegaBase(b), tuple(digits))) == pieces_eval(digits, -b)
+        rep = Representation(NegaBase(b), tuple(digits))
+        assert decode_negabase(rep) == pieces_eval(digits, -b)
     finally:
         sys.set_int_max_str_digits(limit)
 
