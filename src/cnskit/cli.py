@@ -27,12 +27,26 @@ from .poly import IntPoly, compose_x_power
 from .trinomial import SequenceId, lift_representation, seq_terms
 from .verify import DEFAULT_SEED, SAMPLE_COUNT, run_suite
 
+MAX_DECIMAL_DIGITS = 100_000  # the most read or printed; both take quadratic time
+
 
 def _poly_arg(text: str) -> IntPoly:
     try:
         return IntPoly.from_string(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_arg(text: str) -> int:
+    """int(text); text of more than MAX_DECIMAL_DIGITS characters that is
+    none ends the run in one line, not a usage error that echoes it."""
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) > MAX_DECIMAL_DIGITS:
+            raise OverflowError(f"not an integer of at most {MAX_DECIMAL_DIGITS} digits: "
+                                f"{brief(text)}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -184,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     encode = commands.add_parser("encode", help="expand an integer over a base polynomial")
     encode.add_argument("--poly", type=_poly_arg, default=STANDARD_POLY,
                         help=f"coefficients, constant first (default {STANDARD_POLY})")
-    encode.add_argument("--value", type=int, required=True)
+    encode.add_argument("--value", type=_int_arg, required=True)
     encode.add_argument("--max-steps", type=_positive_int, default=None,
                         help=f"step budget (default the larger of {DEFAULT_MAX_STEPS} "
                              "and 2 * degree * bits of the value + 64)")
@@ -202,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     negabase.add_argument("--base", type=_positive_int, required=True,
                           help="positive b for base -b")
     direction = negabase.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--value", type=int)
+    direction.add_argument("--value", type=_int_arg)
     direction.add_argument("--digits")
     _add_output_flags(negabase)
     negabase.set_defaults(handler=_cmd_negabase)
@@ -216,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv = commands.add_parser("convert",
                                help="expand via negative-base digits and block substitution")
     add_scheme_flags(conv)
-    conv.add_argument("--value", type=int, required=True)
+    conv.add_argument("--value", type=_int_arg, required=True)
     _add_output_flags(conv)
     conv.set_defaults(handler=_cmd_convert)
 
@@ -257,12 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)  # restored on return
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except StepBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -277,13 +292,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"error: {args.command} needs more memory than can be allocated",
               file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,8 @@ from math import gcd, isqrt
 from operator import add, mul
 from typing import Callable
 
-from .negabase import PARSE_RADICES, CnsBase, Representation, values_at_power_of_two
+from .negabase import (PARSE_RADICES, CnsBase, Representation, digit_buffer,
+                       values_at_power_of_two)
 from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
@@ -206,8 +207,7 @@ def _group_length(p0: int, k: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _digit_groups(p0: int, p1: int,
-                  j: int) -> tuple[bytes, tuple[tuple[tuple[int, ...], int, int], ...]]:
+def _digit_groups(p0: int, p1: int, j: int) -> tuple[bytes, tuple[tuple[bytes, int, int], ...]]:
     """The first j digits of every state (a0, a1) over X^2 + p1 X + p0,
     as (codes, groups).
 
@@ -234,11 +234,12 @@ def _digit_groups(p0: int, p1: int,
         d0 = d1 = 0
         for u in reversed(digits):  # D <- u + X D
             d0, d1 = u - p0 * d1, d0 - p1 * d1
-        groups.append((tuple(digits), d0, d1))
+        groups.append((bytes(digits), d0, d1))
     return codes, tuple(groups)
 
 
-def _jump_walk(z: int, p0: int, p1: int, max_steps: int) -> tuple[list[int], QuadraticWalk]:
+def _jump_walk(z: int, p0: int, p1: int,
+               max_steps: int) -> tuple[bytearray | list[int], QuadraticWalk]:
     """quadratic_walk(z, p0, p1, max_steps) in jumps of _JUMP_STEPS steps
     while each lands outside periodic_box(p0): the jumps' digits, and the
     plain walk from the last landing state on the steps left."""
@@ -256,7 +257,7 @@ def _jump_walk(z: int, p0: int, p1: int, max_steps: int) -> tuple[list[int], Qua
     chunk = p0 ** k
     mask = chunk - 1
     shift = mask.bit_length() if not chunk & mask else 0
-    digits: list[int] = []
+    digits = digit_buffer(p0)
     a0, a1 = z, 0
     left = max_steps
     while left >= k:
@@ -311,8 +312,8 @@ def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOut
     # pc[1] != 0 means m = 1, so X^2 + 2X + 2 skips the scan
     m = 1 if pc[1] or (len(pc) == 3 and pc[0] > 0) else _stride(pc)
     walk = _walk(z, pc, max_steps) if m == 1 else _lift_outcome(z, pc, m, max_steps)
-    if isinstance(walk, list):
-        return CnsDigits(Representation(base, tuple(walk)))
+    if isinstance(walk, (bytearray, list)):
+        return CnsDigits(Representation(base, walk))
     return walk
 
 
@@ -322,13 +323,13 @@ def _stride(pc: tuple[int, ...]) -> int:
     return gcd(*[i for i, c in enumerate(pc) if c])
 
 
-def _walk(z: int, pc: tuple[int, ...],
-          max_steps: int) -> list[int] | CnsNotRepresentable | CnsExhausted:
+def _walk(z: int, pc: tuple[int, ...], max_steps: int
+          ) -> bytearray | list[int] | CnsNotRepresentable | CnsExhausted:
     """The digits of z over the base with coefficients pc, or the outcome
     that ends its walk."""
     p0 = pc[0]
     radix = abs(p0)
-    digits: list[int] = []
+    digits = digit_buffer(radix)
     if len(pc) == 3 and p0 > 0:
         # quadratic_walk runs on two plain integers; the state loop below
         # is 2.4x slower on X^2 + 2X + 2
@@ -352,12 +353,12 @@ def _walk(z: int, pc: tuple[int, ...],
             states[state] = None
             q = (state[0] - state[0] % radix) // p0
             state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
-    digits += [s[0] % radix for s in states]
+    digits.extend([s[0] % radix for s in states])
     return digits or [0]
 
 
-def _lift_outcome(z: int, pc: tuple[int, ...], m: int,
-                  max_steps: int) -> list[int] | CnsNotRepresentable | CnsExhausted:
+def _lift_outcome(z: int, pc: tuple[int, ...], m: int, max_steps: int
+                  ) -> bytearray | list[int] | CnsNotRepresentable | CnsExhausted:
     """The outcome over p = q(X^m), with coefficients pc, from the walk
     over q.  From lift(B) one step lands on X^(m-1) lift(B') and m - 1
     more shift it down to lift(B'), emitting zeros, so with q's states
@@ -372,11 +373,11 @@ def _lift_outcome(z: int, pc: tuple[int, ...], m: int,
     (max_steps - 2) // m + 2, and p's own budget decides the rest."""
     qc = pc[::m]
     walk = _walk(z, qc, (max_steps - 2) // m + 2)
-    if isinstance(walk, list):
+    if isinstance(walk, (bytearray, list)):
         length = m * (len(walk) - 1) + 1
         if length > max_steps:
             return CnsExhausted(max_steps)
-        digits = [0] * length
+        digits = digit_buffer(abs(pc[0]), length)
         digits[::m] = walk
         return digits
     if isinstance(walk, CnsExhausted):
@@ -409,9 +410,9 @@ def reduce_digits(digits, p: IntPoly) -> Residue:
     return _chunked_horner(tuple(digits), p)
 
 
-def _chunked_horner(digits: tuple[int, ...], p: IntPoly) -> Residue:
-    """reduce_digits on a tuple, over a p known to be monic of positive
-    degree, as a CnsBase's is."""
+def _chunked_horner(digits: bytes | tuple[int, ...], p: IntPoly) -> Residue:
+    """reduce_digits on bytes or a tuple, over a p known to be monic of
+    positive degree, as a CnsBase's is."""
     d = len(p.coeffs) - 1
     k = _CHUNK_DIGITS
     # chunk + X^k acc reads at most k + d rows of the table; a short string
@@ -422,7 +423,7 @@ def _chunked_horner(digits: tuple[int, ...], p: IntPoly) -> Residue:
     columns = _x_power_columns(p.coeffs, rows)
     acc = (0,) * d
     for start in reversed(range(0, len(digits), k)):
-        row = digits[start:start + k] + acc
+        row = (*digits[start:start + k], *acc)
         acc = tuple(sum(map(mul, row, column)) for column in columns)
     return Residue(acc)
 

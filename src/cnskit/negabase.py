@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 from .poly import IntPoly, poly_eval
@@ -52,7 +51,12 @@ PARSE_RADICES = (2, 4, 8, 16, 32)
 # the characters int() reads as the digits 0..31; every other byte maps to
 # one it rejects, so a digit out of range raises ValueError
 _DIGIT_TEXT = b"0123456789abcdefghijklmnopqrstuv"
-_DIGIT_CHARS = bytes.maketrans(bytes(range(256)), _DIGIT_TEXT + b"!" * (256 - 32))
+_BYTES = bytes(range(256))
+_DIGIT_CHARS = bytes.maketrans(_BYTES, _DIGIT_TEXT + b"!" * (256 - 32))
+_DIGIT_VALUES = bytes.maketrans(_DIGIT_TEXT[:10], _BYTES[:10])
+
+# digits below a radix of at most this are stored as bytes
+BYTE_RADIX = 256
 
 
 @dataclass(frozen=True)
@@ -87,20 +91,27 @@ class CnsBase:
         return abs(self.poly.constant_term)
 
 
+def digit_buffer(radix: int, length: int = 0) -> bytearray | list[int]:
+    """length zero digits below radix: a bytearray up to BYTE_RADIX."""
+    return bytearray(length) if radix <= BYTE_RADIX else [0] * length
+
+
 def format_digits(digits: Sequence[int]) -> str:
     """Digits (least significant first) to text, most significant first."""
-    msd_first = list(reversed(digits))
-    if max(msd_first) <= 9:
-        return "".join(str(d) for d in msd_first)
-    return ".".join(str(d) for d in msd_first)
+    if type(digits) is not bytes or digits.translate(None, _BYTES[:10]):
+        return ("." if max(digits) > 9 else "").join(map(str, reversed(digits)))
+    return digits[::-1].translate(_DIGIT_CHARS).decode()
 
 
-def parse_digits(text: str) -> tuple[int, ...]:
+def parse_digits(text: str) -> bytes | tuple[int, ...]:
     """Digit string (most significant first, plain or dotted) to digits
-    least significant first."""
+    least significant first: bytes for the plain form of ASCII digits."""
     text = text.strip()
     if not text:
         raise ValueError("empty digit string")
+    plain = text.encode() if text.isascii() else b"."
+    if not plain.translate(None, _DIGIT_TEXT[:10]):
+        return plain[::-1].translate(_DIGIT_VALUES)
     tokens = text.split(".") if "." in text else list(text)
     try:
         msd_first = [int(tok) for tok in tokens]
@@ -113,24 +124,27 @@ def parse_digits(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Representation:
-    """A digit expansion; the canonical zero is the single digit 0."""
+    """A digit expansion; the canonical zero is the single digit 0.  The
+    digits are bytes up to radix BYTE_RADIX, else a tuple of ints."""
 
     base: NegaBase | CnsBase
-    digits: tuple[int, ...]
+    digits: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
         # every check runs in C-level passes; only a failure scans in Python
-        digits = self.digits
-        if type(digits) is not tuple or {*map(type, digits)} != {int}:
+        digits, radix = self.digits, self.base.radix
+        if radix > BYTE_RADIX or not isinstance(digits, (bytes, bytearray)):
             digits = tuple(map(int, digits))
-            object.__setattr__(self, "digits", digits)
+            if digits and (min(digits) < 0 or max(digits) >= radix):
+                bad = next(d for d in digits if not 0 <= d < radix)
+                raise ValueError(f"digit {bad} outside 0..{radix - 1}")
+        if radix <= BYTE_RADIX:
+            digits = bytes(digits)
+            if bad := digits.translate(None, _BYTES[:radix]):
+                raise ValueError(f"digit {bad[0]} outside 0..{radix - 1}")
+        object.__setattr__(self, "digits", digits)
         if not digits:
             raise ValueError("a representation needs at least one digit")
-        radix = self.base.radix
-        present = set(digits)
-        if min(present) < 0 or max(present) >= radix:
-            bad = next(d for d in digits if not 0 <= d < radix)
-            raise ValueError(f"digit {bad} outside 0..{radix - 1}")
         if len(digits) > 1 and digits[-1] == 0:
             raise ValueError("most significant digit must be nonzero")
 
@@ -153,7 +167,7 @@ class Representation:
         return self.digit_string()
 
 
-def _negabase_digits(z: int, b: int) -> list[int]:
+def _negabase_digits(z: int, b: int) -> bytearray | list[int]:
     """The base -b digits of z, least significant first; none for 0.
 
     Beyond _JUMP_MIN_BITS bits, b = 2^s with s dividing 8 takes the mask
@@ -164,7 +178,7 @@ def _negabase_digits(z: int, b: int) -> list[int]:
     """
     if b < 2:
         raise ValueError(f"negative base needs b >= 2, got {b}")
-    digits = []
+    digits = digit_buffer(b)
     if z.bit_length() > _JUMP_MIN_BITS:
         s = b.bit_length() - 1
         if b == 1 << s and 8 % s == 0:
@@ -187,28 +201,27 @@ def _negabase_digits(z: int, b: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _mask_tables(s: int) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+def _mask_tables(s: int) -> tuple[bytes, tuple[bytes, ...]]:
     """For b = 2^s with s dividing 8: 16 bits of M (b-1 at each odd digit
-    place) as two bytes, and each byte's base-b digits, least significant
-    first.  Built on first use."""
+    place) as two bytes, and per digit place of a byte, least significant
+    first, the table translating a byte to its digit there.  Built on first use."""
     b = 1 << s
     pair = sum((b - 1) << (s * i) for i in range(1, 16 // s, 2)).to_bytes(2, "little")
-    places = range(0, 8, s)
-    table = tuple(tuple(byte >> i & (b - 1) for i in places) for byte in range(256))
-    return pair, table
+    return pair, tuple(bytes(byte >> i & (b - 1) for byte in range(256)) for i in range(0, 8, s))
 
 
-def _masked_digits(z: int, s: int) -> list[int]:
+def _masked_digits(z: int, s: int) -> bytearray:
     """The base -2^s digits of z != 0 (s dividing 8), least significant
     first: the base-2^s digits of (z + M) XOR M over a window of 16-bit
-    pairs with at least 16 bits to spare."""
-    pair, table = _mask_tables(s)
+    pairs with at least 16 bits to spare, one translate per digit place of a byte."""
+    pair, tables = _mask_tables(s)
     pairs = (z.bit_length() + 31) // 16
     mask = int.from_bytes(pair * pairs, "little")
-    y = (z + mask) ^ mask
-    digits = list(chain.from_iterable(map(table.__getitem__, y.to_bytes(2 * pairs, "little"))))
-    del digits[-(-y.bit_length() // s):]
-    return digits
+    raw = ((z + mask) ^ mask).to_bytes(2 * pairs, "little")
+    digits = bytearray(len(tables) * len(raw))
+    for i, table in enumerate(tables):
+        digits[i::len(tables)] = raw.translate(table)
+    return digits.rstrip(b"\0")  # the top digit is the last nonzero one
 
 
 def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[int]:
@@ -236,7 +249,7 @@ def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[in
 
 def encode_negabase(z: int, b: int) -> Representation:
     """Expand z in base -b; every integer has exactly one such expansion."""
-    return Representation(NegaBase(b), tuple(_negabase_digits(z, b)) or (0,))
+    return Representation(NegaBase(b), _negabase_digits(z, b) or (0,))
 
 
 def decode_negabase(rep: Representation) -> int:

@@ -18,7 +18,8 @@ from itertools import islice
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
                   brief, cns_encode)
-from .negabase import CnsBase, Representation, encode_negabase, format_digits, parse_digits
+from .negabase import (BYTE_RADIX, CnsBase, Representation, digit_buffer, encode_negabase,
+                       format_digits, parse_digits)
 from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_powers_mod
 
 # X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
@@ -79,6 +80,15 @@ class PenneyScheme:
         return tuple(max((k for k, u in enumerate(block, 1) if u), default=1)
                      for block in self.blocks)
 
+    @cached_property
+    def columns(self) -> tuple[bytes, ...] | tuple[tuple[int, ...], ...]:
+        """Digit i of every block for each i < d, indexed by the base -c
+        digit: a translate table padded to 256, or a tuple if c > BYTE_RADIX."""
+        columns = tuple(zip(*self.blocks))
+        if self.c > BYTE_RADIX:
+            return columns
+        return tuple(bytes(column).ljust(256, b"\0") for column in columns)
+
     def to_dict(self) -> dict:
         return {
             "poly": self.poly.to_string(),
@@ -96,7 +106,7 @@ class PenneyScheme:
             poly = IntPoly.from_string(data["poly"])
             c = int(data["c"])
             d = int(data["d"])
-            blocks = [parse_digits(text) for text in data["blocks"]]
+            blocks = [tuple(parse_digits(text)) for text in data["blocks"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scheme data: {exc}") from exc
         if len(blocks) != c:
@@ -148,7 +158,7 @@ def build_scheme(p: IntPoly, c: int, d: int,
         if len(digits) > d:
             return SchemeViolation(ViolationKind.BLOCK_TOO_LONG, digit=i,
                                    block_length=len(digits))
-        blocks.append(digits + (0,) * (d - len(digits)))
+        blocks.append(tuple(digits) + (0,) * (d - len(digits)))
     # implied by divisibility together with d > deg(p); cheap to confirm
     assert c > abs(p.constant_term)
     return PenneyScheme(p, c, d, tuple(blocks))
@@ -162,14 +172,15 @@ def penney_standard() -> PenneyScheme:
 
 
 def convert(z: int, scheme: PenneyScheme) -> Representation:
-    """Expand z over the scheme's polynomial base by block substitution."""
-    neg = encode_negabase(z, scheme.c)
-    out: list[int] = []
-    for v in neg.digits:
-        out.extend(scheme.blocks[v])
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return Representation(scheme.base, tuple(out))
+    """Expand z over the scheme's polynomial base by block substitution:
+    column i of the blocks fills every d-th digit from i by one translate."""
+    neg = encode_negabase(z, scheme.c).digits
+    d, small = scheme.d, scheme.c <= BYTE_RADIX
+    out = digit_buffer(scheme.base.radix, d * len(neg))
+    for i, column in enumerate(scheme.columns):
+        out[i::d] = neg.translate(column) if small else map(column.__getitem__, neg)
+    del out[d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]:]
+    return Representation(scheme.base, out)
 
 
 def leading_digit_length(z: int, scheme: PenneyScheme) -> int:

@@ -222,7 +222,7 @@ def compute_length_table(bound: int) -> LengthTable:
     return LengthTable(bound, data)
 
 
-def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _direct_expansions(bound: int) -> Iterator[tuple[int, bytes]]:
     """(z, digits of z over X^2 + 2X + 2) for every |z| <= bound, least
     significant digit first, in the order of _outward.
 
@@ -233,7 +233,7 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """
     _walk_ends(bound)
     reach = bound // 4 + 2
-    memo = _store(reach, lambda size: [()] * size)
+    memo = _store(reach, lambda size: [b""] * size)
     size = len(memo)
 
     def known(w: int) -> int:
@@ -242,7 +242,7 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     for z in _outward(bound):
         states, w, _ = _walk(z, known)
-        expansion = (*[a0 & 1 for a0, _ in states], *memo[w + reach])
+        expansion = bytes([a0 & 1 for a0, _ in states]) + memo[w + reach]
         # the entry of 0 stays empty: a walk that reaches the zero state ends there
         if z and -reach <= z <= reach:
             memo[z + reach] = expansion

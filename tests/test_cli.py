@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import signal
 import subprocess
@@ -644,3 +645,54 @@ def test_argv_fuzz(argv):
     if code == 3 or (code == 1 and not out):
         assert err.startswith("error: ") and err.count("\n") == 1
     assert run_quietly(argv) == (code, out, err)
+
+
+def cli_output(*argv):
+    """stdout of the CLI in a fresh interpreter, which must exit 0 quietly."""
+    args, env = cli_argv(*argv)
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), argv[0]
+    return proc.stdout.rstrip("\n")
+
+
+def test_integers_of_2_to_the_14_bits_round_trip_in_a_child():
+    """A 2^14-bit integer, of 4,933 decimal digits, above Python's default
+    limit of 4,300, goes through encode and back through decode, and
+    through negabase and back through negabase --digits, each in a fresh
+    interpreter."""
+    z = -(random.Random(14).getrandbits(2**14) | 1 << (2**14 - 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for str(z) and json.loads in this process
+    try:
+        value = str(z)
+        digits = cli_output("encode", f"--value={value}")
+        assert len(digits) > 32_000
+        assert cli_output("decode", "--digits", digits) == value
+        payload = json.loads(cli_output("negabase", "--base", "4", f"--value={value}", "--json"))
+        assert payload["value"] == z
+        assert cli_output("negabase", "--base", "4", "--digits", payload["digits"]) == value
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", [["encode"], ["convert"], ["negabase", "--base", "4"]])
+@pytest.mark.parametrize("value", ["1" * 100_001, "x" * 200_000], ids=["digits", "text"])
+def test_value_beyond_the_ceiling_exits_2_in_one_line(capsys, command, value):
+    code, out, err = run(capsys, *command, "--value", value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert "100000 digits" in err
+
+
+def test_the_process_limit_is_restored(capsys):
+    """main reads 5,000 digits under a limit of 4,321, and leaves 4,321,
+    whether the command succeeds or fails."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        assert run(capsys, "encode", "--value", "9" * 5000)[0] == 0
+        assert sys.get_int_max_str_digits() == 4321
+        assert run(capsys, "encode", "--value", "abc")[0] == 2
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -425,7 +425,7 @@ def test_digit_groups_equal_plain_steps(p):
                     q = state[0] // p0
                     digits.append(state[0] - q * p0)
                     state = (state[1] - q * p1, -q)
-                assert tuple(digits) == group
+                assert bytes(digits) == group
                 e0, e1 = b0 - d0, b1 - d1
                 # (e0 + e1 X)(g0 + g1 X) mod X^2 + p1 X + p0
                 land0 = e0 * g0 - p0 * e1 * g1
@@ -675,3 +675,20 @@ def test_decode_is_exempt_from_the_int_string_limit():
         assert cns_decode(long_rep).coeffs == want
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("p", [IntPoly((300, 1, 1)), IntPoly((300, 0, 1, 0, 1))], ids=str)
+def test_wide_radix_keeps_tuple_digits(p):
+    """Over X^2 + X + 300, whose jumps are about 1,053 bits, and over
+    X^4 + X^2 + 300, walked on it, the digits are a tuple of ints, equal to
+    the plain loop's, and decode back; bytes cannot hold a digit of 256."""
+    rng = random.Random(300)
+    for bits in (10, 1100, 3000):
+        z = rng.getrandbits(bits) | 1 << (bits - 1)
+        for value in (z, -z):
+            outcome = cns_encode(value, p)
+            assert outcome == reference_encode(value, p, DEFAULT_MAX_STEPS)
+            rep = outcome.representation
+            assert type(rep.digits) is tuple and all(type(d) is int for d in rep.digits)
+            assert cns_decode(rep).constant_value() == value
+    assert max(cns_encode(-10**6, p).representation.digits) >= 256

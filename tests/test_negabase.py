@@ -73,7 +73,8 @@ class Colour(IntEnum):
 
 def checked_loop(base, digits):
     """The constructor's checks as one Python step per digit: the stored
-    digits, or the ValueError that names the first bad digit."""
+    digits, as bytes up to radix 256, or the ValueError that names the
+    first bad digit."""
     digits = tuple(int(d) for d in digits)
     if not digits:
         raise ValueError("a representation needs at least one digit")
@@ -83,7 +84,7 @@ def checked_loop(base, digits):
             raise ValueError(f"digit {d} outside 0..{radix - 1}")
     if len(digits) > 1 and digits[-1] == 0:
         raise ValueError("most significant digit must be nonzero")
-    return digits
+    return bytes(digits) if radix <= 256 else digits
 
 
 def outcome(build):
@@ -127,19 +128,22 @@ LONG = tuple(random.Random(1).randrange(4) for _ in range(30_000)) + (1,)
     (HUGE, lambda: (1, -10**1000, 10**1000)),
 ])
 def test_constructor_equals_the_per_digit_loop(base, make):
-    """Representation stores what the per-digit loop stores, always as a
-    tuple of plain ints, and refuses what it refuses with the same text."""
+    """Representation stores what the per-digit loop stores, as bytes up
+    to radix 256 and otherwise as a tuple of plain ints, and refuses what
+    it refuses with the same text."""
     kind, got = outcome(lambda: Representation(base, make()).digits)
     assert (kind, got) == outcome(lambda: checked_loop(base, make()))
     if kind == "ok":
-        assert type(got) is tuple
+        assert type(got) is (bytes if base.radix <= 256 else tuple)
         assert all(type(d) is int for d in got)
 
 
 def test_digit_string_formats():
     assert format_digits((0, 3, 1)) == "130"
     assert format_digits((7, 0, 13)) == "13.0.7"
-    assert parse_digits("130") == (0, 3, 1)
+    assert format_digits(b"\0\3\1") == "130"
+    assert format_digits(b"\7\0\x0d") == "13.0.7"
+    assert parse_digits("130") == b"\0\3\1"
     assert parse_digits("13.0.7") == (7, 0, 13)
     with pytest.raises(ValueError):
         parse_digits("")
@@ -261,13 +265,14 @@ def test_product_length_offset(x, y, b):
 
 
 def plain_negabase_digits(z, b):
-    """The base -b digits of z, one division at a time."""
+    """The base -b digits of z, one division at a time, as the bytes that
+    Representation stores for b <= 256."""
     digits = []
     while z:
         r = z % b
         digits.append(r)
         z = (r - z) // b
-    return tuple(digits) or (0,)
+    return bytes(digits) or b"\0"
 
 
 @pytest.mark.parametrize("b", BASES + (16,))
@@ -399,3 +404,124 @@ def test_values_at_power_of_two_read_every_eth_digit(t):
     for bad in ([abs(t)], [0, abs(t)], [-1], [256], [abs(t) + 48]):
         with pytest.raises(ValueError):
             negabase.values_at_power_of_two(bad, t, 2)
+
+
+@pytest.mark.parametrize("digits", [(1, 4, 2), (1, 0, 300), (0,) * 3, (2, 0), (), (3, 0, 0)],
+                         ids=["out_of_range", "out_of_bytes", "zeros", "leading_zero",
+                              "empty", "leading_zeros"])
+@pytest.mark.parametrize("base", [NegaBase(4), CnsBase(IntPoly((2, 2, 1)))], ids=str)
+def test_bytes_and_list_digits_fail_alike(base, digits):
+    """A bytes string and the list of the same digits give the same stored
+    digits or the same ValueError text; a byte string cannot hold 300."""
+    def build(kind):
+        try:
+            return "ok", Representation(base, kind(digits)).digits
+        except ValueError as exc:
+            return "error", str(exc)
+
+    want = build(list)
+    assert want == build(tuple)
+    if max(digits, default=0) < 256:
+        assert want == build(bytes) == build(bytearray)
+    assert want[0] == "error"
+
+
+def test_valid_bytes_are_stored_as_they_are():
+    digits = bytes(random.Random(4).randrange(4) for _ in range(5000)) + b"\3"
+    rep = Representation(NegaBase(4), digits)
+    assert rep.digits is digits
+    rep = Representation(NegaBase(4), bytearray(digits))
+    assert type(rep.digits) is bytes and rep.digits == digits
+    with pytest.raises(ValueError, match=r"^digit 4 outside 0\.\.3$"):
+        Representation(NegaBase(4), digits[:100] + b"\4\5\3")
+
+
+@pytest.mark.parametrize("b", [257, 300, 1000])
+def test_wide_bases_keep_tuple_digits(b):
+    """Base -b with b > 256 stores a tuple of ints, on the plain loop and on
+    the 64-digit jump, and reads back; so does a dotted digit string."""
+    rng = random.Random(b)
+    for bits in (1, 20, 300, 3000):
+        for z in (rng.getrandbits(bits), -rng.getrandbits(bits) - 1):
+            rep = encode_negabase(z, b)
+            assert type(rep.digits) is tuple
+            assert rep.digits == plain_negabase_wide(z, b)
+            assert decode_negabase(rep) == z
+            again = Representation.from_string(NegaBase(b), rep.digit_string())
+            assert again == rep and type(again.digits) is tuple
+
+
+def plain_negabase_wide(z, b):
+    digits = []
+    while z:
+        r = z % b
+        digits.append(r)
+        z = (r - z) // b
+    return tuple(digits) or (0,)
+
+
+def mask_window_values(b):
+    """z near +-2^k for every k from 1 to 80: the mask's window grows a
+    16-bit pair each time bits(z) + 31 passes a multiple of 16."""
+    for k in range(1, 81):
+        for z in (1 << k) - 1, 1 << k, (1 << k) + 1, (1 << k) + b - 1:
+            yield from (z, -z)
+
+
+@pytest.mark.parametrize("b", MASK_BASES)
+def test_masked_digits_equal_the_plain_loop_at_the_window_edges(b):
+    """_masked_digits, called directly on sizes far below the bound that
+    routes to it, writes the bytes of the plain loop."""
+    s = b.bit_length() - 1
+    for z in mask_window_values(b):
+        digits = negabase._masked_digits(z, s)
+        assert type(digits) is bytearray
+        assert bytes(digits) == plain_negabase_digits(z, b), z
+
+
+def reference_format(digits):
+    msd_first = list(reversed(digits))
+    if max(msd_first) <= 9:
+        return "".join(str(d) for d in msd_first)
+    return ".".join(str(d) for d in msd_first)
+
+
+def reference_parse(text):
+    text = text.strip()
+    if not text:
+        raise ValueError("empty digit string")
+    tokens = text.split(".") if "." in text else list(text)
+    try:
+        msd_first = [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"bad digit string {text!r}") from exc
+    if any(d < 0 for d in msd_first):
+        raise ValueError(f"negative digit in {text!r}")
+    return tuple(reversed(msd_first))
+
+
+@pytest.mark.parametrize("b", [2, 4, 10, 11, 256])
+def test_digit_text_equals_the_per_digit_loop(b):
+    """format_digits and parse_digits give the per-digit loop's text and
+    digits, plain or dotted, for bytes and tuples alike."""
+    rng = random.Random(b)
+    for length in (1, 2, 10, 33_000):
+        digits = random_digits(rng, b, length)
+        text = reference_format(digits)
+        assert format_digits(bytes(digits)) == format_digits(tuple(digits)) == text
+        assert tuple(parse_digits(text)) == reference_parse(text)
+        if length > 1:  # a single digit above 9 is written without a dot
+            assert reference_parse(text) == tuple(digits)
+            assert Representation.from_string(NegaBase(b), text).digit_string() == text
+
+
+@pytest.mark.parametrize("text", ["", "  ", "12a", "1.-2", "1..2", "-1", "1 2", "x",
+                                  " 0012 ", "٣٤", "1.٣", "+1.2", "1_0"])
+def test_digit_text_errors_equal_the_per_digit_loop(text):
+    def attempt(parse):
+        try:
+            return "ok", tuple(parse(text))
+        except ValueError as exc:
+            return "error", str(exc)
+
+    assert attempt(parse_digits) == attempt(reference_parse)

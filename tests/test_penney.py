@@ -1,5 +1,7 @@
 """Block-substitution schemes: hypothesis checks, conversion, leading blocks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,3 +227,50 @@ def test_leading_block_of_negabase_msd():
     for z in range(1, 500):
         msd = encode_negabase(z, 4).digits[-1]
         assert leading_digit_length(z, scheme) == scheme.block_lengths[msd]
+
+
+def block_by_block(z, scheme):
+    """Block substitution one base -c digit at a time, the top block's
+    padding popped zero by zero."""
+    out = []
+    for v in encode_negabase(z, scheme.c).digits:
+        out.extend(scheme.blocks[v])
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def seeded_values(seed):
+    rng = random.Random(seed)
+    values = list(range(-300, 301)) + [rng.randint(-10**5, 10**5) for _ in range(2000)]
+    for bits in (2**10, 2**14):
+        values += [sign * (rng.getrandbits(bits) | 1 << (bits - 1)) for sign in (1, -1)]
+    return values
+
+
+@pytest.mark.parametrize("poly, c, d", [((2, 2, 1), 4, 4), ((2, 0, 2, 0, 1), 4, 8)])
+def test_convert_equals_block_by_block_substitution(poly, c, d):
+    """Seeded |z| <= 10^5 and 2^10- and 2^14-bit integers: convert's
+    translates give the digits of the block-by-block loop, as bytes."""
+    scheme = build_scheme(IntPoly(poly), c, d)
+    for z in seeded_values(c * d):
+        rep = convert(z, scheme)
+        assert type(rep.digits) is bytes
+        assert tuple(rep.digits) == block_by_block(z, scheme), z
+
+
+@pytest.mark.parametrize("poly", [(2, 2, 1), (300, 1, 1)])
+def test_convert_substitutes_blocks_of_more_than_256_digits(poly):
+    """No scheme with c > 256 builds on any small base, so the table here
+    is made up, each nonzero digit owning a nonzero block: the column map
+    that replaces the translate still substitutes block by block, into
+    bytes or, for a radix above 256, a tuple."""
+    rng = random.Random(poly[0])
+    c, d, radix = 300, 3, poly[0]
+    blocks = [(0,) * d] + [tuple(rng.randrange(radix) for _ in range(d - 1)) + (1,)
+                           for _ in range(c - 1)]
+    scheme = PenneyScheme(IntPoly(poly), c, d, tuple(blocks))
+    for z in seeded_values(radix)[::10]:
+        rep = convert(z, scheme)
+        assert type(rep.digits) is (bytes if radix <= 256 else tuple)
+        assert tuple(rep.digits) == block_by_block(z, scheme), z
