@@ -421,11 +421,11 @@ def _chunked_horner(digits: bytes | tuple[int, ...], p: IntPoly) -> Residue:
     # tables are cached per base
     rows = min(1 << (len(digits) + d - 1).bit_length(), k + d)
     columns = _x_power_columns(p.coeffs, rows)
-    acc = (0,) * d
+    acc = ()  # nothing is carried into the top chunk, which is read as it is
     for start in reversed(range(0, len(digits), k)):
-        row = (*digits[start:start + k], *acc)
+        row = (*digits[start:start + k], *acc) if acc else digits[start:start + k]
         acc = tuple(sum(map(mul, row, column)) for column in columns)
-    return Residue(acc)
+    return Residue(acc or (0,) * d)
 
 
 @lru_cache(maxsize=32)

@@ -265,14 +265,14 @@ def test_product_length_offset(x, y, b):
 
 
 def plain_negabase_digits(z, b):
-    """The base -b digits of z, one division at a time, as the bytes that
-    Representation stores for b <= 256."""
+    """The base -b digits of z, one division at a time, as Representation
+    stores them: bytes for b <= 256, else a tuple."""
     digits = []
     while z:
         r = z % b
         digits.append(r)
         z = (r - z) // b
-    return bytes(digits) or b"\0"
+    return (bytes if b <= 256 else tuple)(digits or [0])
 
 
 @pytest.mark.parametrize("b", BASES + (16,))
@@ -445,19 +445,10 @@ def test_wide_bases_keep_tuple_digits(b):
         for z in (rng.getrandbits(bits), -rng.getrandbits(bits) - 1):
             rep = encode_negabase(z, b)
             assert type(rep.digits) is tuple
-            assert rep.digits == plain_negabase_wide(z, b)
+            assert rep.digits == plain_negabase_digits(z, b)
             assert decode_negabase(rep) == z
             again = Representation.from_string(NegaBase(b), rep.digit_string())
             assert again == rep and type(again.digits) is tuple
-
-
-def plain_negabase_wide(z, b):
-    digits = []
-    while z:
-        r = z % b
-        digits.append(r)
-        z = (r - z) // b
-    return tuple(digits) or (0,)
 
 
 def mask_window_values(b):
