@@ -38,8 +38,7 @@ def _poly_arg(text: str) -> IntPoly:
 
 
 def _int_arg(text: str) -> int:
-    """int(text); text of more than MAX_DECIMAL_DIGITS characters that is
-    none ends the run in one line, not a usage error that echoes it."""
+    """int(text); bad text beyond MAX_DECIMAL_DIGITS ends the run in one line."""
     try:
         return int(text)
     except ValueError:
@@ -69,6 +68,15 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     print(json.dumps(payload) if args.json else text)
+
+
+def _decimal(value: int) -> str:
+    """str(value) for a result, in one line naming the ceiling beyond it."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"a result of more than {MAX_DECIMAL_DIGITS} digits: "
+                         f"{brief(value)}") from None
 
 
 def _emit_digits(args: argparse.Namespace, payload: dict, rep: Representation,
@@ -102,7 +110,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return 1
     value = residue.constant_value()
     _emit(args, {"poly": args.poly.to_string(), "digits": rep.digit_string(),
-                 "value": value}, str(value))
+                 "value": value}, _decimal(value))
     return 0
 
 
@@ -114,7 +122,7 @@ def _cmd_negabase(args: argparse.Namespace) -> int:
         rep = Representation.from_string(NegaBase(args.base), args.digits)
         value = decode_negabase(rep)
         _emit(args, {"base": args.base, "digits": rep.digit_string(), "value": value},
-              str(value))
+              _decimal(value))
     return 0
 
 

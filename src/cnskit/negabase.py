@@ -131,17 +131,21 @@ class Representation:
     digits: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # every check runs in C-level passes; only a failure scans in Python
+        # one C-level pass checks the digits; only a failure scans in Python
         digits, radix = self.digits, self.base.radix
         if radix > BYTE_RADIX or not isinstance(digits, (bytes, bytearray)):
             digits = tuple(map(int, digits))
-            if digits and (min(digits) < 0 or max(digits) >= radix):
-                bad = next(d for d in digits if not 0 <= d < radix)
-                raise ValueError(f"digit {bad} outside 0..{radix - 1}")
-        if radix <= BYTE_RADIX:
-            digits = bytes(digits)
-            if bad := digits.translate(None, _BYTES[:radix]):
-                raise ValueError(f"digit {bad[0]} outside 0..{radix - 1}")
+        try:
+            if radix > BYTE_RADIX:
+                ok = not digits or 0 <= min(digits) and max(digits) < radix
+            else:  # bytes() raises ValueError for a digit outside 0..255
+                digits = bytes(digits)
+                ok = not digits.translate(None, _BYTES[:radix])
+        except ValueError:
+            ok = False
+        if not ok:
+            bad = next(d for d in digits if not 0 <= d < radix)
+            raise ValueError(f"digit {bad} outside 0..{radix - 1}")
         object.__setattr__(self, "digits", digits)
         if not digits:
             raise ValueError("a representation needs at least one digit")

@@ -18,8 +18,8 @@ from itertools import islice
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
                   brief, cns_encode)
-from .negabase import (BYTE_RADIX, CnsBase, Representation, digit_buffer, encode_negabase,
-                       format_digits, parse_digits)
+from .negabase import (BYTE_RADIX, CnsBase, Representation, encode_negabase, format_digits,
+                       parse_digits)
 from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_powers_mod
 
 # X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
@@ -81,13 +81,10 @@ class PenneyScheme:
                      for block in self.blocks)
 
     @cached_property
-    def columns(self) -> tuple[bytes, ...] | tuple[tuple[int, ...], ...]:
-        """Digit i of every block for each i < d, indexed by the base -c
-        digit: a translate table padded to 256, or a tuple if c > BYTE_RADIX."""
-        columns = tuple(zip(*self.blocks))
-        if self.c > BYTE_RADIX:
-            return columns
-        return tuple(bytes(column).ljust(256, b"\0") for column in columns)
+    def columns(self) -> tuple[bytes, ...]:
+        """Digit i of every block for each i < d, as a table that translates
+        a base -c digit to it."""
+        return tuple(bytes(column).ljust(256, b"\0") for column in zip(*self.blocks))
 
     def to_dict(self) -> dict:
         return {
@@ -130,7 +127,8 @@ def build_scheme(p: IntPoly, c: int, d: int,
     digit blocks in increasing digit order.  A digit whose expansion the
     step budget cannot settle raises StepBudgetError, and a table of more
     than MAX_BLOCK_DIGITS digits raises ValueError before any block is
-    built: neither is a violation of any hypothesis.
+    built, as a scheme that holds with c > BYTE_RADIX does after: none is
+    a violation of any hypothesis.
     """
     if c < 1 or d < 1:
         raise ValueError("c and d must be positive")
@@ -161,6 +159,9 @@ def build_scheme(p: IntPoly, c: int, d: int,
         blocks.append(tuple(digits) + (0,) * (d - len(digits)))
     # implied by divisibility together with d > deg(p); cheap to confirm
     assert c > abs(p.constant_term)
+    if c > BYTE_RADIX:  # no small base has been seen to get this far
+        raise ValueError(f"c = {brief(c)} holds, but convert reads base -c digits "
+                         f"as bytes, so c may be at most {BYTE_RADIX}")
     return PenneyScheme(p, c, d, tuple(blocks))
 
 
@@ -173,14 +174,14 @@ def penney_standard() -> PenneyScheme:
 
 def convert(z: int, scheme: PenneyScheme) -> Representation:
     """Expand z over the scheme's polynomial base by block substitution:
-    column i of the blocks fills every d-th digit from i by one translate."""
+    column i of the blocks fills every d-th digit from i by one translate,
+    and the trailing zeros cut are the top block's padding, as the top base
+    -c digit is nonzero unless z = 0."""
     neg = encode_negabase(z, scheme.c).digits
-    d, small = scheme.d, scheme.c <= BYTE_RADIX
-    out = digit_buffer(scheme.base.radix, d * len(neg))
+    out = bytearray(scheme.d * len(neg))
     for i, column in enumerate(scheme.columns):
-        out[i::d] = neg.translate(column) if small else map(column.__getitem__, neg)
-    del out[d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]:]
-    return Representation(scheme.base, out)
+        out[i::scheme.d] = neg.translate(column)
+    return Representation(scheme.base, out.rstrip(b"\0") or b"\0")
 
 
 def leading_digit_length(z: int, scheme: PenneyScheme) -> int:

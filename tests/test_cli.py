@@ -684,6 +684,17 @@ def test_value_beyond_the_ceiling_exits_2_in_one_line(capsys, command, value):
     assert "100000 digits" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_result_beyond_the_ceiling_exits_2_in_one_line(capsys, flags):
+    """18,000 dotted base -10^6 digits denote a value of 108,000 decimal
+    digits: one line names the CLI's ceiling, not a Python call."""
+    digits = ".".join(["999999"] * 18_000)
+    code, out, err = run(capsys, "negabase", "--base", "1000000", "--digits", digits, *flags)
+    assert (code, out) == (2, "")
+    assert err == ("error: a result of more than 100000 digits: "
+                   "-99999800000199999800... (108000 digits)\n")
+
+
 def test_the_process_limit_is_restored(capsys):
     """main reads 5,000 digits under a limit of 4,321, and leaves 4,321,
     whether the command succeeds or fails."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnskit.cns import CnsDigits, StepBudgetError, cns_encode
+from cnskit import penney
 from cnskit.negabase import encode_negabase, length_negabase
 from cnskit.penney import (MAX_BLOCK_DIGITS, PenneyScheme, SchemeViolation,
                            ViolationKind, build_scheme, convert, leading_digit_length,
@@ -259,18 +260,11 @@ def test_convert_equals_block_by_block_substitution(poly, c, d):
         assert tuple(rep.digits) == block_by_block(z, scheme), z
 
 
-@pytest.mark.parametrize("poly", [(2, 2, 1), (300, 1, 1)])
-def test_convert_substitutes_blocks_of_more_than_256_digits(poly):
-    """No scheme with c > 256 builds on any small base, so the table here
-    is made up, each nonzero digit owning a nonzero block: the column map
-    that replaces the translate still substitutes block by block, into
-    bytes or, for a radix above 256, a tuple."""
-    rng = random.Random(poly[0])
-    c, d, radix = 300, 3, poly[0]
-    blocks = [(0,) * d] + [tuple(rng.randrange(radix) for _ in range(d - 1)) + (1,)
-                           for _ in range(c - 1)]
-    scheme = PenneyScheme(IntPoly(poly), c, d, tuple(blocks))
-    for z in seeded_values(radix)[::10]:
-        rep = convert(z, scheme)
-        assert type(rep.digits) is (bytes if radix <= 256 else tuple)
-        assert tuple(rep.digits) == block_by_block(z, scheme), z
+def test_a_scheme_that_holds_with_c_above_256_raises(monkeypatch):
+    """convert reads base -c digits as bytes.  No base seen builds a scheme
+    with c > 256, so the bound is lowered to 3 to reach the refusal, which
+    comes only once every hypothesis has held."""
+    monkeypatch.setattr(penney, "BYTE_RADIX", 3)
+    with pytest.raises(ValueError, match="c = 4 holds, .* c may be at most 3"):
+        build_scheme(P, 4, 4)
+    assert build_scheme(P, 4, 3).kind is ViolationKind.NO_DIVISIBILITY
