@@ -38,9 +38,11 @@ def _poly_arg(text: str) -> IntPoly:
 
 
 def _int_arg(text: str) -> int:
-    """int(text); bad text beyond MAX_DECIMAL_DIGITS ends the run in one line."""
+    """int(text), or int(text, 16) after 0x or -0x, a parse in linear time
+    that no digit ceiling limits; bad text beyond MAX_DECIMAL_DIGITS ends
+    the run in one line."""
     try:
-        return int(text)
+        return int(text, 16) if text.startswith(("0x", "-0x")) else int(text)
     except ValueError:
         if len(text) > MAX_DECIMAL_DIGITS:
             raise OverflowError(f"not an integer of at most {MAX_DECIMAL_DIGITS} digits: "
@@ -67,6 +69,8 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
+    if args.json:  # a hexadecimal --value may lie beyond the ceiling
+        _decimal(payload.get("value", 0))
     print(json.dumps(payload) if args.json else text)
 
 

@@ -174,6 +174,7 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
     return CnsExhausted(max_steps)
 
 
+@lru_cache(maxsize=32)  # verify.walk_length reads it once per walk
 def periodic_box(p0: int) -> tuple[int, int]:
     """Bounds (b0, b1) with |a0| <= b0 and |a1| <= b1 at every periodic
     state over X^2 + p1 X + p0 with complex roots, whatever p1.

@@ -171,8 +171,8 @@ class Representation:
         return self.digit_string()
 
 
-def _negabase_digits(z: int, b: int) -> bytearray | list[int]:
-    """The base -b digits of z, least significant first; none for 0.
+def negabase_digits(z: int, b: int) -> bytearray | list[int]:
+    """The base -b digits of z, least significant first, unchecked; none for 0.
 
     Beyond _JUMP_MIN_BITS bits, b = 2^s with s dividing 8 takes the mask
     (see the module docstring), and any other b jumps _JUMP_DIGITS = k
@@ -253,7 +253,7 @@ def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[in
 
 def encode_negabase(z: int, b: int) -> Representation:
     """Expand z in base -b; every integer has exactly one such expansion."""
-    return Representation(NegaBase(b), _negabase_digits(z, b) or (0,))
+    return Representation(NegaBase(b), negabase_digits(z, b) or (0,))
 
 
 def decode_negabase(rep: Representation) -> int:
@@ -269,7 +269,7 @@ def decode_negabase(rep: Representation) -> int:
 
 def length_negabase(z: int, b: int) -> int:
     """Digit count of the base -b expansion; 0 counts as one digit."""
-    return len(_negabase_digits(z, b)) or 1
+    return len(negabase_digits(z, b)) or 1
 
 
 def extremal_of_length(b: int, length: int) -> tuple[int, int]:

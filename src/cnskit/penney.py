@@ -19,7 +19,7 @@ from itertools import islice
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, StepBudgetError,
                   brief, cns_encode)
 from .negabase import (BYTE_RADIX, CnsBase, Representation, encode_negabase, format_digits,
-                       parse_digits)
+                       negabase_digits, parse_digits)
 from .poly import IntPoly, divides_xd_plus_c, has_simple_roots, x_powers_mod
 
 # X^2 + 2X + 2: the base of the standard scheme and of every standard-base check
@@ -173,11 +173,11 @@ def penney_standard() -> PenneyScheme:
 
 
 def convert(z: int, scheme: PenneyScheme) -> Representation:
-    """Expand z over the scheme's polynomial base by block substitution:
-    column i of the blocks fills every d-th digit from i by one translate,
-    and the trailing zeros cut are the top block's padding, as the top base
-    -c digit is nonzero unless z = 0."""
-    neg = encode_negabase(z, scheme.c).digits
+    """Expand z over the scheme's polynomial base by block substitution on
+    z's raw base -c digits: column i of the blocks fills every d-th digit
+    from i by one translate, and the trailing zeros cut are the top block's
+    padding, as the top base -c digit is nonzero (0 has no digits)."""
+    neg = negabase_digits(z, scheme.c)
     out = bytearray(scheme.d * len(neg))
     for i, column in enumerate(scheme.columns):
         out[i::scheme.d] = neg.translate(column)
@@ -191,10 +191,10 @@ def leading_digit_length(z: int, scheme: PenneyScheme) -> int:
 
 
 def predicted_length(z: int, scheme: PenneyScheme) -> int:
-    """Expansion length implied by block substitution alone:
-    d * (negabase length - 1) + leading block length."""
-    neg = encode_negabase(z, scheme.c)
-    return scheme.d * (len(neg.digits) - 1) + scheme.block_lengths[neg.digits[-1]]
+    """Expansion length implied by block substitution alone, from z's raw
+    base -c digits: d * (negabase length - 1) + leading block length."""
+    neg = negabase_digits(z, scheme.c) or b"\0"
+    return scheme.d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]
 
 
 def scheme_pairs(p: IntPoly, c_max: int, d_max: int) -> list[tuple[int, int]]:

@@ -3,14 +3,15 @@
 Each check sweeps a stated range exactly (no floating point, no tolerance)
 and returns a VerificationReport whose content is deterministic given its
 parameters; only the elapsed-time field varies between runs.  The whole
-suite runs in one process.  The per-integer sweeps run on cns's one
-quadratic kernel, quadratic_walk, cut short at the first integer state
-whose answer is already stored: the LengthTable that checks ii, iii, v,
-vi and viii read, and the expansion sweep that check i compares digit
-for digit and check ix sums.  When both run on one bound, the sweep runs
-once: check i records the digit-sum failures as it walks, and check ix
-reads them.  Check vii reads leading block lengths from a byte store
-filled by the base -4 digit recurrence.
+suite runs in one process.  The per-integer sweeps walk backward
+division, cut short at the first integer state whose answer is already
+stored: the LengthTable that checks ii, iii, v, vi and viii read counts
+steps by walk_length, whose cycle set holds only periodic states, and
+the expansion sweep that check i compares digit for digit and check ix
+sums records digits on cns's kernel, quadratic_walk.  When both run on
+one bound, the sweep runs once: check i records the digit-sum failures
+as it walks, and check ix reads them.  Check vii reads leading block
+lengths from a byte store filled by the base -4 digit recurrence.
 
 Checks vii and viii take their pair grid a row at a time: for fixed x,
 the stored values of y, x + y and xy over the grid are slices of a byte
@@ -28,8 +29,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable, Iterator
 
-from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
-                  expansion_of, quadratic_walk)
+from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, NotRepresentableError,
+                  Residue, cns_encode, cns_length, expansion_of, periodic_box, quadratic_walk)
 from .negabase import Representation, extremal_of_length, format_digits, length_negabase
 from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
                      build_scheme, convert, leading_digit_length, penney_standard,
@@ -170,15 +171,41 @@ def _store(bound: int, make: Callable[[int], bytearray | list]) -> bytearray | l
                          "more memory than can be allocated") from None
 
 
-def _stored_in(data: bytearray, bound: int) -> Callable[[int], int]:
-    """data[z + bound] for |z| <= bound, and 0 beyond."""
-    size = len(data)
+def walk_length(z: int, p0: int, p1: int, data: bytearray, bound: int,
+                max_steps: int = DEFAULT_MAX_STEPS) -> int:
+    """The length of z over X^2 + p1 X + p0 with complex roots: the
+    backward-division steps from (z, 0) to zero, or to the first integer
+    state w with a nonzero stored length data[w + bound], plus that
+    length.  These are quadratic_walk's steps, and a walk without digits
+    raises as expansion_of does on quadratic_walk's outcome.
 
-    def stored(z: int) -> int:
-        index = z + bound
-        return data[index] if 0 <= index < size else 0
-
-    return stored
+    Only states inside periodic_box(p0) enter the cycle set: a revisited
+    state lies on a cycle, so it and its first visit are inside the box,
+    and the revisit is caught at the same step with the same residue.
+    """
+    box0, box1 = periodic_box(p0)
+    seen = set()
+    a0, a1 = z, 0
+    steps = 0
+    while steps < max_steps:  # a counter is faster than a range per walk
+        steps += 1
+        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:
+            state = (a0, a1)
+            if state in seen:
+                expansion_of(CnsNotRepresentable(Residue(state)), z, IntPoly((p0, p1, 1)))
+            seen.add(state)
+        q = a0 // p0
+        a0, a1 = a1 - q * p1, -q
+        if not a1:
+            if not a0:
+                return steps
+            if -bound <= a0 <= bound:
+                rest = data[a0 + bound]
+                if rest:
+                    if steps + rest > max_steps:
+                        break
+                    return steps + rest
+    expansion_of(CnsExhausted(max_steps), z, IntPoly((p0, p1, 1)))  # raises
 
 
 @dataclass(frozen=True)
@@ -186,7 +213,7 @@ class LengthTable:
     """Lengths over X^2 + 2X + 2 of every |z| <= bound, one byte each.
 
     data[z + bound] is the length of z; table[z] reads it, and beyond
-    the bound walks down by backward division to a stored value.
+    the bound counts walk_length's steps down to a stored value.
     """
 
     bound: int
@@ -199,26 +226,23 @@ class LengthTable:
         bound = self.bound
         if -bound <= z <= bound:
             return self.data[z + bound]
-        walk = _walk(z, _stored_in(self.data, bound))
-        return len(walk[0]) + walk[2]
+        return walk_length(z, 2, 2, self.data, bound)
 
 
 def compute_length_table(bound: int) -> LengthTable:
     """Length over X^2 + 2X + 2 of every |z| <= bound, by direct digit extraction.
 
-    z runs through 0, 1, -1, 2, -2, ...; each walk stops at the first
-    integer state whose length is already stored, and stores the steps
-    taken plus that length.  Every digit still comes from backward
-    division, never from the block formula.
+    z runs through 0, 1, -1, 2, -2, ...; each walk_length stops at the
+    first integer state whose length is already stored, and stores the
+    steps taken plus that length.  Every length still comes from backward
+    division steps, never from the block formula.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _walk_ends(bound)
     data = _store(bound, bytearray)
-    stored = _stored_in(data, bound)
     for z in _outward(bound):
-        walk = _walk(z, stored)
-        data[z + bound] = len(walk[0]) + walk[2]
+        data[z + bound] = walk_length(z, 2, 2, data, bound)
     return LengthTable(bound, data)
 
 

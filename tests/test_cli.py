@@ -675,6 +675,59 @@ def test_integers_of_2_to_the_14_bits_round_trip_in_a_child():
         sys.set_int_max_str_digits(limit)
 
 
+def test_hexadecimal_integers_of_2_to_the_17_bits_round_trip_in_a_child():
+    """A 2^17-bit integer, of 39,457 decimal digits, given as -0x... goes
+    through encode and back through decode in one fresh interpreter."""
+    z = -(random.Random(17).getrandbits(2**17) | 1 << (2**17 - 1))
+    code = ("from cnskit.cli import main\n"
+            "import contextlib, io\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    encoded = main(['encode', '--value={z:#x}'])\n"
+            "digits = out.getvalue().strip()\n"
+            "print(encoded, len(digits))\n"
+            "print(main(['decode', '--digits', digits]))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    encoded, value, decoded = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, decoded) == (0, "", "0")
+    assert encoded.startswith("0 ") and int(encoded.split()[1]) > 2**18 - 100
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for int(value) in this process
+    try:
+        assert int(value) == z
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("0x334", "820"), ("-0x334", "-820"), ("0x_33_4", "820"), ("-0xFFff", "-65535"),
+    ("007", "7")])
+def test_value_reads_decimal_and_hexadecimal(capsys, value, expected):
+    assert (run(capsys, "encode", f"--value={value}", "--json")
+            == run(capsys, "encode", "--value", expected, "--json"))
+
+
+@pytest.mark.parametrize("value", ["0X1f", "+0x1f", "0o17", "0b101", "x1f", "0x", "-0x-1"])
+def test_value_takes_no_other_prefix(capsys, value):
+    code, out, err = run(capsys, "encode", f"--value={value}")
+    assert (code, out) == (2, "")
+    assert f"invalid int value: {value!r}" in err
+
+
+@pytest.mark.parametrize("command", [["convert"], ["negabase", "--base", "4"]])
+def test_hexadecimal_value_beyond_the_ceiling(capsys, command):
+    """Hexadecimal is read beyond the ceiling, and --json, which prints
+    the value in decimal, exits 2 in one line naming the ceiling."""
+    value = "0x" + "f" * 90_000  # 108,371 decimal digits
+    code, out, err = run(capsys, *command, "--value", value)
+    assert (code, err) == (0, "") and len(out) > 180_000
+    code, out, err = run(capsys, *command, "--value", value, "--json")
+    assert (code, out) == (2, "")
+    assert err == ("error: a result of more than 100000 digits: "
+                   "62869359117783580749... (108371 digits)\n")
+
+
 @pytest.mark.parametrize("command", [["encode"], ["convert"], ["negabase", "--base", "4"]])
 @pytest.mark.parametrize("value", ["1" * 100_001, "x" * 200_000], ids=["digits", "text"])
 def test_value_beyond_the_ceiling_exits_2_in_one_line(capsys, command, value):

@@ -12,7 +12,7 @@ from cnskit import negabase
 from cnskit.negabase import (CnsBase, NegaBase, Representation,
                              decode_negabase, encode_negabase,
                              extremal_of_length, format_digits,
-                             length_negabase, parse_digits)
+                             length_negabase, negabase_digits, parse_digits)
 from cnskit.poly import IntPoly, poly_eval
 
 BASES = (2, 3, 4, 10)
@@ -273,6 +273,17 @@ def plain_negabase_digits(z, b):
         digits.append(r)
         z = (r - z) // b
     return (bytes if b <= 256 else tuple)(digits or [0])
+
+
+@pytest.mark.parametrize("b", [2, 4, 10, 300])
+def test_raw_digits_are_the_expansion_without_its_zero(b):
+    """negabase_digits holds encode_negabase's digits, in a buffer of its
+    own, and none for 0."""
+    assert not negabase_digits(0, b)
+    for z in (*range(-200, 201), 3**400, -(5**300)):
+        digits = negabase_digits(z, b)
+        assert isinstance(digits, bytearray if b <= 256 else list)
+        assert tuple(digits or [0]) == tuple(encode_negabase(z, b).digits)
 
 
 @pytest.mark.parametrize("b", BASES + (16,))

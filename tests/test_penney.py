@@ -202,6 +202,22 @@ def test_predicted_length_formula():
         assert predicted_length(z, scheme) == expected
 
 
+def test_convert_and_predicted_length_read_raw_digits(monkeypatch):
+    """Both read the base -c digits without encode_negabase, so neither
+    builds a Representation only to read its digits; their values are
+    those of block substitution over encode_negabase's digits."""
+    scheme = penney_standard()
+    expected = {z: block_by_block(z, scheme) for z in range(-300, 301)}
+
+    def refuse(z, b):
+        raise AssertionError("encode_negabase called")
+
+    monkeypatch.setattr(penney, "encode_negabase", refuse)
+    for z, digits in expected.items():
+        assert tuple(convert(z, scheme).digits) == digits
+        assert predicted_length(z, scheme) == len(digits)
+
+
 @given(st.integers(-10**6, 10**6))
 @settings(max_examples=400)
 def test_convert_matches_direct_encode(z):
