@@ -16,20 +16,27 @@ p's digits are q's spread m apart, and q's outcome on the budget
 indices of p's nonzero coefficients.  X^2 + c with c > 0 keeps the
 kernel, as its q = X + c would walk a state tuple without a jump.
 
-Big integers on a quadratic with complex roots (p1^2 < 4 p0) jump: the
-first k steps depend only on A mod p0^k, so with a_i = L_i + p0^k H_i
-the walk runs k steps on the small L and lands on L' + H N_k, where
-N_k = (-(X + p1))^k mod p.  The k steps on L go j at a time, by one
-table lookup each: the first j digits of a state depend only on
-(a0 mod p0^j, a1 mod p0^(j-1)), and with D = sum d_i X^i mod p their
-residue, the state j steps on is exactly (A - D) N_j / p0^j, as
-A = D + X^j A_j and X^j N_j = p0^j.  Its digits are the plain loop's,
-and two rules keep every outcome exact as well:
-  - a jump is kept only if it lands outside the box that holds every
-    periodic state; a state it skips is then not periodic, so it is
-    never revisited and is not zero, and the cycle residue stays;
-  - a jump counts k steps and is taken only while k steps remain, so
-    the budget runs out at the same step.
+Big integers on a quadratic with complex roots (p1^2 < 4 p0) skip most
+interpreter steps.  Where X^j = 256 mod p (j = 16 over X^2 +- 2X + 2,
+so over the trinomial's q, and X^2 + 2; j = 8 over X^2 + 4), the first
+j digits of A depend only on A mod X^j = A mod 256, i.e. on a0 and a1
+mod 256, and with D their residue the walk lands exactly on (A - D)/256:
+Knuth's radix trick on Penney's base -1 + i, whose 16th power is 256.
+From (z, 0) the walk is at (z >> 8g + c0, c1) after g groups of j
+steps, (c0, c1) one of a few carries, so one table of j plain steps from
+(c0 + b, c1) per carry and byte b gives a group's digits and the next
+carry for each byte of z.  Other such bases jump k = 128 steps: the
+first k depend only on A mod p0^k, so with a_i = L_i + p0^k H_i the walk
+runs k plain steps on the small L and lands on L' + H N_k, where
+N_k = (-(X + p1))^k mod p.  Three rules keep every outcome the plain
+loop's:
+  - a group or jump is kept only if it lands outside the box that holds
+    every periodic state, as keeping z's top 24 bits ensures for groups;
+    a state it skips is then not periodic, so it is never revisited and is
+    not zero, and the cycle residue stays;
+  - a group counts j steps and a jump k, each taken only while they remain;
+  - the plain walk from the last landing gets the steps left, and its
+    running out of them is the whole budget running out.
 A digit string is read back by Penney's interleave where the base
 allows it: if X^e = t mod p for a constant t = +-2^s, 2 <= |t| <= 32,
 then sum d_j X^j = sum_{r<e} X^r N_r with N_r = sum_k d_{ek+r} t^k, and
@@ -66,17 +73,11 @@ from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
 
-# a walk from z of more bits than this jumps _JUMP_STEPS steps at a time
+# a walk from z of more bits than this reads z a byte at a time, or jumps
+# _JUMP_STEPS steps at a time where no X^j, j <= _BYTE_MAX_STEPS, is 256
 _JUMP_MIN_BITS = 256
 _JUMP_STEPS = 128
-# a lookup reads j digits from a table of at most this many digit strings
-# and keys (a table of p0 = 2, j = 8 has 2^15 keys in 32 KiB)
-_GROUP_CODES = 256
-_GROUP_KEYS = 1 << 15
-# and reads no fewer digits than this: in jumps from 2^14 bits, 2 digits a
-# lookup (p0 = 5 to 16) ran 1.1-1.3x slower than one step per digit, 4
-# digits (p0 = 3, 4) 1.4-1.6x faster and 8 digits (p0 = 2) 3.4x faster
-_GROUP_MIN_DIGITS = 4
+_BYTE_MAX_STEPS = 16
 # a digit string is reduced this many digits at a time, unless some X^e,
 # e <= _POWER_MAX_EXPONENT over q, is a constant of PARSE_RADICES mod p
 # and the string has at least _PARSE_MIN_DIGITS digits: below that the
@@ -196,47 +197,55 @@ def _jump_residue(p0: int, p1: int, k: int) -> tuple[int, int]:
     return n0, n1
 
 
-def _group_length(p0: int, k: int) -> int:
-    """The digits per table lookup in a jump of k steps: the largest power
-    of two j dividing k whose p0^j digit strings and p0^(2j - 1) keys fit
-    the bounds above, or 1 if that j is below _GROUP_MIN_DIGITS (then
-    every step is one)."""
-    j = k & -k
-    while j > 1 and (p0 ** j > _GROUP_CODES or p0 ** (2 * j - 1) > _GROUP_KEYS):
-        j >>= 1
-    return j if j >= _GROUP_MIN_DIGITS else 1
+@lru_cache(maxsize=32)
+def _byte_steps(p0: int, p1: int) -> int:
+    """The least j <= _BYTE_MAX_STEPS with X^j = 256 mod X^2 + p1 X + p0,
+    or 0 if there is none."""
+    powers = islice(x_powers_mod(IntPoly((p0, p1, 1))), _BYTE_MAX_STEPS + 1)
+    return next((j for j, power in enumerate(powers) if power == (256, 0)), 0)
 
 
 @lru_cache(maxsize=8)
-def _digit_groups(p0: int, p1: int, j: int) -> tuple[bytes, tuple[tuple[bytes, int, int], ...]]:
-    """The first j digits of every state (a0, a1) over X^2 + p1 X + p0,
-    as (codes, groups).
+def _carry_table(p0: int, p1: int, j: int
+                 ) -> tuple[tuple[tuple[bytes, int], ...], tuple[tuple[int, int], ...]]:
+    """(groups, carries) for X^2 + p1 X + p0 with X^j = 256 mod p.
 
-    The digits depend only on a0 mod p0^j and a1 mod p0^(j - 1).
-    codes[(a1 mod p0^(j - 1)) p0^j + a0 mod p0^j] is the code of the
-    digits, which read as a number in base p0, least significant first,
-    and groups[code] is (digits, d0, d1), d0 + d1 X = sum d_i X^i mod p.
-    The codes are built from j - 1 up: the first digit of (a0, a1) is
-    u = a0 mod p0, and the rest are the j - 1 digits of (a1 - q p1, -q),
-    q = a0 // p0, whose key needs q mod p0^(j - 1) only.
+    carries[0] is (0, 0), and each carry's 256 entries follow one another:
+    groups[256 i + b] is (digits, 256 i') for the j plain steps from
+    (c0 + b, c1), (c0, c1) = carries[i], which land on carries[i'].  The
+    carries are every landing reached from (0, 0), so the set is closed.
     """
-    codes = bytes(range(p0))  # j = 1: the key is a0 mod p0, the code its digit
-    for i in range(2, j + 1):
-        width, width1 = p0 ** (i - 1), p0 ** (i - 2)  # the next state's key
-        rest = [p0 * codes[-q % width1 * width + (a1 - q * p1) % width]
-                for a1 in range(width) for q in range(width)]
-        codes = bytes(u + r for r in rest for u in range(p0))
+    carries = [(0, 0)]
     groups = []
-    for code in range(p0 ** j):
-        digits = []
-        for _ in range(j):
-            code, u = divmod(code, p0)
-            digits.append(u)
-        d0 = d1 = 0
-        for u in reversed(digits):  # D <- u + X D
-            d0, d1 = u - p0 * d1, d0 - p1 * d1
-        groups.append((bytes(digits), d0, d1))
-    return codes, tuple(groups)
+    for c0, c1 in carries:  # grows as new landings are found
+        for b in range(256):
+            a0, a1 = c0 + b, c1
+            digits = bytearray()
+            for _ in range(j):
+                q = a0 // p0
+                digits.append(a0 - q * p0)
+                a0, a1 = a1 - q * p1, -q
+            if (a0, a1) not in carries:
+                carries.append((a0, a1))
+            groups.append((bytes(digits), carries.index((a0, a1)) << 8))
+    return tuple(groups), tuple(carries)
+
+
+def _byte_walk(z: int, p0: int, p1: int, j: int,
+               max_steps: int) -> tuple[bytearray, QuadraticWalk]:
+    """quadratic_walk(z, p0, p1, max_steps) over a base with X^j = 256:
+    the digits of n groups of j steps, one per low byte of z, and the
+    plain walk from (z >> 8n + c0, c1) on the steps left.  n keeps the
+    top 24 bits of z, so |z >> 8n| >= 2^23 and the landing lies far outside
+    periodic_box(p0)."""
+    groups, carries = _carry_table(p0, p1, j)
+    n = max(0, min((z.bit_length() - 24) // 8, max_steps // j))
+    digits, key = bytearray(), 0
+    for byte in (z & ((1 << 8 * n) - 1)).to_bytes(n, "little"):
+        group, key = groups[key + byte]
+        digits += group
+    c0, c1 = carries[key >> 8]
+    return digits, quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
 
 
 def _jump_walk(z: int, p0: int, p1: int,
@@ -248,12 +257,6 @@ def _jump_walk(z: int, p0: int, p1: int,
     n0, n1 = _jump_residue(p0, p1, k)
     # H N_k = (h0 n0 - h1 m0) + (h0 n1 + h1 m1) X
     m0, m1 = p0 * n1, n0 - p1 * n1
-    j = _group_length(p0, k)
-    if j > 1:
-        codes, groups = _digit_groups(p0, p1, j)
-        g0, g1 = _jump_residue(p0, p1, j)
-        c0, c1 = p0 * g1, g0 - p1 * g1
-        width, width1 = p0 ** j, p0 ** (j - 1)
     box0, box1 = periodic_box(p0)
     chunk = p0 ** k
     mask = chunk - 1
@@ -267,20 +270,10 @@ def _jump_walk(z: int, p0: int, p1: int,
         else:
             (h0, l0), (h1, l1) = divmod(a0, chunk), divmod(a1, chunk)
         mark = len(digits)
-        if j > 1:
-            for _ in range(k // j):
-                group, d0, d1 = groups[codes[l1 % width1 * width + l0 % width]]
-                digits += group
-                l0 -= d0
-                l1 -= d1
-                # j steps land on (L - D) N_j / p0^j, exactly; the floor
-                # division is as fast as a shift on these few-word integers
-                l0, l1 = (l0 * g0 - l1 * c0) // width, (l0 * g1 + l1 * c1) // width
-        else:
-            for _ in range(k):
-                q = l0 // p0
-                digits.append(l0 - q * p0)
-                l0, l1 = l1 - q * p1, -q
+        for _ in range(k):
+            q = l0 // p0
+            digits.append(l0 - q * p0)
+            l0, l1 = l1 - q * p1, -q
         l0 += h0 * n0 - h1 * m0
         l1 += h0 * n1 + h1 * m1
         if -box0 <= l0 <= box0 and -box1 <= l1 <= box1:
@@ -288,8 +281,7 @@ def _jump_walk(z: int, p0: int, p1: int,
             break
         a0, a1 = l0, l1
         left -= k
-    walk = quadratic_walk(a0, p0, p1, left, a1=a1)
-    return digits, CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
+    return digits, quadratic_walk(a0, p0, p1, left, a1=a1)
 
 
 def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOutcome:
@@ -335,11 +327,13 @@ def _walk(z: int, pc: tuple[int, ...], max_steps: int
         # quadratic_walk runs on two plain integers; the state loop below
         # is 2.4x slower on X^2 + 2X + 2
         if z.bit_length() > _JUMP_MIN_BITS and pc[1] ** 2 < 4 * p0:
-            digits, walk = _jump_walk(z, p0, pc[1], max_steps)
+            j = _byte_steps(p0, pc[1])
+            digits, walk = (_byte_walk(z, p0, pc[1], j, max_steps) if j
+                            else _jump_walk(z, p0, pc[1], max_steps))
         else:
             walk = quadratic_walk(z, p0, pc[1], max_steps)
-        if not isinstance(walk, tuple):
-            return walk
+        if not isinstance(walk, tuple):  # after a jump the walk had the steps left
+            return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
         states = walk[0]
     else:
         d = len(pc) - 1

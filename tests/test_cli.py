@@ -715,6 +715,21 @@ def test_value_takes_no_other_prefix(capsys, value):
     assert f"invalid int value: {value!r}" in err
 
 
+@pytest.mark.parametrize("command", [["encode"], ["negabase", "--base", "4"], ["convert"]])
+@pytest.mark.parametrize("value", ["-0x1f", "-0x_1_f", "-0xzz", "-0x"])
+def test_negative_hexadecimal_value_may_be_a_separate_word(capsys, command, value):
+    """--value -0x... reads as --value=-0x... does, bad text after -0x
+    included, and not as a flag with its value missing."""
+    code, out, err = run(capsys, *command, "--value", value)
+    assert (code, out, err) == run(capsys, *command, f"--value={value}")
+    if value.endswith("f"):
+        assert (code, out) == run(capsys, *command, "--value", "-31")[:2]
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert f"invalid int value: {value!r}" in err
+
+
 @pytest.mark.parametrize("command", [["convert"], ["negabase", "--base", "4"]])
 def test_hexadecimal_value_beyond_the_ceiling(capsys, command):
     """Hexadecimal is read beyond the ceiling, and --json, which prints

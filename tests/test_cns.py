@@ -189,40 +189,50 @@ def test_big_integers_over_the_trinomial_equal_the_reference_loop(p):
                 assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
-def spy_on_jumps(monkeypatch):
-    """The (p0, p1) of every _jump_walk call from here on."""
+def spy_on_walks(monkeypatch):
+    """The big-integer walk of every call from here on: ("byte", p0, p1, j)
+    for _byte_walk, ("jump", p0, p1) for _jump_walk."""
     calls = []
-    jump_walk = cns._jump_walk
+    byte_walk, jump_walk = cns._byte_walk, cns._jump_walk
 
-    def spy(z, p0, p1, max_steps):
-        calls.append((p0, p1))
+    def byte_spy(z, p0, p1, j, max_steps):
+        calls.append(("byte", p0, p1, j))
+        return byte_walk(z, p0, p1, j, max_steps)
+
+    def jump_spy(z, p0, p1, max_steps):
+        calls.append(("jump", p0, p1))
         return jump_walk(z, p0, p1, max_steps)
 
-    monkeypatch.setattr(cns, "_jump_walk", spy)
+    monkeypatch.setattr(cns, "_byte_walk", byte_spy)
+    monkeypatch.setattr(cns, "_jump_walk", jump_spy)
     return calls
 
 
 def test_x_squared_plus_c_keeps_the_jump(monkeypatch):
     """X^2 + c with c > 0 is q(X^2) with q = X + c, but stays on the
-    kernel and jumps above 256 bits: over X + c it would take one
-    interpreter step per digit."""
-    calls = spy_on_jumps(monkeypatch)
+    kernel above 256 bits: over X + c it would take one interpreter step
+    per digit.  X^2 + 2 (X^16 = 256) and X^2 + 4 (X^8 = 256) read z a byte
+    at a time, and X^2 + 3 and X^2 + 7 jump."""
+    calls = spy_on_walks(monkeypatch)
     z = random.Random(5).getrandbits(600) | 1 << 599
-    for c in (2, 3, 7):
+    expected = {2: ("byte", 2, 0, 16), 3: ("jump", 3, 0), 4: ("byte", 4, 0, 8),
+                7: ("jump", 7, 0)}
+    for c, call in expected.items():
         p = IntPoly((c, 0, 1))
         del calls[:]
         assert cns_encode(z, p, 4000) == reference_encode(z, p, 4000)
-        assert calls == [(c, 0)]
+        assert calls == [call]
 
 
 def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
-    """X^(2m) + 2X^m + 2 walks X^2 + 2X + 2, with jumps above 256 bits."""
-    calls = spy_on_jumps(monkeypatch)
+    """X^(2m) + 2X^m + 2 walks X^2 + 2X + 2, a byte of z per 16 steps
+    above 256 bits."""
+    calls = spy_on_walks(monkeypatch)
     z = -(random.Random(6).getrandbits(600) | 1 << 599)
     for p in (QUARTIC, SEXTIC):
         del calls[:]
         assert cns_encode(z, p, 8000) == reference_encode(z, p, 8000)
-        assert calls == [(2, 2)]
+        assert calls == [("byte", 2, 2, 16)]
 
 
 def test_revisit_at_the_budget_exhausts_it():
@@ -325,8 +335,9 @@ def test_oracle_table_is_every_string_that_denotes_an_integer(p, max_len):
     assert cns._expansion_table(p, max_len) == expected
 
 
-# complex-root quadratics on which big integers jump; X^2 - 2X + 2
-# represents no big integer, so its walks end in a cycle
+# complex-root quadratics on which big integers read bytes (the first
+# two) or jump; X^2 - 2X + 2 represents no big integer, so its walks end
+# in a cycle
 JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]
 # and one whose jumps are 128 base-300 digits, about 1,053 bits
 WIDE_JUMP_BASES = JUMP_BASES + [IntPoly((300, 1, 1))]
@@ -395,58 +406,77 @@ def test_short_jumps_equal_the_oracle_and_the_reference_loop(monkeypatch, p, k):
             assert brute_force_oracle(z, p, max_len) == outcome.representation
 
 
-@pytest.mark.parametrize("p", WIDE_JUMP_BASES + [IntPoly((4, 1, 1))], ids=str)
-def test_digit_groups_equal_plain_steps(p):
-    """Every key of the table a jump reads: its code and digits are the
-    first j digits of the plain walk, and (A - D) N_j / p0^j is exactly
-    the state j steps on, also from A off the key by random multiples of
-    p0^j and p0^(j - 1).  X^2 + 2X + 2 and X^2 - 2X + 2 read 8 digits a
-    lookup, X^2 + X + 3 and X^2 + X + 4 4; X^2 - 3X + 5 and X^2 + X + 300
-    have no table, as 2 digits a lookup is slower than a step each."""
+# bases with X^j = 256 mod p, and j
+BYTE_BASES = [(P, 16), (NONCNS, 16), (IntPoly((2, 0, 1)), 16), (IntPoly((4, 0, 1)), 8),
+              (IntPoly((16, 0, 1)), 4)]
+
+
+def test_only_bases_with_a_power_256_read_bytes():
+    for p, j in BYTE_BASES:
+        assert cns._byte_steps(*p.coeffs[:2]) == j
+    for p0, p1 in ((3, 1), (5, -3), (300, 1), (4, 1), (2, 1), (3, 0), (4, 2), (8, 4)):
+        assert cns._byte_steps(p0, p1) == 0
+
+
+@pytest.mark.parametrize("p, j", BYTE_BASES, ids=str)
+def test_carry_table_equals_plain_steps(p, j):
+    """Every (carry, byte) entry holds the digits of j plain steps from
+    (c0 + b, c1) and the index of the carry they land on, also from
+    states off the key by random multiples of 256, which land off that
+    carry by the same multiples.  The carries start at (0, 0), are closed
+    under the table and are far too small to bring a landing from 2^23
+    into periodic_box."""
     p0, p1, _ = p.coeffs
-    j = cns._group_length(p0, cns._JUMP_STEPS)
-    assert j == {2: 8, 3: 4, 4: 4, 5: 1, 300: 1}[p0]
-    if j == 1:
-        return
-    codes, groups = cns._digit_groups(p0, p1, j)
-    width, width1 = p0 ** j, p0 ** (j - 1)
-    assert len(codes) == width * width1 and len(groups) == width
-    g0, g1 = cns._jump_residue(p0, p1, j)
-    rng = random.Random(p0)
-    for a1 in range(width1):
-        for a0 in range(width):
-            code = codes[a1 * width + a0]
-            group, d0, d1 = groups[code]
-            assert code == sum(u * p0 ** i for i, u in enumerate(group))
-            for b0, b1 in ((a0, a1), (a0 + rng.randint(-9, 9) * width,
-                                      a1 + rng.randint(-9, 9) * width1)):
-                state, digits = (b0, b1), []
+    groups, carries = cns._carry_table(p0, p1, j)
+    assert carries[0] == (0, 0) and len(set(carries)) == len(carries)
+    assert len(groups) == 256 * len(carries)
+    assert max(abs(c) for carry in carries for c in carry) <= 2
+    rng = random.Random(j)
+    for i, (c0, c1) in enumerate(carries):
+        for b in range(256):
+            group, key = groups[256 * i + b]
+            assert key % 256 == 0 and key // 256 < len(carries)
+            for r0, r1 in ((0, 0), (rng.randint(-9, 9), rng.randint(-9, 9))):
+                state, digits = (c0 + b + 256 * r0, c1 + 256 * r1), []
                 for _ in range(j):
                     q = state[0] // p0
                     digits.append(state[0] - q * p0)
                     state = (state[1] - q * p1, -q)
+                e0, e1 = carries[key // 256]
                 assert bytes(digits) == group
-                e0, e1 = b0 - d0, b1 - d1
-                # (e0 + e1 X)(g0 + g1 X) mod X^2 + p1 X + p0
-                land0 = e0 * g0 - p0 * e1 * g1
-                land1 = e0 * g1 + e1 * g0 - p1 * e1 * g1
-                assert land0 % width == land1 % width == 0
-                assert (land0 // width, land1 // width) == state
+                assert state == (e0 + r0, e1 + r1)
+
+
+@pytest.mark.parametrize("p, j", BYTE_BASES[:4], ids=str)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_byte_walks_equal_the_reference_loop(monkeypatch, p, j, sign):
+    """From every size of 33 to 300 bits, on budgets of 1, j - 1, j, j + 1,
+    around the n j steps of the n groups taken, and around the length of
+    the expansion (or the step that finds the cycle, over X^2 - 2X + 2)."""
+    monkeypatch.setattr(cns, "_JUMP_MIN_BITS", 0)
+    rng = random.Random(33)
+    for bits in range(33, 301, 7):
+        z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
+        n = (bits - 24) // 8
+        need = least_budget(z, p, 10_000)
+        budgets = {1, j - 1, j, j + 1, n * j - 1, n * j, n * j + 1, need - 1, need, need + 1}
+        for max_steps in budgets:
+            assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
 def test_small_integers_build_no_digit_table():
-    """Importing cnskit builds no table, and neither does encoding every
-    |z| <= 10^5 over X^2 + 2X + 2, as no such walk jumps; a 257-bit
-    integer builds one.  In a fresh interpreter."""
+    """Importing cnskit builds no carry table, and neither does encoding
+    every |z| <= 10^5 over X^2 + 2X + 2, as no such walk reads bytes; a
+    257-bit integer builds one.  In a fresh interpreter."""
     code = ("import cnskit\n"
             "from cnskit import cns\n"
-            "sizes = [cns._digit_groups.cache_info().currsize]\n"
+            "sizes = [cns._carry_table.cache_info().currsize]\n"
             "p = cnskit.IntPoly((2, 2, 1))\n"
             "for z in range(-10**5, 10**5 + 1):\n"
             "    cns.cns_encode(z, p)\n"
-            "sizes.append(cns._digit_groups.cache_info().currsize)\n"
+            "sizes.append(cns._carry_table.cache_info().currsize)\n"
             "cns.cns_encode(2**256, p)\n"
-            "sizes.append(cns._digit_groups.cache_info().currsize)\n"
+            "sizes.append(cns._carry_table.cache_info().currsize)\n"
             "print(sizes)\n")
     src = str(Path(cns.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -457,24 +487,24 @@ def test_small_integers_build_no_digit_table():
 
 
 def test_the_sextic_reads_its_jumps_by_table(monkeypatch):
-    """X^6 + 2X^3 + 2 at 2^11 bits walks X^2 + 2X + 2 in jumps that read
-    8 digits a lookup; on budgets around its decision and on a budget a
-    few jumps long, the outcome is the plain loop's over the sextic."""
-    groups = []
-    digit_groups = cns._digit_groups
+    """X^6 + 2X^3 + 2 at 2^11 bits walks X^2 + 2X + 2 on the carry table
+    of 16 steps a byte; on budgets around its decision and on a budget a
+    few groups long, the outcome is the plain loop's over the sextic."""
+    tables = []
+    carry_table = cns._carry_table
 
     def spy(*key):
-        groups.append(key)
-        return digit_groups(*key)
+        tables.append(key)
+        return carry_table(*key)
 
-    monkeypatch.setattr(cns, "_digit_groups", spy)
+    monkeypatch.setattr(cns, "_carry_table", spy)
     rng = random.Random(11)
     for sign in (1, -1):
         z = sign * (rng.getrandbits(2048) | 1 << 2047)
         need = least_budget(z, SEXTIC, 30_000)
-        for max_steps in (need - 1, need, need + 1, 3 * 3 * cns._JUMP_STEPS + 1):
+        for max_steps in (need - 1, need, need + 1, 3 * 3 * 16 + 1):
             assert cns_encode(z, SEXTIC, max_steps) == reference_encode(z, SEXTIC, max_steps)
-    assert set(groups) == {(2, 2, 8)}
+    assert set(tables) == {(2, 2, 16)}
 
 
 def test_big_integer_digits_are_pinned():
