@@ -29,8 +29,8 @@ from .trinomial import SequenceId, lift_representation, seq_terms
 from .verify import DEFAULT_SEED, SAMPLE_COUNT, run_suite
 
 MAX_DECIMAL_DIGITS = 100_000  # the most read or printed; both take quadratic time
-# words argparse reads as values, not flags: -0x1f as well as -31
-_NEGATIVE_VALUE = re.compile(r"^-(\d+|\d*\.\d+|0x\w*)$")
+# words argparse reads as values, not flags: -0x1f and -2,0,1 as well as -31
+_NEGATIVE_VALUE = re.compile(r"^-(\d+(,-?\d+)*|\d*\.\d+|0x\w*)$")
 
 
 def _poly_arg(text: str) -> IntPoly:
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; the suite runs in one process")
     verify.set_defaults(handler=_cmd_verify)
 
-    for sub in (encode, negabase, conv):
+    for sub in (encode, decode, negabase, conv, scheme, lift):
         sub._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 

@@ -10,31 +10,28 @@ quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one kernel
 over two plain integers, quadratic_walk, which verify's memoised sweeps
 share; every other base walks a state tuple, and only the step differs.
 A base p = q(X^m), m > 1, the paper's X^(2m) + 2X^m + 2 among them,
-walks q instead, so the trinomial takes the kernel and the jump below:
-p's digits are q's spread m apart, and q's outcome on the budget
+walks q instead, so the trinomial takes the kernel and the byte walk
+below: p's digits are q's spread m apart, and q's outcome on the budget
 (B - 2) // m + 2 maps exactly to p's on budget B.  m is the gcd of the
 indices of p's nonzero coefficients.  X^2 + c with c > 0 keeps the
-kernel, as its q = X + c would walk a state tuple without a jump.
+kernel, as its q = X + c would walk a state tuple.
 
-Big integers on a quadratic with complex roots (p1^2 < 4 p0) skip most
-interpreter steps.  Where X^j = 256 mod p (j = 16 over X^2 +- 2X + 2,
-so over the trinomial's q, and X^2 + 2; j = 8 over X^2 + 4), the first
+Big integers on a quadratic with complex roots (p1^2 < 4 p0) where
+X^j = 256 mod p skip most interpreter steps (j = 16 over X^2 +- 2X + 2,
+so over the trinomial's q, and X^2 + 2; j = 8 over X^2 + 4).  The first
 j digits of A depend only on A mod X^j = A mod 256, i.e. on a0 and a1
 mod 256, and with D their residue the walk lands exactly on (A - D)/256:
 Knuth's radix trick on Penney's base -1 + i, whose 16th power is 256.
 From (z, 0) the walk is at (z >> 8g + c0, c1) after g groups of j
 steps, (c0, c1) one of a few carries, so one table of j plain steps from
 (c0 + b, c1) per carry and byte b gives a group's digits and the next
-carry for each byte of z.  Other such bases jump k = 128 steps: the
-first k depend only on A mod p0^k, so with a_i = L_i + p0^k H_i the walk
-runs k plain steps on the small L and lands on L' + H N_k, where
-N_k = (-(X + p1))^k mod p.  Three rules keep every outcome the plain
-loop's:
-  - a group or jump is kept only if it lands outside the box that holds
-    every periodic state, as keeping z's top 24 bits ensures for groups;
-    a state it skips is then not periodic, so it is never revisited and is
-    not zero, and the cycle residue stays;
-  - a group counts j steps and a jump k, each taken only while they remain;
+carry for each byte of z.  Every other base walks the plain loop at every
+size.  Three rules keep every outcome the plain loop's:
+  - a group is kept only if it lands outside the box that holds every
+    periodic state, as keeping z's top 24 bits ensures; a state it skips
+    is then not periodic, so it is never revisited and is not zero, and
+    the cycle residue stays;
+  - a group counts j steps, taken only while they remain;
   - the plain walk from the last landing gets the steps left, and its
     running out of them is the whole budget running out.
 A digit string is read back by Penney's interleave where the base
@@ -73,10 +70,9 @@ from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
 
-# a walk from z of more bits than this reads z a byte at a time, or jumps
-# _JUMP_STEPS steps at a time where no X^j, j <= _BYTE_MAX_STEPS, is 256
+# a walk from z of more bits than this reads z a byte at a time where some
+# X^j, j <= _BYTE_MAX_STEPS, is 256 mod p; every other base walks the plain loop
 _JUMP_MIN_BITS = 256
-_JUMP_STEPS = 128
 _BYTE_MAX_STEPS = 16
 # a digit string is reduced this many digits at a time, unless some X^e,
 # e <= _POWER_MAX_EXPONENT over q, is a constant of PARSE_RADICES mod p
@@ -188,16 +184,6 @@ def periodic_box(p0: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=32)
-def _jump_residue(p0: int, p1: int, k: int) -> tuple[int, int]:
-    """N_k = (-(X + p1))^k mod X^2 + p1 X + p0, as (n0, n1): k steps take
-    p0^k H to H N_k."""
-    n0, n1 = 1, 0
-    for _ in range(k):
-        n0, n1 = p0 * n1 - p1 * n0, -n0
-    return n0, n1
-
-
-@lru_cache(maxsize=32)
 def _byte_steps(p0: int, p1: int) -> int:
     """The least j <= _BYTE_MAX_STEPS with X^j = 256 mod X^2 + p1 X + p0,
     or 0 if there is none."""
@@ -248,42 +234,6 @@ def _byte_walk(z: int, p0: int, p1: int, j: int,
     return digits, quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
 
 
-def _jump_walk(z: int, p0: int, p1: int,
-               max_steps: int) -> tuple[bytearray | list[int], QuadraticWalk]:
-    """quadratic_walk(z, p0, p1, max_steps) in jumps of _JUMP_STEPS steps
-    while each lands outside periodic_box(p0): the jumps' digits, and the
-    plain walk from the last landing state on the steps left."""
-    k = _JUMP_STEPS
-    n0, n1 = _jump_residue(p0, p1, k)
-    # H N_k = (h0 n0 - h1 m0) + (h0 n1 + h1 m1) X
-    m0, m1 = p0 * n1, n0 - p1 * n1
-    box0, box1 = periodic_box(p0)
-    chunk = p0 ** k
-    mask = chunk - 1
-    shift = mask.bit_length() if not chunk & mask else 0
-    digits = digit_buffer(p0)
-    a0, a1 = z, 0
-    left = max_steps
-    while left >= k:
-        if shift:
-            h0, l0, h1, l1 = a0 >> shift, a0 & mask, a1 >> shift, a1 & mask
-        else:
-            (h0, l0), (h1, l1) = divmod(a0, chunk), divmod(a1, chunk)
-        mark = len(digits)
-        for _ in range(k):
-            q = l0 // p0
-            digits.append(l0 - q * p0)
-            l0, l1 = l1 - q * p1, -q
-        l0 += h0 * n0 - h1 * m0
-        l1 += h0 * n1 + h1 * m1
-        if -box0 <= l0 <= box0 and -box1 <= l1 <= box1:
-            del digits[mark:]
-            break
-        a0, a1 = l0, l1
-        left -= k
-    return digits, quadratic_walk(a0, p0, p1, left, a1=a1)
-
-
 def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOutcome:
     """Extract the canonical digits of z in base p.
 
@@ -326,13 +276,12 @@ def _walk(z: int, pc: tuple[int, ...], max_steps: int
     if len(pc) == 3 and p0 > 0:
         # quadratic_walk runs on two plain integers; the state loop below
         # is 2.4x slower on X^2 + 2X + 2
-        if z.bit_length() > _JUMP_MIN_BITS and pc[1] ** 2 < 4 * p0:
-            j = _byte_steps(p0, pc[1])
-            digits, walk = (_byte_walk(z, p0, pc[1], j, max_steps) if j
-                            else _jump_walk(z, p0, pc[1], max_steps))
+        j = z.bit_length() > _JUMP_MIN_BITS and pc[1] ** 2 < 4 * p0 and _byte_steps(p0, pc[1])
+        if j:
+            digits, walk = _byte_walk(z, p0, pc[1], j, max_steps)
         else:
             walk = quadratic_walk(z, p0, pc[1], max_steps)
-        if not isinstance(walk, tuple):  # after a jump the walk had the steps left
+        if not isinstance(walk, tuple):  # after the groups the walk had the steps left
             return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
         states = walk[0]
     else:

@@ -5,15 +5,10 @@ polynomial base) with a digit sequence stored least significant first.
 Digit strings are printed most significant first; digits above 9 force a
 dotted form so multi-digit entries stay unambiguous.
 
-Base -b digits come one division at a time, z -> -(z div b).  A big z
-jumps k digits at once: with z = l + b^k h and 0 <= l < b^k, the k
-steps on the small l give the digits, and z becomes l_k + (-1)^k h.
-A jump is taken only while |h| >= 2, so no state it skips is 0 and the
-digits are the plain loop's.
-
-A big z in base -2^s, s dividing 8 (b = 2, 4, 16, 256), takes no step at
-all.  With d_i the base -b digits of z and M = sum over odd i < n of
-(b-1) b^i,
+Base -b digits come one division at a time, z -> -(z div b), for every
+b at every size but one case: a big z in base -2^s, s dividing 8
+(b = 2, 4, 16, 256), takes no step at all.  With d_i the base -b digits
+of z and M = sum over odd i < n of (b-1) b^i,
 
     z + M = sum_{i even} d_i b^i + sum_{i odd} (b-1-d_i) b^i,
 
@@ -40,10 +35,9 @@ from typing import Sequence
 
 from .poly import IntPoly, poly_eval
 
-# an integer of more bits than this takes its digits _JUMP_DIGITS (even) at a
-# time, or by the mask when b = 2^s with s dividing 8
+# an integer of more bits than this takes its digits by the mask when b = 2^s
+# with s dividing 8; every other b takes the plain loop at every size
 _JUMP_MIN_BITS = 256
-_JUMP_DIGITS = 64
 
 # the |t| that values_at_power_of_two reads: int() parses a string in these
 # bases in linear time, and exempts them from int_max_str_digits
@@ -175,28 +169,15 @@ def negabase_digits(z: int, b: int) -> bytearray | list[int]:
     """The base -b digits of z, least significant first, unchecked; none for 0.
 
     Beyond _JUMP_MIN_BITS bits, b = 2^s with s dividing 8 takes the mask
-    (see the module docstring), and any other b jumps _JUMP_DIGITS = k
-    digits at a time (k is even, so (-1)^k h = h).  The state after
-    j < k steps is l_j + (-1)^j b^(k-j) h with |l_j| <= b^(k-j), which
-    |h| >= 2 keeps from 0.
+    (see the module docstring); every other b takes one division per digit.
     """
     if b < 2:
         raise ValueError(f"negative base needs b >= 2, got {b}")
-    digits = digit_buffer(b)
     if z.bit_length() > _JUMP_MIN_BITS:
         s = b.bit_length() - 1
         if b == 1 << s and 8 % s == 0:
             return _masked_digits(z, s)
-        chunk = b ** _JUMP_DIGITS
-        while True:
-            high, low = divmod(z, chunk)
-            if -2 < high < 2:
-                break
-            for _ in range(_JUMP_DIGITS):
-                r = low % b
-                digits.append(r)
-                low = (r - low) // b
-            z = low + high
+    digits = digit_buffer(b)
     while z:
         r = z % b
         digits.append(r)

@@ -8,9 +8,9 @@ division, cut short at the first integer state whose answer is already
 stored: the LengthTable that checks ii, iii, v, vi and viii read counts
 steps by walk_length, whose cycle set holds only periodic states, and
 the expansion sweep that check i compares digit for digit and check ix
-sums records digits on cns's kernel, quadratic_walk.  When both run on
-one bound, the sweep runs once: check i records the digit-sum failures
-as it walks, and check ix reads them.  Check vii reads leading block
+sums records digits on cns's kernel, quadratic_walk.  When both run,
+the sweep runs once: check i records the digit-sum failures as it
+walks, and check ix reads them.  Check vii reads leading block
 lengths from a byte store filled by the base -4 digit recurrence.
 
 Checks vii and viii take their pair grid a row at a time: for fixed x,
@@ -46,9 +46,9 @@ COUNTEREXAMPLE_EXPANSIONS = {
     40: "3740", 48: "3600", 56: "1470140",
 }
 
-FORMULA_BOUND = 10_000
+# the range of checks i and ix, which share one sweep of direct expansions
+EXPANSION_BOUND = 10_000
 SWEEP_BOUND = 100_000
-DIGIT_SUM_BOUND = 10_000
 GRID_BOUND = 300
 SAMPLE_COUNT = 10_000
 SAMPLE_BOUND = 100_000
@@ -278,7 +278,7 @@ def _breaks_digit_sum(z: int, digit_sum: int) -> bool:
     return (2 * (z - digit_sum)) % 10 != 0
 
 
-def check_length_formula(bound: int = FORMULA_BOUND, *,
+def check_length_formula(bound: int = EXPANSION_BOUND, *,
                          digit_sum_failures: list | None = None) -> VerificationReport:
     """Every |z| <= bound: block substitution reproduces direct digit
     extraction digit for digit, and the length matches
@@ -676,7 +676,7 @@ def digit_sum_probe(z: int, max_iter: int = 48) -> DigitSumProbe:
     return DigitSumProbe(z, digit_sum, s_k, trace, stabilized)
 
 
-def check_digit_sums(bound: int = DIGIT_SUM_BOUND, *, trace_bound: int = 20,
+def check_digit_sums(bound: int = EXPANSION_BOUND, *, trace_bound: int = 20,
                      max_iter: int = 48, failures: list | None = None) -> VerificationReport:
     """digit_sum(z) = z mod 5 and 2(z - digit_sum)/5 even for |z| <= bound.
 
@@ -740,8 +740,8 @@ def run_suite(names: Iterable[str] = ("all",), *,
 
     bound, when given, replaces the range of i, of the length table and of
     ix; the table is computed once and shared by the checks that read it.
-    When i and ix run on one bound, ix reads the digit-sum failures that
-    i's sweep recorded.
+    When i and ix both run, ix reads the digit-sum failures that i's sweep
+    recorded.
     """
     selected: list[str] = []
     for name in names:
@@ -754,18 +754,16 @@ def run_suite(names: Iterable[str] = ("all",), *,
     if not selected:
         raise ValueError("no suite selected")
     ordered = [s for s in SUITE_ORDER if s in selected]
-    table_bound, formula_bound, digit_sum_bound = (
-        (SWEEP_BOUND, FORMULA_BOUND, DIGIT_SUM_BOUND) if bound is None else (bound,) * 3)
+    table_bound, expansion_bound = (
+        (SWEEP_BOUND, EXPANSION_BOUND) if bound is None else (bound, bound))
     lengths = None
     if {"ii", "iii", "v", "vi", "viii"} & set(ordered):
         lengths = compute_length_table(table_bound)
-    digit_sum_failures = None
-    if {"i", "ix"} <= set(ordered) and formula_bound == digit_sum_bound:
-        digit_sum_failures = []
+    digit_sum_failures = [] if {"i", "ix"} <= set(ordered) else None
     # each entry looks its check up when it runs, so a wrapper patched onto
     # the module-level name is the one called
     suite = {
-        "i": lambda: check_length_formula(formula_bound,
+        "i": lambda: check_length_formula(expansion_bound,
                                           digit_sum_failures=digit_sum_failures),
         "ii": lambda: check_length_set(lengths=lengths),
         "iii": lambda: check_sign_disjoint(lengths=lengths),
@@ -775,7 +773,7 @@ def run_suite(names: Iterable[str] = ("all",), *,
         "vii": lambda: check_lambda_bounds(samples, seed, grid_bound=grid_bound),
         "viii": lambda: check_additive_bounds(samples, seed, grid_bound=grid_bound,
                                               lengths=lengths),
-        "ix": lambda: check_digit_sums(digit_sum_bound, failures=digit_sum_failures),
+        "ix": lambda: check_digit_sums(expansion_bound, failures=digit_sum_failures),
         "remark": lambda: check_scheme_counterexample(),
     }
     return [suite[name]() for name in ordered]

@@ -730,6 +730,17 @@ def test_negative_hexadecimal_value_may_be_a_separate_word(capsys, command, valu
         assert f"invalid int value: {value!r}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "--value", "7"], ["decode", "--digits", "10101"], ["convert", "--value", "7"],
+    ["scheme"], ["lift", "--digits", "11", "--k", "2"]], ids=lambda argv: argv[0])
+def test_negative_poly_may_be_a_separate_word(capsys, argv):
+    """--poly -2,0,1 reads as --poly=-2,0,1 does, and not as a flag with
+    its value missing."""
+    code, out, err = run(capsys, *argv, "--poly", "-2,0,1")
+    assert (code, out, err) == run(capsys, *argv, "--poly=-2,0,1")
+    assert code in (0, 1) and out
+
+
 @pytest.mark.parametrize("command", [["convert"], ["negabase", "--base", "4"]])
 def test_hexadecimal_value_beyond_the_ceiling(capsys, command):
     """Hexadecimal is read beyond the ceiling, and --json, which prints

@@ -178,7 +178,7 @@ def test_encode_outcomes_equal_the_reference_loop(p, reach):
 
 @pytest.mark.parametrize("p", [QUARTIC, SEXTIC], ids=str)
 def test_big_integers_over_the_trinomial_equal_the_reference_loop(p):
-    """2^10- to 2^12-bit integers, whose walks over X^2 + 2X + 2 jump, on
+    """2^10- to 2^12-bit integers, whose walks over X^2 + 2X + 2 read bytes, on
     the budget of their expansion's length, one short of it and one over."""
     rng = random.Random(17)
     for bits in (1024, 2048, 4096):
@@ -190,21 +190,15 @@ def test_big_integers_over_the_trinomial_equal_the_reference_loop(p):
 
 
 def spy_on_walks(monkeypatch):
-    """The big-integer walk of every call from here on: ("byte", p0, p1, j)
-    for _byte_walk, ("jump", p0, p1) for _jump_walk."""
+    """(p0, p1, j) for every _byte_walk call from here on."""
     calls = []
-    byte_walk, jump_walk = cns._byte_walk, cns._jump_walk
+    byte_walk = cns._byte_walk
 
-    def byte_spy(z, p0, p1, j, max_steps):
-        calls.append(("byte", p0, p1, j))
+    def spy(z, p0, p1, j, max_steps):
+        calls.append((p0, p1, j))
         return byte_walk(z, p0, p1, j, max_steps)
 
-    def jump_spy(z, p0, p1, max_steps):
-        calls.append(("jump", p0, p1))
-        return jump_walk(z, p0, p1, max_steps)
-
-    monkeypatch.setattr(cns, "_byte_walk", byte_spy)
-    monkeypatch.setattr(cns, "_jump_walk", jump_spy)
+    monkeypatch.setattr(cns, "_byte_walk", spy)
     return calls
 
 
@@ -212,16 +206,15 @@ def test_x_squared_plus_c_keeps_the_jump(monkeypatch):
     """X^2 + c with c > 0 is q(X^2) with q = X + c, but stays on the
     kernel above 256 bits: over X + c it would take one interpreter step
     per digit.  X^2 + 2 (X^16 = 256) and X^2 + 4 (X^8 = 256) read z a byte
-    at a time, and X^2 + 3 and X^2 + 7 jump."""
+    at a time, and X^2 + 3 and X^2 + 7 take the plain kernel."""
     calls = spy_on_walks(monkeypatch)
     z = random.Random(5).getrandbits(600) | 1 << 599
-    expected = {2: ("byte", 2, 0, 16), 3: ("jump", 3, 0), 4: ("byte", 4, 0, 8),
-                7: ("jump", 7, 0)}
-    for c, call in expected.items():
+    expected = {2: [(2, 0, 16)], 3: [], 4: [(4, 0, 8)], 7: []}
+    for c, walks in expected.items():
         p = IntPoly((c, 0, 1))
         del calls[:]
         assert cns_encode(z, p, 4000) == reference_encode(z, p, 4000)
-        assert calls == [call]
+        assert calls == walks
 
 
 def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
@@ -232,7 +225,7 @@ def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
     for p in (QUARTIC, SEXTIC):
         del calls[:]
         assert cns_encode(z, p, 8000) == reference_encode(z, p, 8000)
-        assert calls == [("byte", 2, 2, 16)]
+        assert calls == [(2, 2, 16)]
 
 
 def test_revisit_at_the_budget_exhausts_it():
@@ -336,11 +329,11 @@ def test_oracle_table_is_every_string_that_denotes_an_integer(p, max_len):
 
 
 # complex-root quadratics on which big integers read bytes (the first
-# two) or jump; X^2 - 2X + 2 represents no big integer, so its walks end
-# in a cycle
-JUMP_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]
-# and one whose jumps are 128 base-300 digits, about 1,053 bits
-WIDE_JUMP_BASES = JUMP_BASES + [IntPoly((300, 1, 1))]
+# two) or take the plain kernel; X^2 - 2X + 2 represents no big integer,
+# so its walks end in a cycle
+COMPLEX_BASES = [P, NONCNS, IntPoly((3, 1, 1)), IntPoly((5, -3, 1))]
+# and one whose digits do not fit in a byte
+WIDE_COMPLEX_BASES = COMPLEX_BASES + [IntPoly((300, 1, 1))]
 
 
 @st.composite
@@ -350,12 +343,12 @@ def big_integers(draw, max_bits):
     return magnitude if draw(st.booleans()) else -magnitude
 
 
-@pytest.mark.parametrize("p", WIDE_JUMP_BASES, ids=str)
+@pytest.mark.parametrize("p", WIDE_COMPLEX_BASES, ids=str)
 @given(z=big_integers(4000))
 @settings(max_examples=30, deadline=None)
 def test_jumps_equal_the_reference_loop(p, z):
-    """Every outcome of the jumping encoder, cycle residue included, is
-    the plain loop's, at a budget that settles every size drawn."""
+    """Every outcome of the encoder on big integers, cycle residue
+    included, is the plain loop's, at a budget that settles every size drawn."""
     max_steps = 4 * z.bit_length() + 64
     assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
@@ -372,30 +365,23 @@ def plain_steps(z, p):
     return len(seen)
 
 
-@pytest.mark.parametrize("p", JUMP_BASES, ids=str)
+@pytest.mark.parametrize("p", COMPLEX_BASES, ids=str)
 def test_jumps_exhaust_the_budget_at_the_same_step(p):
-    """Just above the size that jumps, a budget one short of the plain
-    walk's n steps, exactly n or one more, or a whole number of jumps,
-    gives the plain loop's outcome."""
+    """Just above _JUMP_MIN_BITS, a budget one short of the plain walk's
+    n steps, exactly n or one more, gives the plain loop's outcome."""
     rng = random.Random(13)
-    k = cns._JUMP_STEPS
     for bits in range(cns._JUMP_MIN_BITS + 1, cns._JUMP_MIN_BITS + 41, 4):
         for sign in (1, -1):
             z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
             n = plain_steps(z, p)
-            whole = n // k * k
-            for max_steps in {n - 1, n, n + 1, whole - 1, whole, whole + 1}:
+            for max_steps in (n - 1, n, n + 1):
                 assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
 @pytest.mark.parametrize("p", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
-@pytest.mark.parametrize("k", [1, 2, 3, 8])
-def test_short_jumps_equal_the_oracle_and_the_reference_loop(monkeypatch, p, k):
-    """With jumps of k steps from every size, the jumps come close to the
-    periodic states: the outcomes still equal the plain loop's at every
-    budget, and the digits the oracle's."""
-    monkeypatch.setattr(cns, "_JUMP_MIN_BITS", 0)
-    monkeypatch.setattr(cns, "_JUMP_STEPS", k)
+def test_short_jumps_equal_the_oracle_and_the_reference_loop(p):
+    """From every |z| <= 300, close to the periodic states, the outcomes
+    equal the plain loop's at every budget, and the digits the oracle's."""
     # about 10^4 strings or fewer for the oracle to enumerate
     max_len = {2: 12, 3: 8, 8: 4}[p.coeffs[0]]
     for z in range(-300, 301):
@@ -522,7 +508,8 @@ def test_big_integer_digits_are_pinned():
 def test_every_periodic_state_lies_in_the_box():
     """Over every quadratic with complex roots and p0 <= 8, the walk from
     every start with |a_i| <= 60 ends in a cycle or at zero, whose states
-    lie inside periodic_box(p0).  A jump is legal only if this holds."""
+    lie inside periodic_box(p0).  A byte group is kept only because this
+    holds."""
     reach = 60
     bases = [(p0, p1) for p0 in range(2, 9) for p1 in range(-5, 6) if p1 * p1 < 4 * p0]
     assert len(bases) == 59
@@ -709,7 +696,7 @@ def test_decode_is_exempt_from_the_int_string_limit():
 
 @pytest.mark.parametrize("p", [IntPoly((300, 1, 1)), IntPoly((300, 0, 1, 0, 1))], ids=str)
 def test_wide_radix_keeps_tuple_digits(p):
-    """Over X^2 + X + 300, whose jumps are about 1,053 bits, and over
+    """Over X^2 + X + 300, on the plain kernel at every size, and over
     X^4 + X^2 + 300, walked on it, the digits are a tuple of ints, equal to
     the plain loop's, and decode back; bytes cannot hold a digit of 256."""
     rng = random.Random(300)

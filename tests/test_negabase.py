@@ -296,27 +296,12 @@ def test_big_integers_equal_the_plain_loop(b):
                 assert encode_negabase(value, b).digits == plain_negabase_digits(value, b)
 
 
-@pytest.mark.parametrize("jump_min_bits", ["module", 0])
-@pytest.mark.parametrize("b", BASES)
-def test_jump_edges_equal_the_plain_loop(monkeypatch, b, jump_min_bits):
-    """Every z within b^2 of +-b^k, +-2 b^k, +-b^(2k) and +-2^_JUMP_MIN_BITS,
-    where a jump's high part crosses |h| = 2 or the size bound, at the
-    module's bound and with jumps from every size."""
-    if jump_min_bits != "module":
-        monkeypatch.setattr(negabase, "_JUMP_MIN_BITS", jump_min_bits)
-    k = negabase._JUMP_DIGITS
-    for edge in (b**k, 2 * b**k, b**(2 * k), 2**negabase._JUMP_MIN_BITS):
-        for centre in (edge, -edge):
-            for z in range(centre - b * b, centre + b * b + 1):
-                assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
-
-
 MASK_BASES = (2, 4, 16, 256)
 
 
 def mask_edge_values(b):
     """Integers where the mask's window is tightest or its bytes turn:
-    both ends of every expansion length near the jump bound, +-1; the
+    both ends of every expansion length near the size bound, +-1; the
     extremes of _JUMP_MIN_BITS +- 1 bits; +-(b^k - 1) and +-b^k over
     several bytes."""
     s = b.bit_length() - 1
@@ -342,8 +327,8 @@ def test_mask_edges_equal_the_plain_loop(b):
 @pytest.mark.parametrize("b", MASK_BASES + (3, 8, 10))
 def test_only_bases_2_to_the_s_with_s_dividing_8_take_the_mask(monkeypatch, b):
     """Above _JUMP_MIN_BITS, b in {2, 4, 16, 256} reads its digits through
-    the mask and every other b keeps the 64-digit jump; both equal the
-    plain loop.  At or below the bound nothing takes the mask."""
+    the mask and every other b takes the plain loop, with the same digits.
+    At or below the bound nothing takes the mask."""
     masked = []
 
     def spy(z, s):
@@ -449,8 +434,8 @@ def test_valid_bytes_are_stored_as_they_are():
 
 @pytest.mark.parametrize("b", [257, 300, 1000])
 def test_wide_bases_keep_tuple_digits(b):
-    """Base -b with b > 256 stores a tuple of ints, on the plain loop and on
-    the 64-digit jump, and reads back; so does a dotted digit string."""
+    """Base -b with b > 256 stores a tuple of ints, from small and big
+    integers alike, and reads back; so does a dotted digit string."""
     rng = random.Random(b)
     for bits in (1, 20, 300, 3000):
         for z in (rng.getrandbits(bits), -rng.getrandbits(bits) - 1):
