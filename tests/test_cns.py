@@ -18,7 +18,7 @@ from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepres
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
                         expansion_of, periodic_box, quadratic_walk, reduce_digits)
 from cnskit.negabase import CnsBase, Representation
-from cnskit.poly import IntPoly, poly_divrem
+from cnskit.poly import IntPoly, compose_x_power, poly_divrem
 from cnskit.trinomial import lift_representation
 from reference_loop import least_budget, reference_encode
 
@@ -378,10 +378,13 @@ def test_jumps_exhaust_the_budget_at_the_same_step(p):
                 assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
-@pytest.mark.parametrize("p", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
-def test_short_jumps_equal_the_oracle_and_the_reference_loop(p):
+@pytest.mark.parametrize("q", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_short_jumps_equal_the_oracle_and_the_reference_loop(q, m):
     """From every |z| <= 300, close to the periodic states, the outcomes
-    equal the plain loop's at every budget, and the digits the oracle's."""
+    over p = q(X^m), walked over q for m > 1, equal the plain loop's over
+    p at every budget, cycle residue included, and the digits the oracle's."""
+    p = compose_x_power(q, m)
     # about 10^4 strings or fewer for the oracle to enumerate
     max_len = {2: 12, 3: 8, 8: 4}[p.coeffs[0]]
     for z in range(-300, 301):

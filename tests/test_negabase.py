@@ -296,6 +296,21 @@ def test_big_integers_equal_the_plain_loop(b):
                 assert encode_negabase(value, b).digits == plain_negabase_digits(value, b)
 
 
+@pytest.mark.parametrize("min_bits", ["module", 0])
+@pytest.mark.parametrize("b", BASES)
+def test_size_bound_edges_equal_the_plain_loop(monkeypatch, b, min_bits):
+    """Every z within b^2 of 0, +-b^8, +-2 b^8, +-b^64 and
+    +-2^_JUMP_MIN_BITS, where the digit count turns or z crosses the size
+    bound, at the module's bound and with the bound at 0, so that bases 2
+    and 4 take the mask from every size and 3 and 10 the plain loop."""
+    if min_bits != "module":
+        monkeypatch.setattr(negabase, "_JUMP_MIN_BITS", min_bits)
+    for edge in (0, b**8, 2 * b**8, b**64, 2**negabase._JUMP_MIN_BITS):
+        for centre in {edge, -edge}:
+            for z in range(centre - b * b, centre + b * b + 1):
+                assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
+
+
 MASK_BASES = (2, 4, 16, 256)
 
 
