@@ -3,12 +3,13 @@
 The encoder runs backward division on a residue vector of the remaining
 value: the next digit is forced by the constant coefficient modulo
 |p(0)|, the stripped residue is divided by X, and the process repeats.
-One walk policy serves every base: one insertion-ordered dict of the
-states stepped from is the cycle set, the digit record (a state's digit
-is its first coordinate mod |p(0)|) and the step count.  Monic
-quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one kernel
-over two plain integers, quadratic_walk, which verify's memoised sweeps
-share; every other base walks a state tuple, and only the step differs.
+Monic quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one
+kernel over two plain integers, quadratic_walk, which verify's memoised
+sweeps share: it appends each digit to a buffer and keeps a cycle set
+only of the states that can be periodic, those in periodic_box over
+complex roots.  Every other base walks a state tuple, and one
+insertion-ordered dict of the states stepped from is its cycle set,
+digit record and step count.
 A base p = q(X^m), m > 1, the paper's X^(2m) + 2X^m + 2 among them,
 walks q instead, so the trinomial takes the kernel and the byte walk
 below: p's digits are q's spread m apart, and q's outcome on the budget
@@ -60,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from operator import add, mul
 from typing import Callable
 
@@ -131,7 +132,7 @@ class CnsExhausted:
 
 
 CnsOutcome = CnsDigits | CnsNotRepresentable | CnsExhausted
-QuadraticWalk = (tuple[dict[tuple[int, int], None], int, int]
+QuadraticWalk = (tuple[bytearray | list[int], int, int]
                  | CnsNotRepresentable | CnsExhausted)
 
 
@@ -141,46 +142,60 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
     residue (a0, a1): emit a0 mod p0, then step to (a1 - q p1, -q),
     q = a0 // p0.
 
-    The states stepped from are the keys of one dict, in order, which
-    detects a revisit and records the digits (a0 mod p0 each); zero steps
-    once, to itself, so its digits are "0".  known(w), when given, is read
-    at each integer state (w, 0) but zero: a nonzero answer, the digit
-    count of w, ends the walk there, as w's own digits follow.  Returns
-    (states, w, known(w)), or (states, 0, 0) at zero; CnsNotRepresentable
+    Each step appends its digit to a digit_buffer(p0); zero steps once,
+    to itself, so its digits are "0".  Only states inside cycle_box(p0,
+    p1) enter the cycle set: a revisited state lies on a cycle, so it and
+    its first visit are inside the box, and the revisit is caught at the
+    same step with the same residue.  known(w), when given, is read at
+    each integer state (w, 0) but zero: a nonzero answer, the digit count
+    of w, ends the walk there, as w's own digits follow.  Returns
+    (digits, w, known(w)), or (digits, 0, 0) at zero; CnsNotRepresentable
     at a revisit; CnsExhausted past max_steps digits or steps, a revisit
     found only at step max_steps included.
     """
+    box0, box1 = cycle_box(p0, p1)
+    digits = digit_buffer(p0)
+    seen = set()
     a0 = z
-    states: dict[tuple[int, int], None] = {}
     for _ in range(max_steps):
-        state = (a0, a1)
-        if state in states:
-            return CnsNotRepresentable(Residue(state))
-        states[state] = None
+        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:
+            state = (a0, a1)
+            if state in seen:
+                return CnsNotRepresentable(Residue(state))
+            seen.add(state)
         q = a0 // p0
+        digits.append(a0 - q * p0)
         a0, a1 = a1 - q * p1, -q
         if not a1:
             if not a0:
-                return states, 0, 0
+                return digits, 0, 0
             if known is not None:
                 rest = known(a0)
                 if rest:
-                    if len(states) + rest > max_steps:
+                    if len(digits) + rest > max_steps:
                         break
-                    return states, a0, rest
+                    return digits, a0, rest
     return CnsExhausted(max_steps)
 
 
-@lru_cache(maxsize=32)  # verify.walk_length reads it once per walk
 def periodic_box(p0: int) -> tuple[int, int]:
     """Bounds (b0, b1) with |a0| <= b0 and |a1| <= b1 at every periodic
     state over X^2 + p1 X + p0 with complex roots, whatever p1.
 
     A periodic A has |A(alpha)| <= (p0 - 1)/(|alpha| - 1) = sqrt(p0) + 1
     at both roots, |alpha| = sqrt(p0), and the roots lie at least 1 apart.
+    The walks keep a cycle set only inside it (see cycle_box).
     """
     s = isqrt(p0) + 1
     return (s + 1) * (2 * s + 1), 2 * (s + 1)
+
+
+@lru_cache(maxsize=32)  # read once per walk, by quadratic_walk and verify.walk_length
+def cycle_box(p0: int, p1: int) -> tuple[float, float]:
+    """periodic_box(p0) over X^2 + p1 X + p0 with complex roots, else no
+    bound: over real roots a cycle can lie outside that box (7 over
+    X^2 + 3X + 2 cycles at (-14, -7), and periodic_box(2) is (15, 6))."""
+    return periodic_box(p0) if p1 * p1 < 4 * p0 else (inf, inf)
 
 
 @lru_cache(maxsize=32)
@@ -217,13 +232,12 @@ def _carry_table(p0: int, p1: int, j: int
     return tuple(groups), tuple(carries)
 
 
-def _byte_walk(z: int, p0: int, p1: int, j: int,
-               max_steps: int) -> tuple[bytearray, QuadraticWalk]:
+def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int) -> QuadraticWalk:
     """quadratic_walk(z, p0, p1, max_steps) over a base with X^j = 256:
-    the digits of n groups of j steps, one per low byte of z, and the
-    plain walk from (z >> 8n + c0, c1) on the steps left.  n keeps the
-    top 24 bits of z, so |z >> 8n| >= 2^23 and the landing lies far outside
-    periodic_box(p0)."""
+    the digits of n groups of j steps, one per low byte of z, extended in
+    place by the plain walk from (z >> 8n + c0, c1) on the steps left.  n
+    keeps the top 24 bits of z, so |z >> 8n| >= 2^23 and the landing lies
+    far outside periodic_box(p0)."""
     groups, carries = _carry_table(p0, p1, j)
     n = max(0, min((z.bit_length() - 24) // 8, max_steps // j))
     digits, key = bytearray(), 0
@@ -231,7 +245,12 @@ def _byte_walk(z: int, p0: int, p1: int, j: int,
         group, key = groups[key + byte]
         digits += group
     c0, c1 = carries[key >> 8]
-    return digits, quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
+    walk = quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
+    if isinstance(walk, tuple):
+        digits += walk[0]
+        return digits, 0, 0
+    # running out of the steps left is the whole budget running out
+    return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
 
 
 def cns_encode(z: int, p: IntPoly, max_steps: int = DEFAULT_MAX_STEPS) -> CnsOutcome:
@@ -271,32 +290,27 @@ def _walk(z: int, pc: tuple[int, ...], max_steps: int
     """The digits of z over the base with coefficients pc, or the outcome
     that ends its walk."""
     p0 = pc[0]
-    radix = abs(p0)
-    digits = digit_buffer(radix)
     if len(pc) == 3 and p0 > 0:
-        # quadratic_walk runs on two plain integers; the state loop below
-        # is 2.4x slower on X^2 + 2X + 2
         j = z.bit_length() > _JUMP_MIN_BITS and pc[1] ** 2 < 4 * p0 and _byte_steps(p0, pc[1])
         if j:
-            digits, walk = _byte_walk(z, p0, pc[1], j, max_steps)
+            walk = _byte_walk(z, p0, pc[1], j, max_steps)
         else:
             walk = quadratic_walk(z, p0, pc[1], max_steps)
-        if not isinstance(walk, tuple):  # after the groups the walk had the steps left
-            return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
-        states = walk[0]
-    else:
-        d = len(pc) - 1
-        state = (z,) + (0,) * (d - 1)
-        zero = (0,) * d
-        states = {}
-        while state != zero:
-            if len(states) >= max_steps:
-                return CnsExhausted(max_steps)
-            if state in states:
-                return CnsNotRepresentable(Residue(state))
-            states[state] = None
-            q = (state[0] - state[0] % radix) // p0
-            state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
+        return walk[0] if isinstance(walk, tuple) else walk
+    radix = abs(p0)
+    d = len(pc) - 1
+    state = (z,) + (0,) * (d - 1)
+    zero = (0,) * d
+    states = {}
+    while state != zero:
+        if len(states) >= max_steps:
+            return CnsExhausted(max_steps)
+        if state in states:
+            return CnsNotRepresentable(Residue(state))
+        states[state] = None
+        q = (state[0] - state[0] % radix) // p0
+        state = tuple(state[i + 1] - q * pc[i + 1] for i in range(d - 1)) + (-q,)
+    digits = digit_buffer(radix)
     digits.extend([s[0] % radix for s in states])
     return digits or [0]
 

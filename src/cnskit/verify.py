@@ -6,12 +6,13 @@ parameters; only the elapsed-time field varies between runs.  The whole
 suite runs in one process.  The per-integer sweeps walk backward
 division, cut short at the first integer state whose answer is already
 stored: the LengthTable that checks ii, iii, v, vi and viii read counts
-steps by walk_length, whose cycle set holds only periodic states, and
-the expansion sweep that check i compares digit for digit and check ix
-sums records digits on cns's kernel, quadratic_walk.  When both run,
-the sweep runs once: check i records the digit-sum failures as it
-walks, and check ix reads them.  Check vii reads leading block
-lengths from a byte store filled by the base -4 digit recurrence.
+steps by walk_length, and the expansion sweep that check i compares
+digit for digit and check ix sums takes the digit buffer of cns's
+kernel, quadratic_walk.  Both keep a cycle set only of the states
+inside cns.cycle_box, the only ones that can be periodic.  When both
+run, the sweep runs once: check i records the digit-sum failures as it
+walks, and check ix reads them.  Check vii reads leading block lengths
+from a byte store filled by the base -4 digit recurrence.
 
 Checks vii and viii take their pair grid a row at a time: for fixed x,
 the stored values of y, x + y and xy over the grid are slices of a byte
@@ -30,7 +31,7 @@ from operator import sub
 from typing import Callable, Iterable, Iterator
 
 from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, NotRepresentableError,
-                  Residue, cns_encode, cns_length, expansion_of, periodic_box, quadratic_walk)
+                  Residue, cns_encode, cns_length, cycle_box, expansion_of, quadratic_walk)
 from .negabase import Representation, extremal_of_length, format_digits, length_negabase
 from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
                      build_scheme, convert, leading_digit_length, penney_standard,
@@ -127,7 +128,7 @@ def _expansion(z: int, p: IntPoly) -> Representation:
 
 
 def _walk(z: int, known: Callable[[int], int] | None = None
-          ) -> tuple[dict[tuple[int, int], None], int, int]:
+          ) -> tuple[bytearray, int, int]:
     """quadratic_walk of z over X^2 + 2X + 2 on the default budget; a walk
     without digits raises NotRepresentableError or StepBudgetError."""
     walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
@@ -173,17 +174,16 @@ def _store(bound: int, make: Callable[[int], bytearray | list]) -> bytearray | l
 
 def walk_length(z: int, p0: int, p1: int, data: bytearray, bound: int,
                 max_steps: int = DEFAULT_MAX_STEPS) -> int:
-    """The length of z over X^2 + p1 X + p0 with complex roots: the
+    """The length of z over X^2 + p1 X + p0, p0 > 0: the
     backward-division steps from (z, 0) to zero, or to the first integer
     state w with a nonzero stored length data[w + bound], plus that
     length.  These are quadratic_walk's steps, and a walk without digits
     raises as expansion_of does on quadratic_walk's outcome.
 
-    Only states inside periodic_box(p0) enter the cycle set: a revisited
-    state lies on a cycle, so it and its first visit are inside the box,
-    and the revisit is caught at the same step with the same residue.
+    Only states inside cycle_box(p0, p1) enter the cycle set, as in
+    quadratic_walk.
     """
-    box0, box1 = periodic_box(p0)
+    box0, box1 = cycle_box(p0, p1)
     seen = set()
     a0, a1 = z, 0
     steps = 0
@@ -265,8 +265,8 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, bytes]]:
         return len(memo[index]) if 0 <= index < size else 0
 
     for z in _outward(bound):
-        states, w, _ = _walk(z, known)
-        expansion = bytes([a0 & 1 for a0, _ in states]) + memo[w + reach]
+        digits, w, _ = _walk(z, known)
+        expansion = bytes(digits) + memo[w + reach]
         # the entry of 0 stays empty: a walk that reaches the zero state ends there
         if z and -reach <= z <= reach:
             memo[z + reach] = expansion

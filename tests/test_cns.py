@@ -140,9 +140,9 @@ def test_quadratic_and_generic_paths_agree():
     walks over X^2 + 2X + 2."""
     max_len = 12
     for z in range(-300, 301):
-        states, w, rest = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
+        digits, w, rest = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
         assert (w, rest) == (0, 0)
-        fast = Representation(CnsBase(P), tuple(a0 % 2 for a0, _ in states))
+        fast = Representation(CnsBase(P), bytes(digits))
         found = brute_force_oracle(z, P, max_len)
         if fast.length <= max_len:
             assert found == fast
@@ -155,8 +155,11 @@ def test_quadratic_and_generic_paths_agree():
 
 @pytest.mark.parametrize("p, reach", [
     pytest.param(p, reach, id=str(p)) for p, reach in [
-        # the quadratic kernel
+        # the quadratic kernel; over real roots every state enters the
+        # cycle set, over complex roots only those in periodic_box, here
+        # with p0 > 256 and list digits
         (P, 3000), (NONCNS, 3000), (COUNTER, 3000),
+        (IntPoly((2, 3, 1)), 300), (IntPoly((300, 1, 1)), 300),
         # the generic loop: a negative p(0); over q(X^m), q's walk: the
         # quartic and the sextic on the kernel, X^4 - 2X^2 + 2, which
         # cycles, q(0) < 0, and q = X - 3, X + 2 on a state of one integer
@@ -228,6 +231,16 @@ def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
         assert calls == [(2, 2, 16)]
 
 
+def test_real_roots_cycle_outside_the_box():
+    """7 over X^2 + 3X + 2 = (X + 1)(X + 2) cycles at (-14, -7), outside
+    periodic_box(2), so the kernel keeps every state over real roots."""
+    outcome = cns_encode(7, IntPoly((2, 3, 1)))
+    assert outcome == CnsNotRepresentable(Residue((-14, -7)))
+    a0, a1 = outcome.cycle.coeffs
+    box0, box1 = periodic_box(2)
+    assert not (abs(a0) <= box0 and abs(a1) <= box1)
+
+
 def test_revisit_at_the_budget_exhausts_it():
     # -1 over X^2 - 2X + 2 steps to (-2, 1), then (-1, 1) twice
     assert cns_encode(-1, NONCNS, 3) == CnsExhausted(3)
@@ -242,8 +255,8 @@ def test_memo_hook_changes_no_digit(p):
     p0, p1, _ = p.coeffs
 
     def digits_of_walk(walk):
-        states, w, rest = walk
-        return [a0 % p0 for a0, _ in states] + memo.get(w, [])
+        digits, w, rest = walk
+        return list(digits) + memo.get(w, [])
 
     memo = {}
     for w in range(-500, 501):

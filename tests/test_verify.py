@@ -99,7 +99,7 @@ def walked(walk, *args, **kwargs):
 
 
 def kernel_length(z, p0, p1, data, bound, max_steps=DEFAULT_MAX_STEPS):
-    """len(states) + rest of quadratic_walk reading the stored lengths
+    """len(digits) + rest of quadratic_walk reading the stored lengths
     data[w + bound]; a walk without digits raises through expansion_of."""
     def known(w):
         return data[w + bound] if -bound <= w <= bound else 0
@@ -107,8 +107,8 @@ def kernel_length(z, p0, p1, data, bound, max_steps=DEFAULT_MAX_STEPS):
     walk = quadratic_walk(z, p0, p1, max_steps, known)
     if not isinstance(walk, tuple):
         expansion_of(walk, z, IntPoly((p0, p1, 1)))
-    states, _, rest = walk
-    return len(states) + rest
+    digits, _, rest = walk
+    return len(digits) + rest
 
 
 def test_walk_length_counts_the_kernel_steps_below_the_table(table):
@@ -125,11 +125,13 @@ def test_walk_length_counts_the_kernel_steps_beyond_the_table(table):
                 == kernel_length(z, 2, 2, table.data, SMALL_BOUND))
 
 
-@pytest.mark.parametrize("p0, p1", [(2, -2), (7, -5)])
+@pytest.mark.parametrize("p0, p1", [(2, -2), (7, -5), (2, 3)])
 def test_walk_length_raises_as_the_kernel_on_bases_with_cycles(p0, p1):
-    """Over X^2 - 2X + 2 the negative integers cycle, and over X^2 - 5X + 7
-    cycles reach |a0| = 8, deep inside periodic_box; a table of what is
-    representable below 30 (0 for the rest) is read as the kernel reads it."""
+    """Over X^2 - 2X + 2 the negative integers cycle, over X^2 - 5X + 7
+    cycles reach |a0| = 8, deep inside periodic_box, and over X^2 + 3X + 2,
+    with real roots, 7 cycles at (-14, -7), outside periodic_box(2); a
+    table of what is representable below 30 (0 for the rest) is read as
+    the kernel reads it."""
     bound = 30
     data = bytearray(2 * bound + 1)
     for z in range(-bound, bound + 1):
@@ -138,6 +140,9 @@ def test_walk_length_raises_as_the_kernel_on_bases_with_cycles(p0, p1):
     if (p0, p1) == (2, -2):
         assert walked(walk_length, -42, 2, -2, data, bound) == (
             NotRepresentableError, "-42 is not representable over 2,-2,1 (cycle residue (-1, 1))")
+    if (p0, p1) == (2, 3):
+        assert walked(walk_length, 7, 2, 3, bytearray(1), 0) == (
+            NotRepresentableError, "7 is not representable over 2,3,1 (cycle residue (-14, -7))")
     outcomes = set()
     for z in range(-3000, 3001):
         outcome = walked(walk_length, z, p0, p1, data, bound)
