@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, brief,
                   brief_coeffs, cns_decode, cns_encode, expansion_of)
@@ -31,6 +31,15 @@ from .verify import DEFAULT_SEED, SAMPLE_COUNT, run_suite
 MAX_DECIMAL_DIGITS = 100_000  # the most read or printed; both take quadratic time
 # words argparse reads as values, not flags: -0x1f and -2,0,1 as well as -31
 _NEGATIVE_VALUE = re.compile(r"^-(\d+(,-?\d+)*|\d*\.\d+|0x\w*)$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections end in main's one error: line
+    and exit 2, without the usage text; add_subparsers builds its
+    subparsers from this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 def _poly_arg(text: str) -> IntPoly:
@@ -205,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cnskit",
         description="Canonical digit expansions over monic integer polynomials.")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -4,12 +4,12 @@ The encoder runs backward division on a residue vector of the remaining
 value: the next digit is forced by the constant coefficient modulo
 |p(0)|, the stripped residue is divided by X, and the process repeats.
 Monic quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one
-kernel over two plain integers, quadratic_walk, which verify's memoised
-sweeps share: it appends each digit to a buffer and keeps a cycle set
-only of the states that can be periodic, those in periodic_box over
-complex roots.  Every other base walks a state tuple, and one
-insertion-ordered dict of the states stepped from is its cycle set,
-digit record and step count.
+kernel over two plain integers, quadratic_walk, whose rules
+quadratic_length keeps to count steps instead of digits (verify's sweeps
+use both): it keeps a cycle set only of the states in cycle_box, the
+only ones that can be periodic.  Every other base walks a state tuple,
+and one insertion-ordered dict of the states stepped from is its cycle
+set, digit record and step count.
 A base p = q(X^m), m > 1, the paper's X^(2m) + 2X^m + 2 among them,
 walks q instead, so the trinomial takes the kernel and the byte walk
 below: p's digits are q's spread m apart, and q's outcome on the budget
@@ -17,7 +17,7 @@ below: p's digits are q's spread m apart, and q's outcome on the budget
 indices of p's nonzero coefficients.  X^2 + c with c > 0 keeps the
 kernel, as its q = X + c would walk a state tuple.
 
-Big integers on a quadratic with complex roots (p1^2 < 4 p0) where
+Big integers, of more than FAST_PATH_BITS bits, on a quadratic where
 X^j = 256 mod p skip most interpreter steps (j = 16 over X^2 +- 2X + 2,
 so over the trinomial's q, and X^2 + 2; j = 8 over X^2 + 4).  The first
 j digits of A depend only on A mod X^j = A mod 256, i.e. on a0 and a1
@@ -26,8 +26,10 @@ Knuth's radix trick on Penney's base -1 + i, whose 16th power is 256.
 From (z, 0) the walk is at (z >> 8g + c0, c1) after g groups of j
 steps, (c0, c1) one of a few carries, so one table of j plain steps from
 (c0 + b, c1) per carry and byte b gives a group's digits and the next
-carry for each byte of z.  Every other base walks the plain loop at every
-size.  Three rules keep every outcome the plain loop's:
+carry for each byte of z.  Such a p has complex roots, as real j-th roots
+of 256 are +-alpha (p0 < 0) or a double root (X^j mod p not constant).
+Every other base walks the plain loop at every size.  Three rules keep
+every outcome the plain loop's:
   - a group is kept only if it lands outside the box that holds every
     periodic state, as keeping z's top 24 bits ensures; a state it skips
     is then not periodic, so it is never revisited and is not zero, and
@@ -65,15 +67,13 @@ from math import gcd, inf, isqrt
 from operator import add, mul
 from typing import Callable
 
-from .negabase import (PARSE_RADICES, CnsBase, Representation, digit_buffer,
-                       values_at_power_of_two)
+from .negabase import (FAST_PATH_BITS, PARSE_RADICES, CnsBase, Representation,
+                       digit_buffer, values_at_power_of_two)
 from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
 
-# a walk from z of more bits than this reads z a byte at a time where some
-# X^j, j <= _BYTE_MAX_STEPS, is 256 mod p; every other base walks the plain loop
-_JUMP_MIN_BITS = 256
+# the byte walk reads z a byte per j steps where X^j = 256 mod p, j <= this
 _BYTE_MAX_STEPS = 16
 # a digit string is reduced this many digits at a time, unless some X^e,
 # e <= _POWER_MAX_EXPONENT over q, is a constant of PARSE_RADICES mod p
@@ -132,26 +132,24 @@ class CnsExhausted:
 
 
 CnsOutcome = CnsDigits | CnsNotRepresentable | CnsExhausted
-QuadraticWalk = (tuple[bytearray | list[int], int, int]
-                 | CnsNotRepresentable | CnsExhausted)
+QuadraticWalk = tuple[bytearray | list[int], int] | CnsNotRepresentable | CnsExhausted
 
 
 def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
                    known: Callable[[int], int] | None = None, a1: int = 0) -> QuadraticWalk:
     """Backward division of z + a1 X over X^2 + p1 X + p0, p0 > 0, on the
     residue (a0, a1): emit a0 mod p0, then step to (a1 - q p1, -q),
-    q = a0 // p0.
-
-    Each step appends its digit to a digit_buffer(p0); zero steps once,
-    to itself, so its digits are "0".  Only states inside cycle_box(p0,
-    p1) enter the cycle set: a revisited state lies on a cycle, so it and
-    its first visit are inside the box, and the revisit is caught at the
-    same step with the same residue.  known(w), when given, is read at
-    each integer state (w, 0) but zero: a nonzero answer, the digit count
-    of w, ends the walk there, as w's own digits follow.  Returns
-    (digits, w, known(w)), or (digits, 0, 0) at zero; CnsNotRepresentable
-    at a revisit; CnsExhausted past max_steps digits or steps, a revisit
-    found only at step max_steps included.
+    q = a0 // p0, appending each digit to a digit_buffer(p0); zero steps
+    once, to itself, so its digits are "0".  Its rules, which
+    quadratic_length keeps: only states inside cycle_box(p0, p1) enter the
+    cycle set, as a revisited state is periodic, so inside the box at both
+    visits, and the revisit is caught at the same step with the same residue;
+    known(w), when given, is read at each integer state (w, 0) but zero,
+    and a nonzero answer, the digit count of w, ends the walk there; more
+    than max_steps digits or steps, counting known's answer and a revisit
+    found only at step max_steps, exhaust the budget.  Returns (digits, w),
+    w the state it stopped at or 0, CnsNotRepresentable at a revisit or
+    CnsExhausted.
     """
     box0, box1 = cycle_box(p0, p1)
     digits = digit_buffer(p0)
@@ -168,34 +166,61 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
         a0, a1 = a1 - q * p1, -q
         if not a1:
             if not a0:
-                return digits, 0, 0
+                return digits, 0
             if known is not None:
                 rest = known(a0)
                 if rest:
                     if len(digits) + rest > max_steps:
                         break
-                    return digits, a0, rest
+                    return digits, a0
     return CnsExhausted(max_steps)
 
 
-def periodic_box(p0: int) -> tuple[int, int]:
-    """Bounds (b0, b1) with |a0| <= b0 and |a1| <= b1 at every periodic
-    state over X^2 + p1 X + p0 with complex roots, whatever p1.
-
-    A periodic A has |A(alpha)| <= (p0 - 1)/(|alpha| - 1) = sqrt(p0) + 1
-    at both roots, |alpha| = sqrt(p0), and the roots lie at least 1 apart.
-    The walks keep a cycle set only inside it (see cycle_box).
+def quadratic_length(z: int, p0: int, p1: int, data: bytearray, bound: int,
+                     max_steps: int = DEFAULT_MAX_STEPS) -> int:
+    """The length of z: quadratic_walk(z, p0, p1, max_steps, known) with
+    known(w) = data[w + bound] for |w| <= bound, counting steps instead of
+    recording digits, plus the stored length it stops at.  A walk without
+    digits raises as expansion_of does on the kernel's outcome.  The
+    length table's own loop: the kernel with a hook fills it 1.5x slower.
     """
+    box0, box1 = cycle_box(p0, p1)
+    seen = set()
+    a0, a1 = z, 0
+    steps = 0
+    while steps < max_steps:  # a counter is faster than a range per walk
+        steps += 1
+        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:
+            state = (a0, a1)
+            if state in seen:
+                expansion_of(CnsNotRepresentable(Residue(state)), z, IntPoly((p0, p1, 1)))
+            seen.add(state)
+        q = a0 // p0
+        a0, a1 = a1 - q * p1, -q
+        if not a1:
+            if not a0:
+                return steps
+            if -bound <= a0 <= bound:
+                rest = data[a0 + bound]
+                if rest:
+                    if steps + rest > max_steps:
+                        break
+                    return steps + rest
+    expansion_of(CnsExhausted(max_steps), z, IntPoly((p0, p1, 1)))  # raises
+
+
+@lru_cache(maxsize=32)  # read once per walk, by quadratic_walk and quadratic_length
+def cycle_box(p0: int, p1: int) -> tuple[float, float]:
+    """Bounds (b0, b1) with |a0| <= b0 and |a1| <= b1 at every periodic
+    state over X^2 + p1 X + p0, p0 > 0.  Over complex roots a periodic A
+    has |A(alpha)| <= (p0 - 1)/(|alpha| - 1) = sqrt(p0) + 1 at both roots,
+    |alpha| = sqrt(p0), which lie at least 1 apart.  Over real roots there
+    is none: 7 over X^2 + 3X + 2 cycles at (-14, -7), outside (15, 6), the
+    box over complex roots for p0 = 2."""
+    if p1 * p1 >= 4 * p0:
+        return inf, inf
     s = isqrt(p0) + 1
     return (s + 1) * (2 * s + 1), 2 * (s + 1)
-
-
-@lru_cache(maxsize=32)  # read once per walk, by quadratic_walk and verify.walk_length
-def cycle_box(p0: int, p1: int) -> tuple[float, float]:
-    """periodic_box(p0) over X^2 + p1 X + p0 with complex roots, else no
-    bound: over real roots a cycle can lie outside that box (7 over
-    X^2 + 3X + 2 cycles at (-14, -7), and periodic_box(2) is (15, 6))."""
-    return periodic_box(p0) if p1 * p1 < 4 * p0 else (inf, inf)
 
 
 @lru_cache(maxsize=32)
@@ -237,7 +262,7 @@ def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int) -> QuadraticWal
     the digits of n groups of j steps, one per low byte of z, extended in
     place by the plain walk from (z >> 8n + c0, c1) on the steps left.  n
     keeps the top 24 bits of z, so |z >> 8n| >= 2^23 and the landing lies
-    far outside periodic_box(p0)."""
+    far outside cycle_box(p0, p1)."""
     groups, carries = _carry_table(p0, p1, j)
     n = max(0, min((z.bit_length() - 24) // 8, max_steps // j))
     digits, key = bytearray(), 0
@@ -248,7 +273,7 @@ def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int) -> QuadraticWal
     walk = quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
     if isinstance(walk, tuple):
         digits += walk[0]
-        return digits, 0, 0
+        return digits, 0
     # running out of the steps left is the whole budget running out
     return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
 
@@ -291,7 +316,7 @@ def _walk(z: int, pc: tuple[int, ...], max_steps: int
     that ends its walk."""
     p0 = pc[0]
     if len(pc) == 3 and p0 > 0:
-        j = z.bit_length() > _JUMP_MIN_BITS and pc[1] ** 2 < 4 * p0 and _byte_steps(p0, pc[1])
+        j = z.bit_length() > FAST_PATH_BITS and _byte_steps(p0, pc[1])
         if j:
             walk = _byte_walk(z, p0, pc[1], j, max_steps)
         else:

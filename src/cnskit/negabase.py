@@ -15,7 +15,7 @@ of z and M = sum over odd i < n of (b-1) b^i,
 and every coefficient lies in 0..b-1, so the base -b digits of z are the
 base-b digits of (z + M) XOR M, read from its bytes.  That holds for any
 window of n digits that contains the expansion; an even n with
-n s >= bits(z) + 16 does.  Only z of more than _JUMP_MIN_BITS bits take
+n s >= bits(z) + 16 does.  Only z of more than FAST_PATH_BITS bits take
 the mask: at |z| <= 10^5 it costs about three times the plain loop
 (3.6 against 1.2 us, base -4, 2 cores, Python 3.11).
 
@@ -35,9 +35,9 @@ from typing import Sequence
 
 from .poly import IntPoly, poly_eval
 
-# an integer of more bits than this takes its digits by the mask when b = 2^s
-# with s dividing 8; every other b takes the plain loop at every size
-_JUMP_MIN_BITS = 256
+# an integer of more bits than this takes the mask when b = 2^s, s dividing 8,
+# and cns's byte walk where X^j = 256 mod p; every other base, the plain loop
+FAST_PATH_BITS = 256
 
 # the |t| that values_at_power_of_two reads: int() parses a string in these
 # bases in linear time, and exempts them from int_max_str_digits
@@ -168,12 +168,12 @@ class Representation:
 def negabase_digits(z: int, b: int) -> bytearray | list[int]:
     """The base -b digits of z, least significant first, unchecked; none for 0.
 
-    Beyond _JUMP_MIN_BITS bits, b = 2^s with s dividing 8 takes the mask
+    Beyond FAST_PATH_BITS bits, b = 2^s with s dividing 8 takes the mask
     (see the module docstring); every other b takes one division per digit.
     """
     if b < 2:
         raise ValueError(f"negative base needs b >= 2, got {b}")
-    if z.bit_length() > _JUMP_MIN_BITS:
+    if z.bit_length() > FAST_PATH_BITS:
         s = b.bit_length() - 1
         if b == 1 << s and 8 % s == 0:
             return _masked_digits(z, s)

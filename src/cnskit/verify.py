@@ -4,15 +4,14 @@ Each check sweeps a stated range exactly (no floating point, no tolerance)
 and returns a VerificationReport whose content is deterministic given its
 parameters; only the elapsed-time field varies between runs.  The whole
 suite runs in one process.  The per-integer sweeps walk backward
-division, cut short at the first integer state whose answer is already
-stored: the LengthTable that checks ii, iii, v, vi and viii read counts
-steps by walk_length, and the expansion sweep that check i compares
-digit for digit and check ix sums takes the digit buffer of cns's
-kernel, quadratic_walk.  Both keep a cycle set only of the states
-inside cns.cycle_box, the only ones that can be periodic.  When both
-run, the sweep runs once: check i records the digit-sum failures as it
-walks, and check ix reads them.  Check vii reads leading block lengths
-from a byte store filled by the base -4 digit recurrence.
+division on cns's rules (see cns.quadratic_walk), cut short at the first
+integer state whose answer is already stored: the LengthTable that
+checks ii, iii, v, vi and viii read counts steps by cns.quadratic_length,
+and the expansion sweep that check i compares digit for digit and check
+ix sums takes the digit buffer of quadratic_walk.  When both run, the
+sweep runs once: check i records the digit-sum failures as it walks,
+and check ix reads them.  Check vii reads leading block lengths from a
+byte store filled by the base -4 digit recurrence.
 
 Checks vii and viii take their pair grid a row at a time: for fixed x,
 the stored values of y, x + y and xy over the grid are slices of a byte
@@ -30,8 +29,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable, Iterator
 
-from .cns import (DEFAULT_MAX_STEPS, CnsExhausted, CnsNotRepresentable, NotRepresentableError,
-                  Residue, cns_encode, cns_length, cycle_box, expansion_of, quadratic_walk)
+from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
+                  expansion_of, quadratic_length, quadratic_walk)
 from .negabase import Representation, extremal_of_length, format_digits, length_negabase
 from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
                      build_scheme, convert, leading_digit_length, penney_standard,
@@ -127,8 +126,7 @@ def _expansion(z: int, p: IntPoly) -> Representation:
     return expansion_of(cns_encode(z, p), z, p)
 
 
-def _walk(z: int, known: Callable[[int], int] | None = None
-          ) -> tuple[bytearray, int, int]:
+def _walk(z: int, known: Callable[[int], int] | None = None) -> tuple[bytearray, int]:
     """quadratic_walk of z over X^2 + 2X + 2 on the default budget; a walk
     without digits raises NotRepresentableError or StepBudgetError."""
     walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
@@ -172,48 +170,12 @@ def _store(bound: int, make: Callable[[int], bytearray | list]) -> bytearray | l
                          "more memory than can be allocated") from None
 
 
-def walk_length(z: int, p0: int, p1: int, data: bytearray, bound: int,
-                max_steps: int = DEFAULT_MAX_STEPS) -> int:
-    """The length of z over X^2 + p1 X + p0, p0 > 0: the
-    backward-division steps from (z, 0) to zero, or to the first integer
-    state w with a nonzero stored length data[w + bound], plus that
-    length.  These are quadratic_walk's steps, and a walk without digits
-    raises as expansion_of does on quadratic_walk's outcome.
-
-    Only states inside cycle_box(p0, p1) enter the cycle set, as in
-    quadratic_walk.
-    """
-    box0, box1 = cycle_box(p0, p1)
-    seen = set()
-    a0, a1 = z, 0
-    steps = 0
-    while steps < max_steps:  # a counter is faster than a range per walk
-        steps += 1
-        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:
-            state = (a0, a1)
-            if state in seen:
-                expansion_of(CnsNotRepresentable(Residue(state)), z, IntPoly((p0, p1, 1)))
-            seen.add(state)
-        q = a0 // p0
-        a0, a1 = a1 - q * p1, -q
-        if not a1:
-            if not a0:
-                return steps
-            if -bound <= a0 <= bound:
-                rest = data[a0 + bound]
-                if rest:
-                    if steps + rest > max_steps:
-                        break
-                    return steps + rest
-    expansion_of(CnsExhausted(max_steps), z, IntPoly((p0, p1, 1)))  # raises
-
-
 @dataclass(frozen=True)
 class LengthTable:
     """Lengths over X^2 + 2X + 2 of every |z| <= bound, one byte each.
 
     data[z + bound] is the length of z; table[z] reads it, and beyond
-    the bound counts walk_length's steps down to a stored value.
+    the bound counts quadratic_length's steps down to a stored value.
     """
 
     bound: int
@@ -226,13 +188,13 @@ class LengthTable:
         bound = self.bound
         if -bound <= z <= bound:
             return self.data[z + bound]
-        return walk_length(z, 2, 2, self.data, bound)
+        return quadratic_length(z, 2, 2, self.data, bound)
 
 
 def compute_length_table(bound: int) -> LengthTable:
     """Length over X^2 + 2X + 2 of every |z| <= bound, by direct digit extraction.
 
-    z runs through 0, 1, -1, 2, -2, ...; each walk_length stops at the
+    z runs through 0, 1, -1, 2, -2, ...; each quadratic_length stops at the
     first integer state whose length is already stored, and stores the
     steps taken plus that length.  Every length still comes from backward
     division steps, never from the block formula.
@@ -242,7 +204,7 @@ def compute_length_table(bound: int) -> LengthTable:
     _walk_ends(bound)
     data = _store(bound, bytearray)
     for z in _outward(bound):
-        data[z + bound] = walk_length(z, 2, 2, data, bound)
+        data[z + bound] = quadratic_length(z, 2, 2, data, bound)
     return LengthTable(bound, data)
 
 
@@ -265,7 +227,7 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, bytes]]:
         return len(memo[index]) if 0 <= index < size else 0
 
     for z in _outward(bound):
-        digits, w, _ = _walk(z, known)
+        digits, w = _walk(z, known)
         expansion = bytes(digits) + memo[w + reach]
         # the entry of 0 stays empty: a walk that reaches the zero state ends there
         if z and -reach <= z <= reach:
@@ -313,11 +275,15 @@ def _lengths_by_sign(lengths: LengthTable) -> tuple[list[int], list[int]]:
 
 def check_length_set(prefix_len: int = 10, *,
                      lengths: LengthTable) -> VerificationReport:
-    """Attained expansion lengths over the table's range form exactly a
-    prefix of the increasing integers that are 0 or 1 mod 4 (zero excluded)."""
+    """Attained expansion lengths over the table's range are integers 0 or
+    1 mod 4 (zero excluded), and each such integer below the frontier, the
+    lesser of the two signs' largest lengths, is attained: above it, one
+    sign may reach a length that the other reaches only beyond the range."""
     t0 = time.perf_counter()
-    attained = sorted(set(lengths.data))
-    top = attained[-1] if attained else 0
+    pos, neg = _lengths_by_sign(lengths)
+    attained = sorted({*pos, *neg, lengths.data[lengths.bound]})
+    top = attained[-1]
+    frontier = min(pos[-1], neg[-1]) if pos and neg else 0
     # a(n) >= n, so indices up to top reach every a(n) <= top
     expected = [v for v in map(seq_a, range(1, top + 1)) if v <= top]
     counterexamples = []
@@ -325,14 +291,15 @@ def check_length_set(prefix_len: int = 10, *,
         if L % 4 not in (0, 1):
             counterexamples.append(["bad_mod4", L])
     unexpected = sorted(set(attained) - set(expected))
-    missing = sorted(set(expected) - set(attained))
+    missing = sorted(L for L in set(expected) - set(attained) if L < frontier)
     for L in unexpected:
         counterexamples.append(["unexpected_length", L])
     for L in missing:
         counterexamples.append(["missing_length", L])
     if len(attained) < prefix_len:
         counterexamples.append(["insufficient_range", len(attained), prefix_len])
-    params = {"bound": lengths.bound, "prefix_len": prefix_len, "attained": attained}
+    params = {"bound": lengths.bound, "prefix_len": prefix_len, "attained": attained,
+              "frontier": frontier}
     return _finish("length_set", params, counterexamples, [], t0)
 
 

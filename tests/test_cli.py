@@ -786,3 +786,82 @@ def test_the_process_limit_is_restored(capsys):
         assert sys.get_int_max_str_digits() == 4321
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def rejection(id, code, *argv, stdout=None):
+    """A row of the exit table: argv exits with code and one stderr line
+    starting "error: ", or, given a stdout prefix, with one stdout line
+    starting with it and nothing on stderr."""
+    return pytest.param(list(argv), code, stdout, id=id)
+
+
+# one row per subcommand and class of input in MANUAL's exit table; the
+# classes a child under a memory limit shows are in test_out_of_memory_exits_2
+EXIT_TABLE = [
+    # 2, rejected by the parser
+    rejection("no-subcommand", 2),
+    rejection("unknown-subcommand", 2, "bogus"),
+    rejection("unknown-flag", 2, "encode", "--value", "3", "--bogus"),
+    rejection("encode-missing-value", 2, "encode"),
+    rejection("encode-bad-value", 2, "encode", "--value", "abc"),
+    rejection("encode-bad-budget", 2, "encode", "--value", "5", "--max-steps", "0"),
+    rejection("encode-malformed-poly", 2, "encode", "--value", "5", "--poly", "2,,1"),
+    rejection("encode-empty-poly", 2, "encode", "--value", "5", "--poly", ""),
+    rejection("decode-missing-digits", 2, "decode"),
+    rejection("negabase-bad-base", 2, "negabase", "--base", "0", "--value", "5"),
+    rejection("negabase-no-direction", 2, "negabase", "--base", "4"),
+    rejection("negabase-both-directions", 2, "negabase", "--base", "4", "--value", "1",
+              "--digits", "1"),
+    rejection("convert-bad-c", 2, "convert", "--c", "0", "--value", "3"),
+    rejection("scheme-bad-d", 2, "scheme", "--d", "-1"),
+    rejection("lift-bad-k", 2, "lift", "--digits", "1101", "--k", "0"),
+    rejection("seq-unknown-name", 2, "seq", "--name", "z", "--count", "5"),
+    rejection("seq-bad-count", 2, "seq", "--name", "a", "--count", "0"),
+    rejection("verify-bad-range", 2, "verify", "--range", "0"),
+    rejection("verify-bad-seed", 2, "verify", "--seed", "x"),
+    # 2, rejected by the library
+    rejection("encode-non-monic", 2, "encode", "--poly", "2,2,2", "--value", "3"),
+    rejection("encode-unit-constant", 2, "encode", "--poly", "1,2,1", "--value", "3"),
+    rejection("decode-malformed-digits", 2, "decode", "--digits", "1x"),
+    rejection("negabase-digit-out-of-range", 2, "negabase", "--base", "4", "--digits", "19"),
+    rejection("lift-empty-digits", 2, "lift", "--digits", "", "--k", "2"),
+    rejection("scheme-too-large", 2, "scheme", "--c", "1125899906842624", "--d", "100"),
+    rejection("verify-empty-suite", 2, "verify", "--suite", ","),
+    rejection("verify-unknown-suite", 2, "verify", "--suite", "x"),
+    rejection("verify-unwritable-report", 2, "verify", "--suite", "iv", "--report",
+              "{tmp}/missing/checks.jsonl"),
+    rejection("verify-range-beyond-the-store", 2, "verify", "--suite", "ii", "--range",
+              str(2**70)),
+    # 1
+    rejection("encode-not-representable", 1, "encode", "--poly", "2,-2,1", "--value", "2"),
+    rejection("decode-non-constant", 1, "decode", "--digits", "10"),
+    rejection("convert-violation", 1, "convert", "--poly", "8,4,1", "--c", "64", "--d", "4",
+              "--value", "3", stdout="violation "),
+    rejection("scheme-violation", 1, "scheme", "--poly", "8,4,1", "--c", "64", "--d", "4",
+              stdout="violation "),
+    rejection("verify-failure", 1, "verify", "--suite", "viii", "--range", "300",
+              "--samples", "1", stdout="FAIL additive_bounds "),
+    # 3
+    rejection("encode-budget", 3, "encode", "--value", "820", "--max-steps", "3"),
+    rejection("convert-budget", 3, "convert", "--max-steps", "1", "--value", "3"),
+    rejection("scheme-budget", 3, "scheme", "--max-steps", "1"),
+    rejection("verify-range-beyond-the-budget", 3, "verify", "--suite", "ii", "--range",
+              str(2**5000)),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", EXIT_TABLE)
+def test_every_rejection_is_one_line(capsys, tmp_path, argv, code, stdout):
+    """The documented exit code and one line: an error: line on stderr
+    with nothing on stdout, or the documented stdout line with nothing
+    on stderr; never the usage text or a traceback."""
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if stdout is None:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        assert out.startswith(stdout) and out.count("\n") == 1, out

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from cnskit import cns
 from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepresentable,
-                        NotRepresentableError, Residue, StepBudgetError,
+                        NotRepresentableError, Residue, StepBudgetError, brief,
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
-                        expansion_of, periodic_box, quadratic_walk, reduce_digits)
+                        cycle_box, expansion_of, quadratic_length, quadratic_walk,
+                        reduce_digits)
 from cnskit.negabase import CnsBase, Representation
 from cnskit.poly import IntPoly, compose_x_power, poly_divrem
 from cnskit.trinomial import lift_representation
+from cnskit.verify import compute_length_table
 from reference_loop import least_budget, reference_encode
 
 P = IntPoly((2, 2, 1))
@@ -140,8 +142,8 @@ def test_quadratic_and_generic_paths_agree():
     walks over X^2 + 2X + 2."""
     max_len = 12
     for z in range(-300, 301):
-        digits, w, rest = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
-        assert (w, rest) == (0, 0)
+        digits, w = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)
+        assert w == 0
         fast = Representation(CnsBase(P), bytes(digits))
         found = brute_force_oracle(z, P, max_len)
         if fast.length <= max_len:
@@ -156,7 +158,7 @@ def test_quadratic_and_generic_paths_agree():
 @pytest.mark.parametrize("p, reach", [
     pytest.param(p, reach, id=str(p)) for p, reach in [
         # the quadratic kernel; over real roots every state enters the
-        # cycle set, over complex roots only those in periodic_box, here
+        # cycle set, over complex roots only those in cycle_box, here
         # with p0 > 256 and list digits
         (P, 3000), (NONCNS, 3000), (COUNTER, 3000),
         (IntPoly((2, 3, 1)), 300), (IntPoly((300, 1, 1)), 300),
@@ -205,7 +207,7 @@ def spy_on_walks(monkeypatch):
     return calls
 
 
-def test_x_squared_plus_c_keeps_the_jump(monkeypatch):
+def test_x_squared_plus_c_stays_on_the_kernel_and_reads_bytes(monkeypatch):
     """X^2 + c with c > 0 is q(X^2) with q = X + c, but stays on the
     kernel above 256 bits: over X + c it would take one interpreter step
     per digit.  X^2 + 2 (X^16 = 256) and X^2 + 4 (X^8 = 256) read z a byte
@@ -220,7 +222,7 @@ def test_x_squared_plus_c_keeps_the_jump(monkeypatch):
         assert calls == walks
 
 
-def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
+def test_the_trinomial_reads_bytes_over_its_quadratic(monkeypatch):
     """X^(2m) + 2X^m + 2 walks X^2 + 2X + 2, a byte of z per 16 steps
     above 256 bits."""
     calls = spy_on_walks(monkeypatch)
@@ -233,12 +235,14 @@ def test_the_trinomial_jumps_over_its_quadratic(monkeypatch):
 
 def test_real_roots_cycle_outside_the_box():
     """7 over X^2 + 3X + 2 = (X + 1)(X + 2) cycles at (-14, -7), outside
-    periodic_box(2), so the kernel keeps every state over real roots."""
+    the box of X^2 + X + 2, which has complex roots and the same p0, so the
+    kernel keeps every state over real roots."""
     outcome = cns_encode(7, IntPoly((2, 3, 1)))
     assert outcome == CnsNotRepresentable(Residue((-14, -7)))
     a0, a1 = outcome.cycle.coeffs
-    box0, box1 = periodic_box(2)
+    box0, box1 = cycle_box(2, 1)
     assert not (abs(a0) <= box0 and abs(a1) <= box1)
+    assert cycle_box(2, 3) == (float("inf"), float("inf"))
 
 
 def test_revisit_at_the_budget_exhausts_it():
@@ -255,7 +259,7 @@ def test_memo_hook_changes_no_digit(p):
     p0, p1, _ = p.coeffs
 
     def digits_of_walk(walk):
-        digits, w, rest = walk
+        digits, w = walk
         return list(digits) + memo.get(w, [])
 
     memo = {}
@@ -265,10 +269,104 @@ def test_memo_hook_changes_no_digit(p):
     for z in range(-3000, 3001):
         full = digits_of_walk(quadratic_walk(z, p0, p1, DEFAULT_MAX_STEPS))
         walk = quadratic_walk(z, p0, p1, DEFAULT_MAX_STEPS, lambda w: len(memo.get(w, ())))
-        assert walk[2] == len(memo.get(walk[1], ()))
+        assert walk[1] == 0 or walk[1] in memo
         assert digits_of_walk(walk) == full
         short = quadratic_walk(z, p0, p1, len(full) - 1 or 1, lambda w: len(memo.get(w, ())))
         assert isinstance(short, CnsExhausted) == (len(full) > 1)
+
+
+# the length table that quadratic_length fills for verify, and reads
+TABLE_BOUND = 3000
+
+
+@pytest.fixture(scope="module")
+def table():
+    return compute_length_table(TABLE_BOUND)
+
+
+def walked(walk, *args, **kwargs):
+    """walk(*args, **kwargs), or the type and text of the error it raises."""
+    try:
+        return walk(*args, **kwargs)
+    except (NotRepresentableError, StepBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+def kernel_length(z, p0, p1, data, bound, max_steps=DEFAULT_MAX_STEPS):
+    """len(digits) of quadratic_walk reading the stored lengths
+    data[w + bound], plus the length stored for the w it stops at; a walk
+    without digits raises through expansion_of."""
+    def known(w):
+        return data[w + bound] if -bound <= w <= bound else 0
+
+    walk = quadratic_walk(z, p0, p1, max_steps, known)
+    if not isinstance(walk, tuple):
+        expansion_of(walk, z, IntPoly((p0, p1, 1)))
+    digits, w = walk
+    return len(digits) + (known(w) if w else 0)
+
+
+def test_quadratic_length_counts_the_kernel_steps_below_the_table(table):
+    small = compute_length_table(40)
+    for z in range(-TABLE_BOUND, TABLE_BOUND + 1):
+        assert (quadratic_length(z, 2, 2, small.data, 40)
+                == kernel_length(z, 2, 2, small.data, 40))
+        assert quadratic_length(z, 2, 2, small.data, 40) == table[z]
+
+
+def test_quadratic_length_counts_the_kernel_steps_beyond_the_table(table):
+    rng = random.Random(23)
+    for z in (rng.randint(-10**10, 10**10) for _ in range(200)):
+        assert (quadratic_length(z, 2, 2, table.data, TABLE_BOUND)
+                == kernel_length(z, 2, 2, table.data, TABLE_BOUND))
+
+
+@pytest.mark.parametrize("p0, p1", [(2, -2), (7, -5), (2, 3)])
+def test_quadratic_length_raises_as_the_kernel_on_bases_with_cycles(p0, p1):
+    """Over X^2 - 2X + 2 the negative integers cycle, over X^2 - 5X + 7
+    cycles reach |a0| = 8, deep inside cycle_box, and over X^2 + 3X + 2,
+    with real roots, 7 cycles at (-14, -7), outside the box for p0 = 2
+    over complex roots; a table of what is representable below 30 (0 for
+    the rest) is read as the kernel reads it."""
+    bound = 30
+    data = bytearray(2 * bound + 1)
+    for z in range(-bound, bound + 1):
+        length = walked(kernel_length, z, p0, p1, data, 0)
+        data[z + bound] = length if isinstance(length, int) else 0
+    if (p0, p1) == (2, -2):
+        assert walked(quadratic_length, -42, 2, -2, data, bound) == (
+            NotRepresentableError, "-42 is not representable over 2,-2,1 (cycle residue (-1, 1))")
+    if (p0, p1) == (2, 3):
+        assert walked(quadratic_length, 7, 2, 3, bytearray(1), 0) == (
+            NotRepresentableError, "7 is not representable over 2,3,1 (cycle residue (-14, -7))")
+    outcomes = set()
+    for z in range(-3000, 3001):
+        outcome = walked(quadratic_length, z, p0, p1, data, bound)
+        assert outcome == walked(kernel_length, z, p0, p1, data, bound)
+        outcomes.add(type(outcome))
+    assert outcomes == {int, tuple}
+
+
+@pytest.mark.parametrize("p1", [2, -2])
+def test_quadratic_length_runs_out_at_the_kernel_budget(table, p1):
+    """On every budget up to one past the walk, the same length or the
+    same error: a stored length that would overrun, and a revisit found
+    only at the last step, count as running out."""
+    data = table.data if p1 == 2 else bytearray(1)
+    bound = TABLE_BOUND if p1 == 2 else 0
+    for z in (-1, -42, 7, 4000, -123_456, 10**9 + 7):
+        full = walked(kernel_length, z, 2, p1, data, bound)
+        for budget in range(1, (full if isinstance(full, int) else 20) + 2):
+            assert (walked(quadratic_length, z, 2, p1, data, bound, budget)
+                    == walked(kernel_length, z, 2, p1, data, bound, budget))
+
+
+def test_quadratic_length_beyond_the_budget_raises_the_kernel_message(table):
+    z = 10**4000
+    assert walked(quadratic_length, z, 2, 2, table.data, TABLE_BOUND) == (
+        StepBudgetError, f"no decision for {brief(z)} within 10000 steps")
+    assert (walked(lambda: table[z])
+            == walked(kernel_length, z, 2, 2, table.data, TABLE_BOUND))
 
 
 @given(st.integers(-10**12, 10**12))
@@ -359,7 +457,7 @@ def big_integers(draw, max_bits):
 @pytest.mark.parametrize("p", WIDE_COMPLEX_BASES, ids=str)
 @given(z=big_integers(4000))
 @settings(max_examples=30, deadline=None)
-def test_jumps_equal_the_reference_loop(p, z):
+def test_big_integer_outcomes_equal_the_reference_loop(p, z):
     """Every outcome of the encoder on big integers, cycle residue
     included, is the plain loop's, at a budget that settles every size drawn."""
     max_steps = 4 * z.bit_length() + 64
@@ -379,11 +477,11 @@ def plain_steps(z, p):
 
 
 @pytest.mark.parametrize("p", COMPLEX_BASES, ids=str)
-def test_jumps_exhaust_the_budget_at_the_same_step(p):
-    """Just above _JUMP_MIN_BITS, a budget one short of the plain walk's
+def test_big_integers_exhaust_the_budget_at_the_same_step(p):
+    """Just above FAST_PATH_BITS, a budget one short of the plain walk's
     n steps, exactly n or one more, gives the plain loop's outcome."""
     rng = random.Random(13)
-    for bits in range(cns._JUMP_MIN_BITS + 1, cns._JUMP_MIN_BITS + 41, 4):
+    for bits in range(cns.FAST_PATH_BITS + 1, cns.FAST_PATH_BITS + 41, 4):
         for sign in (1, -1):
             z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
             n = plain_steps(z, p)
@@ -393,7 +491,7 @@ def test_jumps_exhaust_the_budget_at_the_same_step(p):
 
 @pytest.mark.parametrize("q", [P, NONCNS, COUNTER, IntPoly((3, 1, 1))], ids=str)
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
-def test_short_jumps_equal_the_oracle_and_the_reference_loop(q, m):
+def test_q_of_x_to_the_m_equals_the_oracle_and_the_reference_loop(q, m):
     """From every |z| <= 300, close to the periodic states, the outcomes
     over p = q(X^m), walked over q for m > 1, equal the plain loop's over
     p at every budget, cycle residue included, and the digits the oracle's."""
@@ -414,10 +512,13 @@ BYTE_BASES = [(P, 16), (NONCNS, 16), (IntPoly((2, 0, 1)), 16), (IntPoly((4, 0, 1
 
 
 def test_only_bases_with_a_power_256_read_bytes():
-    for p, j in BYTE_BASES:
-        assert cns._byte_steps(*p.coeffs[:2]) == j
-    for p0, p1 in ((3, 1), (5, -3), (300, 1), (4, 1), (2, 1), (3, 0), (4, 2), (8, 4)):
-        assert cns._byte_steps(p0, p1) == 0
+    """Of every X^2 + p1 X + p0 with 1 <= p0 < 400 and |p1| <= 60, real
+    roots included, only BYTE_BASES have X^j = 256 mod p for a j <= 16, as
+    only complex roots can: so a byte group, kept only when it lands
+    outside cycle_box, never meets the unbounded box of real roots."""
+    found = {(p0, p1): j for p0 in range(1, 400) for p1 in range(-60, 61)
+             if (j := cns._byte_steps.__wrapped__(p0, p1))}
+    assert found == {p.coeffs[:2]: j for p, j in BYTE_BASES}
 
 
 @pytest.mark.parametrize("p, j", BYTE_BASES, ids=str)
@@ -427,7 +528,7 @@ def test_carry_table_equals_plain_steps(p, j):
     states off the key by random multiples of 256, which land off that
     carry by the same multiples.  The carries start at (0, 0), are closed
     under the table and are far too small to bring a landing from 2^23
-    into periodic_box."""
+    into cycle_box."""
     p0, p1, _ = p.coeffs
     groups, carries = cns._carry_table(p0, p1, j)
     assert carries[0] == (0, 0) and len(set(carries)) == len(carries)
@@ -455,7 +556,7 @@ def test_byte_walks_equal_the_reference_loop(monkeypatch, p, j, sign):
     """From every size of 33 to 300 bits, on budgets of 1, j - 1, j, j + 1,
     around the n j steps of the n groups taken, and around the length of
     the expansion (or the step that finds the cycle, over X^2 - 2X + 2)."""
-    monkeypatch.setattr(cns, "_JUMP_MIN_BITS", 0)
+    monkeypatch.setattr(cns, "FAST_PATH_BITS", 0)
     rng = random.Random(33)
     for bits in range(33, 301, 7):
         z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
@@ -488,7 +589,7 @@ def test_small_integers_build_no_digit_table():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 1]\n", "")
 
 
-def test_the_sextic_reads_its_jumps_by_table(monkeypatch):
+def test_the_sextic_reads_bytes_by_the_carry_table(monkeypatch):
     """X^6 + 2X^3 + 2 at 2^11 bits walks X^2 + 2X + 2 on the carry table
     of 16 steps a byte; on budgets around its decision and on a budget a
     few groups long, the outcome is the plain loop's over the sextic."""
@@ -524,13 +625,13 @@ def test_big_integer_digits_are_pinned():
 def test_every_periodic_state_lies_in_the_box():
     """Over every quadratic with complex roots and p0 <= 8, the walk from
     every start with |a_i| <= 60 ends in a cycle or at zero, whose states
-    lie inside periodic_box(p0).  A byte group is kept only because this
+    lie inside cycle_box(p0, p1).  A byte group is kept only because this
     holds."""
     reach = 60
     bases = [(p0, p1) for p0 in range(2, 9) for p1 in range(-5, 6) if p1 * p1 < 4 * p0]
     assert len(bases) == 59
     for p0, p1 in bases:
-        box0, box1 = periodic_box(p0)
+        box0, box1 = cycle_box(p0, p1)
         done: set[tuple[int, int]] = set()
         for start in itertools.product(range(-reach, reach + 1), repeat=2):
             path: dict[tuple[int, int], None] = {}

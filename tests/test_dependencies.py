@@ -1,13 +1,16 @@
 """The package imports nothing outside the standard library, nothing it does not
-use, and exports exactly what its __init__ imports."""
+use, and exports exactly what its __init__ imports; its metadata names the
+interpreter it needs."""
 
 import ast
 import sys
+import tomllib
 from pathlib import Path
 
 import cnskit
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "cnskit").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "cnskit").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -64,3 +67,11 @@ def private_imports(path):
 def test_no_module_imports_a_private_name():
     private = {(path.name, name) for path in SOURCES for name in private_imports(path)}
     assert not private
+
+
+def test_requires_python_has_what_the_cli_calls():
+    """cli.main calls sys.get_int_max_str_digits on every run, which
+    Python 3.10.0 to 3.10.6 lack, so the package asks for 3.11."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["requires-python"] == ">=3.11"
+    assert sys.version_info >= (3, 11)

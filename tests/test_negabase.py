@@ -289,7 +289,7 @@ def test_raw_digits_are_the_expansion_without_its_zero(b):
 @pytest.mark.parametrize("b", BASES + (16,))
 def test_big_integers_equal_the_plain_loop(b):
     rng = random.Random(b)
-    for bits in (negabase._JUMP_MIN_BITS + 1, 300, 1000, 4000, 12_000):
+    for bits in (negabase.FAST_PATH_BITS + 1, 300, 1000, 4000, 12_000):
         for _ in range(4):
             z = rng.getrandbits(bits) | 1 << (bits - 1)
             for value in (z, -z):
@@ -300,12 +300,12 @@ def test_big_integers_equal_the_plain_loop(b):
 @pytest.mark.parametrize("b", BASES)
 def test_size_bound_edges_equal_the_plain_loop(monkeypatch, b, min_bits):
     """Every z within b^2 of 0, +-b^8, +-2 b^8, +-b^64 and
-    +-2^_JUMP_MIN_BITS, where the digit count turns or z crosses the size
+    +-2^FAST_PATH_BITS, where the digit count turns or z crosses the size
     bound, at the module's bound and with the bound at 0, so that bases 2
     and 4 take the mask from every size and 3 and 10 the plain loop."""
     if min_bits != "module":
-        monkeypatch.setattr(negabase, "_JUMP_MIN_BITS", min_bits)
-    for edge in (0, b**8, 2 * b**8, b**64, 2**negabase._JUMP_MIN_BITS):
+        monkeypatch.setattr(negabase, "FAST_PATH_BITS", min_bits)
+    for edge in (0, b**8, 2 * b**8, b**64, 2**negabase.FAST_PATH_BITS):
         for centre in {edge, -edge}:
             for z in range(centre - b * b, centre + b * b + 1):
                 assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
@@ -317,15 +317,15 @@ MASK_BASES = (2, 4, 16, 256)
 def mask_edge_values(b):
     """Integers where the mask's window is tightest or its bytes turn:
     both ends of every expansion length near the size bound, +-1; the
-    extremes of _JUMP_MIN_BITS +- 1 bits; +-(b^k - 1) and +-b^k over
+    extremes of FAST_PATH_BITS +- 1 bits; +-(b^k - 1) and +-b^k over
     several bytes."""
     s = b.bit_length() - 1
-    first = negabase._JUMP_MIN_BITS // s
+    first = negabase.FAST_PATH_BITS // s
     for length in range(first - 2, first + 48 // s + 4):
         for end in extremal_of_length(b, length):
             yield from (end - 1, end, end + 1)
-    for bits in (negabase._JUMP_MIN_BITS - 1, negabase._JUMP_MIN_BITS,
-                 negabase._JUMP_MIN_BITS + 1):
+    for bits in (negabase.FAST_PATH_BITS - 1, negabase.FAST_PATH_BITS,
+                 negabase.FAST_PATH_BITS + 1):
         for z in (1 << (bits - 1), (1 << bits) - 1):
             yield from (z, -z)
     for k in range(first - 1, first + 40 // s + 2):
@@ -341,7 +341,7 @@ def test_mask_edges_equal_the_plain_loop(b):
 
 @pytest.mark.parametrize("b", MASK_BASES + (3, 8, 10))
 def test_only_bases_2_to_the_s_with_s_dividing_8_take_the_mask(monkeypatch, b):
-    """Above _JUMP_MIN_BITS, b in {2, 4, 16, 256} reads its digits through
+    """Above FAST_PATH_BITS, b in {2, 4, 16, 256} reads its digits through
     the mask and every other b takes the plain loop, with the same digits.
     At or below the bound nothing takes the mask."""
     masked = []
@@ -353,12 +353,12 @@ def test_only_bases_2_to_the_s_with_s_dividing_8_take_the_mask(monkeypatch, b):
     mask = negabase._masked_digits
     monkeypatch.setattr(negabase, "_masked_digits", spy)
     rng = random.Random(b)
-    sizes = (1, 100, negabase._JUMP_MIN_BITS, negabase._JUMP_MIN_BITS + 1, 3000)
+    sizes = (1, 100, negabase.FAST_PATH_BITS, negabase.FAST_PATH_BITS + 1, 3000)
     values = [z for bits in sizes
               for z in (1 << (bits - 1), -(1 << (bits - 1) | rng.getrandbits(bits)))]
     for z in values:
         assert encode_negabase(z, b).digits == plain_negabase_digits(z, b)
-    big = [z for z in values if z.bit_length() > negabase._JUMP_MIN_BITS]
+    big = [z for z in values if z.bit_length() > negabase.FAST_PATH_BITS]
     assert masked == (big if b in MASK_BASES else [])
 
 

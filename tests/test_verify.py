@@ -8,19 +8,17 @@ import pytest
 
 import cnskit.verify
 from cnskit.cli import main
-from cnskit.cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError,
-                        brief, brute_force_oracle, cns_encode, cns_length,
-                        expansion_of, quadratic_walk)
+from cnskit.cns import (DEFAULT_MAX_STEPS, StepBudgetError, brute_force_oracle,
+                        cns_encode, cns_length, quadratic_walk)
 from cnskit.negabase import Representation
 from cnskit.penney import leading_digit_length, penney_standard, predicted_length
-from cnskit.poly import IntPoly
-from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, VerificationReport,
-                           check_additive_bounds, check_boundary_jumps,
+from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, LengthTable,
+                           VerificationReport, check_additive_bounds, check_boundary_jumps,
                            check_digit_sums, check_gap3, check_lambda_bounds,
                            check_length_formula, check_length_set,
                            check_pair_subsequences, check_scheme_counterexample,
                            check_sign_disjoint, compute_length_table,
-                           digit_sum_probe, run_suite, walk_length)
+                           digit_sum_probe, run_suite)
 from cnskit.verify import _direct_expansions, _leading_block_lengths
 
 SMALL_BOUND = 3000
@@ -88,89 +86,6 @@ def test_table_beyond_the_budget_raises_as_cns_length(table):
     with pytest.raises(StepBudgetError) as walked:
         table[2**20000]
     assert str(walked.value) == str(direct.value)
-
-
-def walked(walk, *args, **kwargs):
-    """walk(*args, **kwargs), or the type and text of the error it raises."""
-    try:
-        return walk(*args, **kwargs)
-    except (NotRepresentableError, StepBudgetError) as exc:
-        return type(exc), str(exc)
-
-
-def kernel_length(z, p0, p1, data, bound, max_steps=DEFAULT_MAX_STEPS):
-    """len(digits) + rest of quadratic_walk reading the stored lengths
-    data[w + bound]; a walk without digits raises through expansion_of."""
-    def known(w):
-        return data[w + bound] if -bound <= w <= bound else 0
-
-    walk = quadratic_walk(z, p0, p1, max_steps, known)
-    if not isinstance(walk, tuple):
-        expansion_of(walk, z, IntPoly((p0, p1, 1)))
-    digits, _, rest = walk
-    return len(digits) + rest
-
-
-def test_walk_length_counts_the_kernel_steps_below_the_table(table):
-    small = compute_length_table(40)
-    for z in range(-SMALL_BOUND, SMALL_BOUND + 1):
-        assert walk_length(z, 2, 2, small.data, 40) == kernel_length(z, 2, 2, small.data, 40)
-        assert walk_length(z, 2, 2, small.data, 40) == table[z]
-
-
-def test_walk_length_counts_the_kernel_steps_beyond_the_table(table):
-    rng = random.Random(23)
-    for z in (rng.randint(-10**10, 10**10) for _ in range(200)):
-        assert (walk_length(z, 2, 2, table.data, SMALL_BOUND)
-                == kernel_length(z, 2, 2, table.data, SMALL_BOUND))
-
-
-@pytest.mark.parametrize("p0, p1", [(2, -2), (7, -5), (2, 3)])
-def test_walk_length_raises_as_the_kernel_on_bases_with_cycles(p0, p1):
-    """Over X^2 - 2X + 2 the negative integers cycle, over X^2 - 5X + 7
-    cycles reach |a0| = 8, deep inside periodic_box, and over X^2 + 3X + 2,
-    with real roots, 7 cycles at (-14, -7), outside periodic_box(2); a
-    table of what is representable below 30 (0 for the rest) is read as
-    the kernel reads it."""
-    bound = 30
-    data = bytearray(2 * bound + 1)
-    for z in range(-bound, bound + 1):
-        length = walked(kernel_length, z, p0, p1, data, 0)
-        data[z + bound] = length if isinstance(length, int) else 0
-    if (p0, p1) == (2, -2):
-        assert walked(walk_length, -42, 2, -2, data, bound) == (
-            NotRepresentableError, "-42 is not representable over 2,-2,1 (cycle residue (-1, 1))")
-    if (p0, p1) == (2, 3):
-        assert walked(walk_length, 7, 2, 3, bytearray(1), 0) == (
-            NotRepresentableError, "7 is not representable over 2,3,1 (cycle residue (-14, -7))")
-    outcomes = set()
-    for z in range(-3000, 3001):
-        outcome = walked(walk_length, z, p0, p1, data, bound)
-        assert outcome == walked(kernel_length, z, p0, p1, data, bound)
-        outcomes.add(type(outcome))
-    assert outcomes == {int, tuple}
-
-
-@pytest.mark.parametrize("p1", [2, -2])
-def test_walk_length_runs_out_at_the_kernel_budget(table, p1):
-    """On every budget up to one past the walk, the same length or the
-    same error: a stored length that would overrun, and a revisit found
-    only at the last step, count as running out."""
-    data = table.data if p1 == 2 else bytearray(1)
-    bound = SMALL_BOUND if p1 == 2 else 0
-    for z in (-1, -42, 7, 4000, -123_456, 10**9 + 7):
-        full = walked(kernel_length, z, 2, p1, data, bound)
-        for budget in range(1, (full if isinstance(full, int) else 20) + 2):
-            assert (walked(walk_length, z, 2, p1, data, bound, budget)
-                    == walked(kernel_length, z, 2, p1, data, bound, budget))
-
-
-def test_walk_length_beyond_the_budget_raises_the_kernel_message(table):
-    z = 10**4000
-    assert walked(walk_length, z, 2, 2, table.data, SMALL_BOUND) == (
-        StepBudgetError, f"no decision for {brief(z)} within 10000 steps")
-    assert (walked(lambda: table[z])
-            == walked(kernel_length, z, 2, 2, table.data, SMALL_BOUND))
 
 
 def test_table_equals_the_kernel_walk_without_a_memo():
@@ -317,6 +232,40 @@ def test_length_set_passes(table):
     report = check_length_set(prefix_len=6, lengths=table)
     assert report.passed
     assert report.params["attained"][:6] == [1, 4, 5, 8, 9, 12]
+
+
+@pytest.fixture(scope="module")
+def million_table():
+    return compute_length_table(10**6)
+
+
+def sliced(table, bound):
+    """The lengths of |z| <= bound, cut from a table of a wider range."""
+    zero = table.bound
+    return LengthTable(bound, table.data[zero - bound:zero + bound + 1])
+
+
+@pytest.mark.parametrize("bound, frontier", [(1000, 21), (300_000, 37), (10**6, 41)])
+def test_length_set_passes_wherever_the_range_ends(million_table, bound, frontier):
+    """At these ranges one sign already reaches a length (24, 40, 44) that
+    the other has not reached yet; only a length below the frontier, the
+    lesser of the two signs' largest lengths, counts as missing."""
+    report = check_length_set(lengths=sliced(million_table, bound))
+    assert report.passed, report.counterexamples
+    assert report.params["frontier"] == frontier
+
+
+@pytest.mark.parametrize("removed, kept", [(16, 13), (17, 12)], ids=["negative", "positive"])
+def test_length_set_reports_an_interior_length_removed_from_either_sign(
+        million_table, removed, kept):
+    """Overwriting every length 16 (attained only below zero) or 17 (only
+    above) with another length of its sign leaves a gap below the frontier."""
+    table = sliced(million_table, 1000)
+    data = table.data.replace(bytes([removed]), bytes([kept]))
+    report = check_length_set(lengths=LengthTable(1000, data))
+    assert not report.passed
+    assert report.counterexamples == [["missing_length", removed]]
+    assert report.params["frontier"] == 21
 
 
 def test_length_set_catches_insufficient_range(table):
