@@ -68,7 +68,7 @@ from operator import add, mul
 from typing import Callable
 
 from .negabase import (FAST_PATH_BITS, PARSE_RADICES, CnsBase, Representation,
-                       digit_buffer, values_at_power_of_two)
+                       digit_buffer, spread_digits, values_at_power_of_two)
 from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
@@ -257,12 +257,14 @@ def _carry_table(p0: int, p1: int, j: int
     return tuple(groups), tuple(carries)
 
 
-def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int) -> QuadraticWalk:
-    """quadratic_walk(z, p0, p1, max_steps) over a base with X^j = 256:
-    the digits of n groups of j steps, one per low byte of z, extended in
-    place by the plain walk from (z >> 8n + c0, c1) on the steps left.  n
-    keeps the top 24 bits of z, so |z >> 8n| >= 2^23 and the landing lies
-    far outside cycle_box(p0, p1)."""
+def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int
+               ) -> bytearray | CnsNotRepresentable | CnsExhausted:
+    """The digits of quadratic_walk(z, p0, p1, max_steps) over a base with
+    X^j = 256, or the outcome that ends it: the digits of n groups of j
+    steps, one per low byte of z, extended in place by the plain walk
+    from (z >> 8n + c0, c1) on the steps left.  n keeps the top 24 bits
+    of z, so |z >> 8n| >= 2^23 and the landing lies far outside
+    cycle_box(p0, p1)."""
     groups, carries = _carry_table(p0, p1, j)
     n = max(0, min((z.bit_length() - 24) // 8, max_steps // j))
     digits, key = bytearray(), 0
@@ -273,7 +275,7 @@ def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int) -> QuadraticWal
     walk = quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
     if isinstance(walk, tuple):
         digits += walk[0]
-        return digits, 0
+        return digits
     # running out of the steps left is the whole budget running out
     return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk
 
@@ -318,9 +320,8 @@ def _walk(z: int, pc: tuple[int, ...], max_steps: int
     if len(pc) == 3 and p0 > 0:
         j = z.bit_length() > FAST_PATH_BITS and _byte_steps(p0, pc[1])
         if j:
-            walk = _byte_walk(z, p0, pc[1], j, max_steps)
-        else:
-            walk = quadratic_walk(z, p0, pc[1], max_steps)
+            return _byte_walk(z, p0, pc[1], j, max_steps)
+        walk = quadratic_walk(z, p0, pc[1], max_steps)
         return walk[0] if isinstance(walk, tuple) else walk
     radix = abs(p0)
     d = len(pc) - 1
@@ -357,12 +358,9 @@ def _lift_outcome(z: int, pc: tuple[int, ...], m: int, max_steps: int
     qc = pc[::m]
     walk = _walk(z, qc, (max_steps - 2) // m + 2)
     if isinstance(walk, (bytearray, list)):
-        length = m * (len(walk) - 1) + 1
-        if length > max_steps:
+        if m * (len(walk) - 1) + 1 > max_steps:
             return CnsExhausted(max_steps)
-        digits = digit_buffer(abs(pc[0]), length)
-        digits[::m] = walk
-        return digits
+        return spread_digits(walk, abs(pc[0]), m)
     if isinstance(walk, CnsExhausted):
         return CnsExhausted(max_steps)
     cycle = walk.cycle.coeffs

@@ -90,6 +90,15 @@ def digit_buffer(radix: int, length: int = 0) -> bytearray | list[int]:
     return bytearray(length) if radix <= BYTE_RADIX else [0] * length
 
 
+def spread_digits(digits: Sequence[int], radix: int, k: int) -> bytearray | list[int]:
+    """The digits of u(X^k) from those of u(X) (least significant first,
+    below radix): each moves to k times its place, zeros in between, by
+    one extended-slice assignment into a digit_buffer."""
+    spread = digit_buffer(radix, k * (len(digits) - 1) + 1)
+    spread[::k] = digits
+    return spread
+
+
 def format_digits(digits: Sequence[int]) -> str:
     """Digits (least significant first) to text, most significant first."""
     if type(digits) is not bytes or digits.translate(None, _BYTES[:10]):

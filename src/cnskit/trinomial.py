@@ -13,8 +13,8 @@ from enum import Enum
 from math import isqrt
 from typing import Iterator
 
-from .negabase import CnsBase, Representation
-from .poly import IntPoly, compose_x_power
+from .negabase import CnsBase, Representation, spread_digits
+from .poly import compose_x_power
 
 
 class SequenceId(Enum):
@@ -39,7 +39,7 @@ def lift_representation(rep: Representation, k: int) -> Representation:
     if not isinstance(rep.base, CnsBase):
         raise ValueError("expected a polynomial-base representation")
     return Representation(CnsBase(compose_x_power(rep.base.poly, k)),
-                          compose_x_power(IntPoly(rep.digits), k).coeffs)
+                          spread_digits(rep.digits, rep.base.radix, k))
 
 
 def seq_a(n: int) -> int:

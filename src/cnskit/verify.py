@@ -11,12 +11,17 @@ and the expansion sweep that check i compares digit for digit and check
 ix sums takes the digit buffer of quadratic_walk.  When both run, the
 sweep runs once: check i records the digit-sum failures as it walks,
 and check ix reads them.  Check vii reads leading block lengths from a
-byte store filled by the base -4 digit recurrence.
+LengthTable of its own, filled by the base -4 digit recurrence, which
+also reads it beyond its bound.
 
-Checks vii and viii take their pair grid a row at a time: for fixed x,
-the stored values of y, x + y and xy over the grid are slices of a byte
-store, compared at C speed.  Only a row with something to record, or
-one whose slices would leave the store, is probed pair by pair.
+No check reads a store's layout: a LengthTable answers by value
+(table[z]), by side (the values at 1, 2, ... or at -1, -2, ...), by sign
+set (each side's sorted distinct values, computed once per table) and
+by grid row.  Checks vii and viii take their pair grid a row at a time:
+for fixed x, the stored values of y, x + y and xy over the grid are
+slices of the byte store, compared at C speed.  Only a row with
+something to record, or one whose slices would leave the store, is
+probed pair by pair.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 from typing import Callable, Iterable, Iterator
 
@@ -126,21 +132,13 @@ def _expansion(z: int, p: IntPoly) -> Representation:
     return expansion_of(cns_encode(z, p), z, p)
 
 
-def _walk(z: int, known: Callable[[int], int] | None = None) -> tuple[bytearray, int]:
-    """quadratic_walk of z over X^2 + 2X + 2 on the default budget; a walk
-    without digits raises NotRepresentableError or StepBudgetError."""
-    walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
-    if not isinstance(walk, tuple):
-        expansion_of(walk, z, STANDARD_POLY)  # raises
-    return walk
-
-
 def _walk_ends(bound: int) -> None:
-    """Walk -bound and then bound in full, so that a range beyond the step
-    budget raises at its lowest value before any sweep from 0 starts: one
-    from 0 outwards would never reach the end of such a range."""
+    """Walk -bound and then bound in full, with nothing stored, so that a
+    range beyond the step budget raises at its lowest value before any
+    sweep from 0 starts: one from 0 outwards would never reach the end of
+    such a range."""
     for z in (-bound, bound):
-        _walk(z)
+        quadratic_length(z, 2, 2, bytearray(1), 0)
 
 
 def _outward(bound: int) -> Iterator[int]:
@@ -174,8 +172,10 @@ def _store(bound: int, make: Callable[[int], bytearray | list]) -> bytearray | l
 class LengthTable:
     """Lengths over X^2 + 2X + 2 of every |z| <= bound, one byte each.
 
-    data[z + bound] is the length of z; table[z] reads it, and beyond
-    the bound counts quadratic_length's steps down to a stored value.
+    data[z + bound] is the length of z.  The checks read the store only
+    through table[z], side, sign_sets and row; table[z] beyond the bound
+    counts quadratic_length's steps down to a stored value.  No caller
+    changes data once the table is built, so sign_sets is kept.
     """
 
     bound: int
@@ -189,6 +189,29 @@ class LengthTable:
         if -bound <= z <= bound:
             return self.data[z + bound]
         return quadratic_length(z, 2, 2, self.data, bound)
+
+    def side(self, sign: int) -> bytearray:
+        """The values at sign * 1, sign * 2, ..., sign * bound."""
+        bound = self.bound
+        return self.data[bound + 1:] if sign > 0 else self.data[:bound][::-1]
+
+    @cached_property
+    def sign_sets(self) -> tuple[list[int], list[int]]:
+        """The sorted distinct values on the positives and on the negatives."""
+        return sorted(set(self.side(1))), sorted(set(self.side(-1)))
+
+    def row(self, offset: int, step: int, grid_bound: int) -> bytearray | None:
+        """The values at offset + step * y for the nonzero |y| <= grid_bound
+        in ascending y, or None if one of them lies beyond the bound."""
+        reach = abs(step) * grid_bound
+        low, high = self.bound + offset - reach, self.bound + offset + reach
+        if low < 0 or high >= len(self.data):
+            return None
+        row = self.data[low:high + 1:abs(step)]
+        if step < 0:
+            row.reverse()
+        del row[grid_bound]  # y = 0
+        return row
 
 
 def compute_length_table(bound: int) -> LengthTable:
@@ -227,7 +250,10 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, bytes]]:
         return len(memo[index]) if 0 <= index < size else 0
 
     for z in _outward(bound):
-        digits, w = _walk(z, known)
+        walk = quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS, known)
+        if not isinstance(walk, tuple):
+            expansion_of(walk, z, STANDARD_POLY)  # raises
+        digits, w = walk
         expansion = bytes(digits) + memo[w + reach]
         # the entry of 0 stays empty: a walk that reaches the zero state ends there
         if z and -reach <= z <= reach:
@@ -267,12 +293,6 @@ def check_length_formula(bound: int = EXPANSION_BOUND, *,
     return _finish("length_formula", params, counterexamples, [], t0)
 
 
-def _lengths_by_sign(lengths: LengthTable) -> tuple[list[int], list[int]]:
-    """Sorted distinct lengths attained on the positives and on the negatives."""
-    bound, data = lengths.bound, lengths.data
-    return sorted(set(data[bound + 1:])), sorted(set(data[:bound]))
-
-
 def check_length_set(prefix_len: int = 10, *,
                      lengths: LengthTable) -> VerificationReport:
     """Attained expansion lengths over the table's range are integers 0 or
@@ -280,8 +300,8 @@ def check_length_set(prefix_len: int = 10, *,
     lesser of the two signs' largest lengths, is attained: above it, one
     sign may reach a length that the other reaches only beyond the range."""
     t0 = time.perf_counter()
-    pos, neg = _lengths_by_sign(lengths)
-    attained = sorted({*pos, *neg, lengths.data[lengths.bound]})
+    pos, neg = lengths.sign_sets
+    attained = sorted({*pos, *neg, lengths[0]})
     top = attained[-1]
     frontier = min(pos[-1], neg[-1]) if pos and neg else 0
     # a(n) >= n, so indices up to top reach every a(n) <= top
@@ -307,7 +327,7 @@ def check_sign_disjoint(*, lengths: LengthTable) -> VerificationReport:
     """Positive and negative integers attain disjoint length sets:
     1 or 4 mod 8 on the positives, 5 or 0 mod 8 on the negatives."""
     t0 = time.perf_counter()
-    pos, neg = _lengths_by_sign(lengths)
+    pos, neg = lengths.sign_sets
     counterexamples = []
     for L in sorted(set(pos) & set(neg)):
         counterexamples.append(["shared_length", L])
@@ -317,7 +337,9 @@ def check_sign_disjoint(*, lengths: LengthTable) -> VerificationReport:
     for L in neg:
         if L % 8 not in (5, 0):
             counterexamples.append(["negative_mod8", L])
-    params = {"bound": lengths.bound, "positive_lengths": pos, "negative_lengths": neg}
+    # copies, so that a report's params share no list with the table
+    params = {"bound": lengths.bound, "positive_lengths": list(pos),
+              "negative_lengths": list(neg)}
     return _finish("sign_disjoint", params, counterexamples, [], t0)
 
 
@@ -363,7 +385,7 @@ def check_pair_subsequences(count: int = PAIR_COUNT, *,
     (4n-3, 4n-2)-th members of the mod-4 sequence, negatives the
     (4n-1, 4n)-th, verified for the first count pairs on each side."""
     t0 = time.perf_counter()
-    pos, neg = _lengths_by_sign(lengths)
+    pos, neg = lengths.sign_sets
     counterexamples = []
     witnesses = []
     for side, attained, indices in (
@@ -396,16 +418,14 @@ def check_gap3(*, lengths: LengthTable) -> VerificationReport:
     expansion length never increases by less than 3 between consecutive
     distinct values."""
     t0 = time.perf_counter()
-    bound, data = lengths.bound, lengths.data
     counterexamples = []
-    for side, sign, values in (("positive", 1, data[bound + 1:]),
-                               ("negative", -1, reversed(data[:bound]))):
+    for side, sign in (("positive", 1), ("negative", -1)):
         prev = None
-        for magnitude, L in enumerate(values, 1):
+        for magnitude, L in enumerate(lengths.side(sign), 1):
             if prev is not None and L != prev and L - prev < 3:
                 counterexamples.append([side, sign * magnitude, prev, L])
             prev = L
-    params = {"bound": bound}
+    params = {"bound": lengths.bound}
     return _finish("gap3", params, counterexamples, [], t0)
 
 
@@ -436,35 +456,12 @@ def _sweep_pairs(probe: Callable[[int, int], None], row_done: Callable[[int], bo
         probe(x, y)
 
 
-def _grid_row(data: bytearray, zero: int, offset: int, step: int,
-              grid_bound: int) -> bytearray | None:
-    """data[zero + offset + step * y] for the nonzero |y| <= grid_bound in
-    ascending y, or None if one of these indices leaves data."""
-    reach = abs(step) * grid_bound
-    low, high = zero + offset - reach, zero + offset + reach
-    if low < 0 or high >= len(data):
-        return None
-    row = data[low:high + 1:abs(step)]
-    if step < 0:
-        row.reverse()
-    del row[grid_bound]  # y = 0
-    return row
+class _LeadingBlockLengths(LengthTable):
+    """lam[v], the unpadded block length of the leading base -4 digit of v
+    in the standard scheme; beyond the bound v steps down to a stored
+    value by the recurrence of _leading_block_lengths."""
 
-
-class _LeadingBlockLengths:
-    """lam(v), the unpadded block length of the leading base -4 digit of v
-    in the standard scheme; data[v + bound] holds it for |v| <= bound.
-
-    A plain class: a dataclass would add about 0.8 ms to every import.
-    """
-
-    __slots__ = ("bound", "data")
-
-    def __init__(self, bound: int, data: bytearray) -> None:
-        self.bound = bound
-        self.data = data
-
-    def __call__(self, v: int) -> int:
+    def __getitem__(self, v: int) -> int:
         bound = self.bound
         while v > bound or v < -bound:
             v = -(v >> 2)
@@ -516,7 +513,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
     counterexamples = []
     witnesses = []
     for x, y, expected in ((4, 5, -2), (2, 410, 7)):
-        value = lam(x) + lam(y) - lam(x * y)
+        value = lam[x] + lam[y] - lam[x * y]
         witnesses.append([x, y, value])
         if value != expected:
             counterexamples.append([x, y, value, f"expected {expected}"])
@@ -524,19 +521,18 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
     equality_hits = []
 
     def probe(x: int, y: int) -> None:
-        value = lam(x) + lam(y) - lam(x * y)
+        value = lam[x] + lam[y] - lam[x * y]
         if not -2 <= value <= 7:
             counterexamples.append([x, y, value])
         elif value in (-2, 7) and len(equality_hits) < MAX_RECORDED:
             equality_hits.append([x, y, value])
 
     # the store reaches grid_bound^2, so every grid row is a pair of slices
-    zero, data = lam.bound, lam.data
-    ys = _grid_row(data, zero, 0, 1, grid_bound)
+    ys = lam.row(0, 1, grid_bound)
 
     def row_done(x: int) -> bool:
-        lx = data[zero + x]
-        differences = list(map(sub, ys, _grid_row(data, zero, 0, x, grid_bound)))
+        lx = lam[x]
+        differences = list(map(sub, ys, lam.row(0, x, grid_bound)))
         low, high = lx + min(differences), lx + max(differences)
         if low < -2 or high > 7:
             return False
@@ -548,7 +544,7 @@ def check_lambda_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED, *
     # pairs with a zero member collapse to lam(0) + lam(y) - lam(0) = lam(y)
     # under the lam(0) = 1 convention; record the observed values without
     # asserting them, since the claim's status at zero is unsettled
-    zero_pair_values = set(data[zero - grid_bound:zero + grid_bound + 1])
+    zero_pair_values = {*ys, lam[0]}
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
               "sample_bound": SAMPLE_BOUND,
               "zero_pair_values_observed": sorted(zero_pair_values)}
@@ -595,15 +591,14 @@ def check_additive_bounds(samples: int = SAMPLE_COUNT, seed: int = DEFAULT_SEED,
                                     lx + ly + product_excess])
 
     # a row leaves a table smaller than its reach; probe then reads table[v]
-    zero, data = lengths.bound, lengths.data
-    ys = _grid_row(data, zero, 0, 1, grid_bound)
+    ys = lengths.row(0, 1, grid_bound)
 
     def row_done(x: int) -> bool:
-        sums = _grid_row(data, zero, x, 1, grid_bound)
-        products = _grid_row(data, zero, 0, x, grid_bound)
+        sums = lengths.row(x, 1, grid_bound)
+        products = lengths.row(0, x, grid_bound)
         if ys is None or sums is None or products is None:
             return False
-        lx = data[zero + x]
+        lx = lengths[x]
         sum_excess = max(map(sub, sums, ys)) - lx
         product_excess = max(map(sub, products, ys)) - lx
         note(sum_excess, product_excess)

@@ -312,8 +312,8 @@ def test_budget_exhaustion_exits_3(capsys, argv):
 
 
 @pytest.mark.parametrize("suite", ["i", "ix"])
-def test_failing_sweep_stops_its_workers(suite):
-    """The sweep starts at the bottom of the range, whose first integer
+def test_a_sweep_beyond_the_budget_exits_3_in_one_line(suite):
+    """The sweep walks the bottom of the range first, and that integer
     exhausts the step budget: the run exits 3 at once with one line, at
     --jobs 2 as at the default, since verify runs in one process whatever
     --jobs says.  The process group is killed whatever happens."""

@@ -90,14 +90,17 @@ def test_lift_validates():
 
 @pytest.mark.parametrize("m", (2, 3))
 def test_lift_matches_direct_encode(m):
-    big = compose_x_power(P, m)
-    for z in range(-400, 401):
-        rep = cns_encode(z, P).representation
-        lifted = lift_representation(rep, m)
-        direct = reference_encode(z, big, 10_000)
-        assert isinstance(direct, CnsDigits)
-        assert lifted.digits == direct.representation.digits
-        assert lifted.length == m * (rep.length - 1) + 1
+    """Over X^2 + 2X + 2, whose digits are bytes, and over X^2 + X + 300,
+    whose digits are a tuple."""
+    for q in (P, IntPoly((300, 1, 1))):
+        big = compose_x_power(q, m)
+        for z in range(-400, 401):
+            rep = cns_encode(z, q).representation
+            lifted = lift_representation(rep, m)
+            direct = reference_encode(z, big, 10_000)
+            assert isinstance(direct, CnsDigits)
+            assert lifted.digits == direct.representation.digits
+            assert lifted.length == m * (rep.length - 1) + 1
 
 
 @pytest.mark.parametrize("m", (2, 3))

@@ -190,13 +190,13 @@ def test_leading_block_lengths_equal_penney():
     scheme = penney_standard()
     lam = _leading_block_lengths(300 * 300)
     for v in range(-3000, 3001):
-        assert lam(v) == leading_digit_length(v, scheme)
+        assert lam[v] == leading_digit_length(v, scheme)
     for x in range(-300, 301, 7):
         for y in range(-300, 301, 11):
-            assert lam(x * y) == leading_digit_length(x * y, scheme)
+            assert lam[x * y] == leading_digit_length(x * y, scheme)
     rng = random.Random(13)
     for v in (rng.randint(-10**10, 10**10) for _ in range(2000)):
-        assert lam(v) == leading_digit_length(v, scheme)
+        assert lam[v] == leading_digit_length(v, scheme)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2])
@@ -204,7 +204,7 @@ def test_leading_block_lengths_below_the_single_digits(bound):
     scheme = penney_standard()
     lam = _leading_block_lengths(bound)
     for v in range(-20, 21):
-        assert lam(v) == leading_digit_length(v, scheme)
+        assert lam[v] == leading_digit_length(v, scheme)
 
 
 def test_length_formula_reports_corrupted_values_in_ascending_order(monkeypatch):
@@ -284,6 +284,23 @@ def test_sign_disjoint_passes(table):
                 & set(report.params["negative_lengths"]))
 
 
+def planted(table, places):
+    """A copy of table with the value at z set to L for each (z, L) in places."""
+    data = bytearray(table.data)
+    for z, L in places:
+        data[z + table.bound] = L
+    return LengthTable(table.bound, data)
+
+
+def test_sign_disjoint_reports_a_negative_length_on_a_positive(table):
+    """Length 5, attained only below zero, written at z = 7 is both shared
+    and 5 mod 8 on the positives."""
+    report = check_sign_disjoint(lengths=planted(table, [(7, 5)]))
+    assert not report.passed
+    assert report.counterexamples == [["shared_length", 5], ["positive_mod8", 5]]
+    assert 5 in report.params["positive_lengths"]
+
+
 def test_boundary_jumps_passes():
     report = check_boundary_jumps(5)
     assert report.passed
@@ -300,9 +317,29 @@ def test_pair_subsequences_passes(table):
     assert ["negative", 5, 8] in report.witnesses_of_equality
 
 
+@pytest.mark.parametrize("side, removed, kept", [("negative", 13, 16), ("positive", 9, 12)])
+def test_pair_subsequences_reports_a_length_removed_from_one_sign(table, side, removed, kept):
+    """Overwriting every length 13 (attained only below zero) or 9 (only
+    above) with the next length of its sign breaks that sign's sequence
+    at index 2, and only that sign's."""
+    data = table.data.replace(bytes([removed]), bytes([kept]))
+    report = check_pair_subsequences(2, lengths=LengthTable(table.bound, data))
+    assert not report.passed
+    assert report.counterexamples == [[side, 2, kept, removed]]
+
+
 def test_gap3_passes(table):
     report = check_gap3(lengths=table)
     assert report.passed
+
+
+def test_gap3_reports_a_step_of_one_below_zero(table):
+    """-11 and -12 have length 8 and -13 has 13: a 9 at -12 is a step of
+    1 from -11, and the step of 4 on to -13 stands."""
+    assert (table[-11], table[-12], table[-13]) == (8, 8, 13)
+    report = check_gap3(lengths=planted(table, [(-12, 9)]))
+    assert not report.passed
+    assert report.counterexamples == [["negative", -12, 8, 9]]
 
 
 def test_sweep_checks_read_the_bound_from_the_table():

@@ -33,14 +33,14 @@ def reference_lambda_bounds(samples, seed, *, grid_bound):
     counterexamples = []
     witnesses = []
     for x, y, expected in ((4, 5, -2), (2, 410, 7)):
-        value = lam(x) + lam(y) - lam(x * y)
+        value = lam[x] + lam[y] - lam[x * y]
         witnesses.append([x, y, value])
         if value != expected:
             counterexamples.append([x, y, value, f"expected {expected}"])
     equality_hits = []
 
     def probe(x, y):
-        value = lam(x) + lam(y) - lam(x * y)
+        value = lam[x] + lam[y] - lam[x * y]
         if not -2 <= value <= 7:
             counterexamples.append([x, y, value])
         elif value in (-2, 7) and len(equality_hits) < MAX_RECORDED:
@@ -48,8 +48,8 @@ def reference_lambda_bounds(samples, seed, *, grid_bound):
 
     reference_sweep(probe, grid_bound, samples, seed)
     witnesses.extend(equality_hits)
-    zero_pair_values = {lam(y) for y in range(-grid_bound, grid_bound + 1) if y}
-    zero_pair_values.add(lam(0))
+    zero_pair_values = {lam[y] for y in range(-grid_bound, grid_bound + 1) if y}
+    zero_pair_values.add(lam[0])
     params = {"grid_bound": grid_bound, "samples": samples, "seed": seed,
               "sample_bound": SAMPLE_BOUND,
               "zero_pair_values_observed": sorted(zero_pair_values)}
@@ -195,7 +195,7 @@ def lambda_corruptions(grid_bound, lam):
     rng = random.Random(g)
     # a stored lam(xy) that makes the pair at a row end read -2, and members
     # stored as 8, which make pairs read 7 and more
-    low_hits = [(x * y, lam(x) + lam(y) + 2)
+    low_hits = [(x * y, lam[x] + lam[y] + 2)
                 for x in (-g, -g + 1, -2, 2, g - 1, g) for y in (-g, g)]
     high_members = [(x, 8) for x in (-g, -3, 2, g)]
     return {
