@@ -4,12 +4,14 @@ The encoder runs backward division on a residue vector of the remaining
 value: the next digit is forced by the constant coefficient modulo
 |p(0)|, the stripped residue is divided by X, and the process repeats.
 Monic quadratics with p(0) > 0, X^2 + 2X + 2 among them, walk on one
-kernel over two plain integers, quadratic_walk, whose rules
-quadratic_length keeps to count steps instead of digits (verify's sweeps
-use both): it keeps a cycle set only of the states in cycle_box, the
-only ones that can be periodic.  Every other base walks a state tuple,
-and one insertion-ordered dict of the states stepped from is its cycle
-set, digit record and step count.
+kernel over two plain integers, quadratic_walk, which keeps a cycle set
+only of the states in cycle_box, the only ones that can be periodic.
+quadratic_length keeps its rules to count steps instead of digits, for a
+whole sequence of integers in one loop, each walk stopping at a length
+stored by the ones before it (verify's sweeps use both; its length table
+is one call).  Every other base walks a state tuple, and one
+insertion-ordered dict of the states stepped from is its cycle set,
+digit record and step count.
 A base p = q(X^m), m > 1, the paper's X^(2m) + 2X^m + 2 among them,
 walks q instead, so the trinomial takes the kernel and the byte walk
 below: p's digits are q's spread m apart, and q's outcome on the budget
@@ -65,7 +67,7 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd, inf, isqrt
 from operator import add, mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from .negabase import (FAST_PATH_BITS, PARSE_RADICES, CnsBase, Representation,
                        digit_buffer, spread_digits, values_at_power_of_two)
@@ -152,15 +154,19 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
     CnsExhausted.
     """
     box0, box1 = cycle_box(p0, p1)
+    low0, low1 = -box0, -box1
     digits = digit_buffer(p0)
-    seen = set()
+    seen = None  # made at the first state inside the box: a walk stopped outside it makes none
     a0 = z
     for _ in range(max_steps):
-        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:
+        if low0 <= a0 <= box0 and low1 <= a1 <= box1:
             state = (a0, a1)
-            if state in seen:
+            if seen is None:
+                seen = {state}
+            elif state in seen:
                 return CnsNotRepresentable(Residue(state))
-            seen.add(state)
+            else:
+                seen.add(state)
         q = a0 // p0
         digits.append(a0 - q * p0)
         a0, a1 = a1 - q * p1, -q
@@ -176,40 +182,54 @@ def quadratic_walk(z: int, p0: int, p1: int, max_steps: int,
     return CnsExhausted(max_steps)
 
 
-def quadratic_length(z: int, p0: int, p1: int, data: bytearray, bound: int,
+def quadratic_length(zs: Iterable[int], p0: int, p1: int, data: bytearray, bound: int,
                      max_steps: int = DEFAULT_MAX_STEPS) -> int:
-    """The length of z: quadratic_walk(z, p0, p1, max_steps, known) with
+    """The length of each z of zs in turn, stored at data[z + bound] when
+    |z| <= bound, so that the walks after it can stop there; returns the
+    last.  A length is quadratic_walk(z, p0, p1, max_steps, known) with
     known(w) = data[w + bound] for |w| <= bound, counting steps instead of
     recording digits, plus the stored length it stops at.  A walk without
-    digits raises as expansion_of does on the kernel's outcome.  The
-    length table's own loop: the kernel with a hook fills it 1.5x slower.
+    digits raises as expansion_of does on the kernel's outcome, after the
+    lengths before it are stored.  verify's length table is one call: the
+    kernel with a hook, one call per z, fills it 2.3x slower.
     """
     box0, box1 = cycle_box(p0, p1)
-    seen = set()
-    a0, a1 = z, 0
+    low0, low1, low = -box0, -box1, -bound
     steps = 0
-    while steps < max_steps:  # a counter is faster than a range per walk
-        steps += 1
-        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:
-            state = (a0, a1)
-            if state in seen:
-                expansion_of(CnsNotRepresentable(Residue(state)), z, IntPoly((p0, p1, 1)))
-            seen.add(state)
-        q = a0 // p0
-        a0, a1 = a1 - q * p1, -q
-        if not a1:
-            if not a0:
-                return steps
-            if -bound <= a0 <= bound:
-                rest = data[a0 + bound]
-                if rest:
-                    if steps + rest > max_steps:
+    for z in zs:
+        seen = None
+        a0, a1 = z, 0
+        steps = 0
+        while steps < max_steps:  # a counter is faster than a range per walk
+            steps += 1
+            if low0 <= a0 <= box0 and low1 <= a1 <= box1:
+                state = (a0, a1)
+                if seen is None:
+                    seen = {state}
+                elif state in seen:
+                    expansion_of(CnsNotRepresentable(Residue(state)), z, IntPoly((p0, p1, 1)))
+                else:
+                    seen.add(state)
+            q = a0 // p0
+            a0, a1 = a1 - q * p1, -q
+            if not a1:
+                if not a0:
+                    break
+                if low <= a0 <= bound:
+                    rest = data[a0 + bound]
+                    if rest:
+                        steps += rest
                         break
-                    return steps + rest
-    expansion_of(CnsExhausted(max_steps), z, IntPoly((p0, p1, 1)))  # raises
+        else:
+            steps = max_steps + 1  # out of steps
+        if steps > max_steps:  # so is a stored length that overruns the budget
+            expansion_of(CnsExhausted(max_steps), z, IntPoly((p0, p1, 1)))  # raises
+        if low <= z <= bound:
+            data[z + bound] = steps
+    return steps
 
 
-@lru_cache(maxsize=32)  # read once per walk, by quadratic_walk and quadratic_length
+@lru_cache(maxsize=32)  # read once per quadratic_walk and once per quadratic_length batch
 def cycle_box(p0: int, p1: int) -> tuple[float, float]:
     """Bounds (b0, b1) with |a0| <= b0 and |a1| <= b1 at every periodic
     state over X^2 + p1 X + p0, p0 > 0.  Over complex roots a periodic A

@@ -6,9 +6,10 @@ parameters; only the elapsed-time field varies between runs.  The whole
 suite runs in one process.  The per-integer sweeps walk backward
 division on cns's rules (see cns.quadratic_walk), cut short at the first
 integer state whose answer is already stored: the LengthTable that
-checks ii, iii, v, vi and viii read counts steps by cns.quadratic_length,
-and the expansion sweep that check i compares digit for digit and check
-ix sums takes the digit buffer of quadratic_walk.  When both run, the
+checks ii, iii, v, vi and viii read is filled by one
+cns.quadratic_length call, which counts the steps of every walk in one
+loop, and the expansion sweep that check i compares digit for digit and
+check ix sums takes the digit buffer of quadratic_walk.  When both run, the
 sweep runs once: check i records the digit-sum failures as it walks,
 and check ix reads them.  Check vii reads leading block lengths from a
 LengthTable of its own, filled by the base -4 digit recurrence, which
@@ -137,8 +138,7 @@ def _walk_ends(bound: int) -> None:
     range beyond the step budget raises at its lowest value before any
     sweep from 0 starts: one from 0 outwards would never reach the end of
     such a range."""
-    for z in (-bound, bound):
-        quadratic_length(z, 2, 2, bytearray(1), 0)
+    quadratic_length((-bound, bound), 2, 2, bytearray(1), 0)
 
 
 def _outward(bound: int) -> Iterator[int]:
@@ -188,7 +188,7 @@ class LengthTable:
         bound = self.bound
         if -bound <= z <= bound:
             return self.data[z + bound]
-        return quadratic_length(z, 2, 2, self.data, bound)
+        return quadratic_length((z,), 2, 2, self.data, bound)
 
     def side(self, sign: int) -> bytearray:
         """The values at sign * 1, sign * 2, ..., sign * bound."""
@@ -217,17 +217,16 @@ class LengthTable:
 def compute_length_table(bound: int) -> LengthTable:
     """Length over X^2 + 2X + 2 of every |z| <= bound, by direct digit extraction.
 
-    z runs through 0, 1, -1, 2, -2, ...; each quadratic_length stops at the
-    first integer state whose length is already stored, and stores the
-    steps taken plus that length.  Every length still comes from backward
-    division steps, never from the block formula.
+    One quadratic_length batch over 0, 1, -1, 2, -2, ...: each walk stops
+    at the first integer state whose length is already stored, and stores
+    the steps taken plus that length.  Every length still comes from
+    backward division steps, never from the block formula.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _walk_ends(bound)
     data = _store(bound, bytearray)
-    for z in _outward(bound):
-        data[z + bound] = quadratic_length(z, 2, 2, data, bound)
+    quadratic_length(_outward(bound), 2, 2, data, bound)
     return LengthTable(bound, data)
 
 
@@ -433,11 +432,13 @@ def _sample_pairs(count: int, seed: int, bound: int) -> Iterator[tuple[int, int]
     """count seeded pairs of nonzero integers |x|, |y| <= bound, drawn one
     at a time, so that a huge count holds no list of pairs."""
     rng = random.Random(seed)
+    # randint(-bound, bound) draws the same integers through more argument handling
+    draw, width = rng.randrange, 2 * bound + 1
     for _ in range(count):
         x = y = 0
         while not (x and y):
-            x = rng.randint(-bound, bound)
-            y = rng.randint(-bound, bound)
+            x = draw(width) - bound
+            y = draw(width) - bound
         yield x, y
 
 

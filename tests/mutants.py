@@ -56,13 +56,13 @@ MUTANTS = (
     # the kernel: the box test, the budget edge and the stop at a stored answer
     Mutant("kernel-box-a1-half", CNS,
            "    for _ in range(max_steps):\n"
-           "        if -box0 <= a0 <= box0 and -box1 <= a1 <= box1:",
+           "        if low0 <= a0 <= box0 and low1 <= a1 <= box1:",
            "    for _ in range(max_steps):\n"
-           "        if -box0 <= a0 <= box0 and 0 <= a1 <= box1:",
+           "        if low0 <= a0 <= box0 and 0 <= a1 <= box1:",
            (T_CNS + "test_encode_outcomes_equal_the_reference_loop",)),
     Mutant("kernel-budget-one-short", CNS,
-           "    for _ in range(max_steps):\n        if -box0",
-           "    for _ in range(max_steps - 1):\n        if -box0",
+           "    for _ in range(max_steps):\n        if low0",
+           "    for _ in range(max_steps - 1):\n        if low0",
            (T_CNS + "test_budget_exactly_sufficient",
             T_CNS + "test_encode_outcomes_equal_the_reference_loop")),
     Mutant("kernel-known-budget-edge", CNS,
@@ -76,20 +76,63 @@ MUTANTS = (
             T_CNS + "test_quadratic_length_raises_as_the_kernel_on_bases_with_cycles")),
     # quadratic_length's stop rule
     Mutant("length-budget-edge", CNS,
-           "if steps + rest > max_steps:",
-           "if steps + rest >= max_steps:",
+           "if steps > max_steps:",
+           "if steps >= max_steps:",
            (T_CNS + "test_quadratic_length_runs_out_at_the_kernel_budget",)),
     Mutant("length-stop-adds-one", CNS,
-           "                    return steps + rest",
-           "                    return steps + rest + 1",
+           "                        steps += rest\n",
+           "                        steps += rest + 1\n",
            (T_CNS + "test_quadratic_length_counts_the_kernel_steps_below_the_table",
             T_VERIFY + "test_table_equals_the_kernel_walk_without_a_memo")),
     Mutant("length-stop-window-narrowed", CNS,
-           "            if -bound <= a0 <= bound:",
-           "            if -bound < a0 <= bound:",
+           "                if low <= a0 <= bound:",
+           "                if low < a0 <= bound:",
            (T_CNS + "test_quadratic_length_counts_the_kernel_steps_below_the_table",),
            equivalent="a walk not stopped at -bound walks on from it and counts the "
                       "steps that the stored length counted, within the same budget"),
+    Mutant("length-exhaustion-counted", CNS,
+           "            steps = max_steps + 1  # out of steps",
+           "            pass",
+           (T_CNS + "test_quadratic_length_runs_out_at_the_kernel_budget",
+            T_CNS + "test_quadratic_length_beyond_the_budget_raises_the_kernel_message")),
+    # the cycle sets, made at the first state inside the box
+    Mutant("kernel-lazy-set-remade", CNS,
+           "\n            if seen is None:",
+           "\n            if True:",
+           (T_CNS + "test_encode_outcomes_equal_the_reference_loop",)),
+    Mutant("length-lazy-set-remade", CNS,
+           "\n                if seen is None:",
+           "\n                if True:",
+           (T_CNS + "test_quadratic_length_raises_as_the_kernel_on_bases_with_cycles",)),
+    Mutant("kernel-lazy-set-drops-first", CNS,
+           "\n                seen = {state}",
+           "\n                seen = set()",
+           (T_CNS + "test_encode_outcomes_equal_the_reference_loop",),
+           equivalent="the first state a walk has inside cycle_box is transient, so it is "
+                      "never revisited: over complex roots with p0 <= 60, |p1| <= 40 no "
+                      "periodic state has a1 = 0 or a predecessor outside the box, and no "
+                      "walk from (z, 0), z != 0, with 2 <= p0 <= 30, |p1| <= 20, "
+                      "|z| <= 2000 comes back to a state it entered the box on"),
+    Mutant("length-set-kept-across-walks", CNS,
+           "    for z in zs:\n        seen = None\n",
+           "    seen = None\n    for z in zs:\n",
+           (T_VERIFY + "test_table_equals_single_walks_on_an_empty_store",
+            T_VERIFY + "test_table_equals_the_kernel_walk_without_a_memo")),
+    # quadratic_length's batch store
+    Mutant("batch-stores-beyond-the-bound", CNS,
+           "        if low <= z <= bound:",
+           "        if z <= bound:",
+           (T_CNS + "test_a_batch_stores_no_z_beyond_the_bound",)),
+    Mutant("batch-stores-before-the-walk", CNS,
+           "        a0, a1 = z, 0\n        steps = 0\n",
+           "        a0, a1 = z, 0\n        if low <= z <= bound:\n"
+           "            data[z + bound] = steps\n        steps = 0\n",
+           (T_CNS + "test_a_batch_raises_the_kernel_message_for_its_failing_z",)),
+    Mutant("batch-stores-nothing-below-zero", CNS,
+           "        if low <= z <= bound:",
+           "        if 0 <= z <= bound:",
+           (T_VERIFY + "test_table_equals_single_walks_on_an_empty_store",
+            T_VERIFY + "test_table_equals_the_kernel_walk_without_a_memo")),
     # _lift_outcome: the budget map and the cycle residue
     Mutant("lift-budget-map-short", CNS,
            "walk = _walk(z, qc, (max_steps - 2) // m + 2)",

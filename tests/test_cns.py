@@ -309,15 +309,15 @@ def kernel_length(z, p0, p1, data, bound, max_steps=DEFAULT_MAX_STEPS):
 def test_quadratic_length_counts_the_kernel_steps_below_the_table(table):
     small = compute_length_table(40)
     for z in range(-TABLE_BOUND, TABLE_BOUND + 1):
-        assert (quadratic_length(z, 2, 2, small.data, 40)
+        assert (quadratic_length((z,), 2, 2, small.data, 40)
                 == kernel_length(z, 2, 2, small.data, 40))
-        assert quadratic_length(z, 2, 2, small.data, 40) == table[z]
+        assert quadratic_length((z,), 2, 2, small.data, 40) == table[z]
 
 
 def test_quadratic_length_counts_the_kernel_steps_beyond_the_table(table):
     rng = random.Random(23)
     for z in (rng.randint(-10**10, 10**10) for _ in range(200)):
-        assert (quadratic_length(z, 2, 2, table.data, TABLE_BOUND)
+        assert (quadratic_length((z,), 2, 2, table.data, TABLE_BOUND)
                 == kernel_length(z, 2, 2, table.data, TABLE_BOUND))
 
 
@@ -334,14 +334,14 @@ def test_quadratic_length_raises_as_the_kernel_on_bases_with_cycles(p0, p1):
         length = walked(kernel_length, z, p0, p1, data, 0)
         data[z + bound] = length if isinstance(length, int) else 0
     if (p0, p1) == (2, -2):
-        assert walked(quadratic_length, -42, 2, -2, data, bound) == (
+        assert walked(quadratic_length, (-42,), 2, -2, data, bound) == (
             NotRepresentableError, "-42 is not representable over 2,-2,1 (cycle residue (-1, 1))")
     if (p0, p1) == (2, 3):
-        assert walked(quadratic_length, 7, 2, 3, bytearray(1), 0) == (
+        assert walked(quadratic_length, (7,), 2, 3, bytearray(1), 0) == (
             NotRepresentableError, "7 is not representable over 2,3,1 (cycle residue (-14, -7))")
     outcomes = set()
     for z in range(-3000, 3001):
-        outcome = walked(quadratic_length, z, p0, p1, data, bound)
+        outcome = walked(quadratic_length, (z,), p0, p1, data, bound)
         assert outcome == walked(kernel_length, z, p0, p1, data, bound)
         outcomes.add(type(outcome))
     assert outcomes == {int, tuple}
@@ -357,16 +357,46 @@ def test_quadratic_length_runs_out_at_the_kernel_budget(table, p1):
     for z in (-1, -42, 7, 4000, -123_456, 10**9 + 7):
         full = walked(kernel_length, z, 2, p1, data, bound)
         for budget in range(1, (full if isinstance(full, int) else 20) + 2):
-            assert (walked(quadratic_length, z, 2, p1, data, bound, budget)
+            assert (walked(quadratic_length, (z,), 2, p1, data, bound, budget)
                     == walked(kernel_length, z, 2, p1, data, bound, budget))
 
 
 def test_quadratic_length_beyond_the_budget_raises_the_kernel_message(table):
     z = 10**4000
-    assert walked(quadratic_length, z, 2, 2, table.data, TABLE_BOUND) == (
+    assert walked(quadratic_length, (z,), 2, 2, table.data, TABLE_BOUND) == (
         StepBudgetError, f"no decision for {brief(z)} within 10000 steps")
     assert (walked(lambda: table[z])
             == walked(kernel_length, z, 2, 2, table.data, TABLE_BOUND))
+
+
+@pytest.mark.parametrize("p1, zs, budget", [
+    (-2, (0, 1, 2, 3, -3, 4), DEFAULT_MAX_STEPS),  # 2 cycles over X^2 - 2X + 2
+    (2, (0, 1, -1, 2, -2, 3, -3, 4, 5), 8),  # 4's stored rest overruns the budget
+    (2, (0, 1, -1, 2, 10**4000, 3), DEFAULT_MAX_STEPS),  # the loop runs out of steps
+])
+def test_a_batch_raises_the_kernel_message_for_its_failing_z(p1, zs, budget):
+    """A batch stops at the first z whose walk has no length, with the
+    kernel's error for that z; the lengths before it are stored, its own
+    entry and those after it are not."""
+    bound = 5
+    data = bytearray(2 * bound + 1)
+    failing = next(z for z in zs if not isinstance(
+        walked(kernel_length, z, 2, p1, bytearray(1), 0, budget), int))
+    assert failing != zs[0]
+    before = zs[:zs.index(failing)]
+    expected = bytearray(2 * bound + 1)
+    for z in before:
+        expected[z + bound] = kernel_length(z, 2, p1, expected, bound, budget)
+    assert (walked(quadratic_length, zs, 2, p1, data, bound, budget)
+            == walked(kernel_length, failing, 2, p1, expected, bound, budget))
+    assert data == expected
+
+
+def test_a_batch_stores_no_z_beyond_the_bound(table):
+    data = bytearray(table.data)
+    zs = (TABLE_BOUND + 1, -TABLE_BOUND - 1, 10**12)
+    assert quadratic_length(zs, 2, 2, data, TABLE_BOUND) == table[10**12]
+    assert data == table.data
 
 
 @given(st.integers(-10**12, 10**12))

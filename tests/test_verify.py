@@ -9,7 +9,7 @@ import pytest
 import cnskit.verify
 from cnskit.cli import main
 from cnskit.cns import (DEFAULT_MAX_STEPS, StepBudgetError, brute_force_oracle,
-                        cns_encode, cns_length, quadratic_walk)
+                        cns_encode, cns_length, quadratic_length, quadratic_walk)
 from cnskit.negabase import Representation
 from cnskit.penney import leading_digit_length, penney_standard, predicted_length
 from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, LengthTable,
@@ -92,6 +92,15 @@ def test_table_equals_the_kernel_walk_without_a_memo():
     plain = bytearray(len(quadratic_walk(z, 2, 2, DEFAULT_MAX_STEPS)[0])
                       for z in range(-SMALL_BOUND, SMALL_BOUND + 1))
     assert compute_length_table(SMALL_BOUND).data == plain
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 5, 17, 400])
+def test_table_equals_single_walks_on_an_empty_store(bound):
+    """The one batch walk stores for each z what a walk of z alone, with
+    no stored length to stop at, counts."""
+    single = bytearray(quadratic_length((z,), 2, 2, bytearray(1), 0)
+                       for z in range(-bound, bound + 1))
+    assert compute_length_table(bound).data == single
 
 
 def test_length_formula_passes(table):

@@ -28,6 +28,22 @@ def reference_sweep(probe, grid_bound, samples, seed):
         probe(x, y)
 
 
+@pytest.mark.parametrize("bound", [1, 7, SAMPLE_BOUND])
+@pytest.mark.parametrize("seed", [0, 5, verify.DEFAULT_SEED, 2**40 + 3])
+def test_sample_pairs_draw_as_randint(seed, bound):
+    """Each coordinate is the integer randint(-bound, bound) draws from the
+    same generator, zeros redrawn in pairs; 25,000 pairs make at least
+    50,000 draws."""
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(25_000):
+        x = y = 0
+        while not (x and y):
+            x, y = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        expected.append((x, y))
+    assert list(verify._sample_pairs(25_000, seed, bound)) == expected
+
+
 def reference_lambda_bounds(samples, seed, *, grid_bound):
     lam = verify._leading_block_lengths(grid_bound * grid_bound)
     counterexamples = []
