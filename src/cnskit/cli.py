@@ -21,9 +21,9 @@ from typing import NoReturn, Sequence
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, brief,
                   brief_coeffs, cns_decode, cns_encode, expansion_of)
 from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
-                       encode_negabase)
-from .penney import (STANDARD_POLY, SchemeViolation, build_scheme, convert,
-                     predicted_length)
+                       encode_negabase, negabase_digits)
+from .penney import (STANDARD_POLY, SchemeViolation, build_scheme, formula_length,
+                     substitute_digits)
 from .poly import IntPoly, compose_x_power
 from .trinomial import SequenceId, lift_representation, seq_terms
 from .verify import DEFAULT_SEED, SAMPLE_COUNT, run_suite
@@ -157,10 +157,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     scheme = _scheme_or_fail(args)
     if scheme is None:
         return 1
+    # convert and predicted_length, on one computation of the base -c digits
+    neg = negabase_digits(args.value, scheme.c)
     payload = {"poly": args.poly.to_string(), "c": args.c, "d": args.d,
                "value": args.value,
-               "predicted_length": predicted_length(args.value, scheme)}
-    _emit_digits(args, payload, convert(args.value, scheme))
+               "predicted_length": formula_length(neg, scheme)}
+    _emit_digits(args, payload, Representation(scheme.base, substitute_digits(neg, scheme)))
     return 0
 
 

@@ -172,16 +172,29 @@ def penney_standard() -> PenneyScheme:
     return scheme
 
 
-def convert(z: int, scheme: PenneyScheme) -> Representation:
-    """Expand z over the scheme's polynomial base by block substitution on
-    z's raw base -c digits: column i of the blocks fills every d-th digit
-    from i by one translate, and the trailing zeros cut are the top block's
-    padding, as the top base -c digit is nonzero (0 has no digits)."""
-    neg = negabase_digits(z, scheme.c)
+def substitute_digits(neg: bytearray, scheme: PenneyScheme) -> bytes:
+    """Block substitution on raw base -c digits (negabase_digits, none for
+    0): column i of the blocks fills every d-th digit from i by one
+    translate, and the trailing zeros cut are the top block's padding, as
+    the top base -c digit is nonzero.  The expansion's digits, least
+    significant first; b"\\0" for no digits."""
     out = bytearray(scheme.d * len(neg))
     for i, column in enumerate(scheme.columns):
         out[i::scheme.d] = neg.translate(column)
-    return Representation(scheme.base, out.rstrip(b"\0") or b"\0")
+    return bytes(out.rstrip(b"\0")) or b"\0"
+
+
+def formula_length(neg: bytearray, scheme: PenneyScheme) -> int:
+    """Expansion length implied by block substitution alone, from raw base
+    -c digits (none for 0): d * (negabase length - 1) + leading block length."""
+    neg = neg or b"\0"
+    return scheme.d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]
+
+
+def convert(z: int, scheme: PenneyScheme) -> Representation:
+    """Expand z over the scheme's polynomial base: substitute_digits on z's
+    raw base -c digits."""
+    return Representation(scheme.base, substitute_digits(negabase_digits(z, scheme.c), scheme))
 
 
 def leading_digit_length(z: int, scheme: PenneyScheme) -> int:
@@ -191,10 +204,9 @@ def leading_digit_length(z: int, scheme: PenneyScheme) -> int:
 
 
 def predicted_length(z: int, scheme: PenneyScheme) -> int:
-    """Expansion length implied by block substitution alone, from z's raw
-    base -c digits: d * (negabase length - 1) + leading block length."""
-    neg = negabase_digits(z, scheme.c) or b"\0"
-    return scheme.d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]
+    """Expansion length implied by block substitution alone: formula_length
+    on z's raw base -c digits."""
+    return formula_length(negabase_digits(z, scheme.c), scheme)
 
 
 def scheme_pairs(p: IntPoly, c_max: int, d_max: int) -> list[tuple[int, int]]:

@@ -11,9 +11,12 @@ cns.quadratic_length call, which counts the steps of every walk in one
 loop, and the expansion sweep that check i compares digit for digit and
 check ix sums takes the digit buffer of quadratic_walk.  When both run, the
 sweep runs once: check i records the digit-sum failures as it walks,
-and check ix reads them.  Check vii reads leading block lengths from a
-LengthTable of its own, filled by the base -4 digit recurrence, which
-also reads it beyond its bound.
+and check ix reads them.  Check i computes each integer's raw base -4
+digits once and hands them to both penney.substitute_digits and
+penney.formula_length; it builds a Representation, through convert and
+predicted_length, only for a counterexample row.  Check vii reads
+leading block lengths from a LengthTable of its own, filled by the
+base -4 digit recurrence, which also reads it beyond its bound.
 
 No check reads a store's layout: a LengthTable answers by value
 (table[z]), by side (the values at 1, 2, ... or at -1, -2, ...), by sign
@@ -38,10 +41,11 @@ from typing import Callable, Iterable, Iterator
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
                   expansion_of, quadratic_length, quadratic_walk)
-from .negabase import Representation, extremal_of_length, format_digits, length_negabase
+from .negabase import (Representation, extremal_of_length, format_digits, length_negabase,
+                       negabase_digits)
 from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
-                     build_scheme, convert, leading_digit_length, penney_standard,
-                     predicted_length)
+                     build_scheme, convert, formula_length, leading_digit_length,
+                     penney_standard, predicted_length, substitute_digits)
 from .poly import IntPoly
 from .trinomial import seq_a
 
@@ -271,7 +275,9 @@ def check_length_formula(bound: int = EXPANSION_BOUND, *,
     extraction digit for digit, and the length matches
     d * (negabase length - 1) + leading block length.
 
-    A digit_sum_failures list receives [z, digit sum] for each z of the
+    Both read z's raw base -c digits, computed once per integer; only a
+    counterexample row goes through convert and predicted_length.  A
+    digit_sum_failures list receives [z, digit sum] for each z of the
     sweep whose digits break check ix's identity, in sweep order.
     """
     t0 = time.perf_counter()
@@ -282,11 +288,12 @@ def check_length_formula(bound: int = EXPANSION_BOUND, *,
             digit_sum = sum(direct)
             if _breaks_digit_sum(z, digit_sum):
                 digit_sum_failures.append([z, digit_sum])
-        substituted = convert(z, scheme)
-        predicted = predicted_length(z, scheme)
-        if direct != substituted.digits or predicted != len(direct):
-            counterexamples.append([z, format_digits(direct), substituted.digit_string(),
-                                    predicted])
+        neg = negabase_digits(z, scheme.c)
+        if (direct != substitute_digits(neg, scheme)
+                or formula_length(neg, scheme) != len(direct)):
+            counterexamples.append([z, format_digits(direct),
+                                    convert(z, scheme).digit_string(),
+                                    predicted_length(z, scheme)])
     counterexamples.sort()  # ascending z; each z appears at most once
     params = {"bound": bound, "max_steps": DEFAULT_MAX_STEPS}
     return _finish("length_formula", params, counterexamples, [], t0)

@@ -190,11 +190,28 @@ MUTANTS = (
            "pairs = (z.bit_length() + 31) // 16",
            "pairs = (z.bit_length() + 15) // 16",
            (T_NEGABASE + "test_masked_digits_equal_the_plain_loop_at_the_window_edges",)),
-    # convert's top block
+    # block substitution's top block and the length formula, shared by
+    # convert, predicted_length and check i
     Mutant("convert-keeps-top-padding", PENNEY,
-           'return Representation(scheme.base, out.rstrip(b"\\0") or b"\\0")',
-           'return Representation(scheme.base, out or b"\\0")',
-           (T_PENNEY + "test_convert_known_values",)),
+           'return bytes(out.rstrip(b"\\0")) or b"\\0"',
+           'return bytes(out) or b"\\0"',
+           (T_PENNEY + "test_convert_known_values",
+            T_PENNEY + "test_raw_digit_functions_are_convert_and_predicted_length",
+            T_VERIFY + "test_length_formula_passes")),
+    Mutant("formula-drops-the-minus-one", PENNEY,
+           "return scheme.d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]",
+           "return scheme.d * len(neg) + scheme.block_lengths[neg[-1]]",
+           (T_PENNEY + "test_predicted_length_formula",
+            T_PENNEY + "test_raw_digit_functions_are_convert_and_predicted_length",
+            T_VERIFY + "test_length_formula_passes")),
+    Mutant("check-i-ignores-top-padding", VERIFY,
+           "if (direct != substitute_digits(neg, scheme)\n",
+           "if (direct != substitute_digits(neg, scheme)[:len(direct)]\n",
+           (T_VERIFY + "test_length_formula_reports_a_padded_top_block",)),
+    Mutant("check-i-skips-the-formula", VERIFY,
+           "                or formula_length(neg, scheme) != len(direct)):",
+           "                or False):",
+           (T_VERIFY + "test_length_formula_reports_a_wrong_formula_alone",)),
     # the interleaved decoder's stride
     Mutant("decoder-stride-drops-m", CNS,
            "values = values_at_power_of_two(rep.digits, t, m * len(columns[0]))",

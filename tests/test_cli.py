@@ -97,6 +97,29 @@ def test_convert_json_has_prediction(capsys):
     assert payload["predicted_length"] == payload["length"] == 25
 
 
+@pytest.mark.parametrize("value", [0, 1, -1, 410, -820,
+                                   -(3 << cnskit.negabase.FAST_PATH_BITS) - 5])
+def test_convert_reads_the_base_c_digits_once(capsys, monkeypatch, value):
+    """convert --json gives convert's digits and a prediction equal to
+    their count, from one computation of the base -4 digits; the last
+    value is above FAST_PATH_BITS bits, so its digits take the mask path."""
+    rep = cnskit.convert(value, cnskit.penney_standard())
+    real = cnskit.negabase.negabase_digits
+    calls = []
+
+    def counted(z, b):
+        calls.append(z)
+        return real(z, b)
+
+    for module in (cnskit.cli, cnskit.penney):
+        monkeypatch.setattr(module, "negabase_digits", counted)
+    code, out, _ = run(capsys, "convert", "--value", str(value), "--json")
+    assert (code, calls) == (0, [value])
+    payload = json.loads(out)
+    assert payload["digits"] == rep.digit_string()
+    assert payload["predicted_length"] == payload["length"] == rep.length
+
+
 def test_scheme_table(capsys):
     code, out, _ = run(capsys, "scheme", "--poly", "2,2,1", "--c", "4",
                        "--d", "4")

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from cnskit.cns import CnsDigits, StepBudgetError, cns_encode
 from cnskit import penney
-from cnskit.negabase import encode_negabase, length_negabase
+from cnskit.negabase import FAST_PATH_BITS, encode_negabase, length_negabase, negabase_digits
 from cnskit.penney import (MAX_BLOCK_DIGITS, PenneyScheme, SchemeViolation,
-                           ViolationKind, build_scheme, convert, leading_digit_length,
-                           penney_standard, predicted_length, scheme_pairs)
+                           ViolationKind, build_scheme, convert, formula_length,
+                           leading_digit_length, penney_standard, predicted_length,
+                           scheme_pairs, substitute_digits)
 from cnskit.poly import IntPoly, divides_xd_plus_c, x_power_mod
 
 P = IntPoly((2, 2, 1))
@@ -255,6 +256,29 @@ def block_by_block(z, scheme):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+@pytest.mark.parametrize("poly, c, d", [((2, 2, 1), 4, 4), ((2, 0, 2, 0, 1), 4, 8)])
+def test_raw_digit_functions_are_convert_and_predicted_length(poly, c, d):
+    """substitute_digits and formula_length on z's raw base -c digits give
+    convert's digits and predicted_length, and both agree with the
+    block-by-block loop: every |z| <= 2000 and integers above
+    FAST_PATH_BITS bits, whose digits take the mask path."""
+    scheme = build_scheme(IntPoly(poly), c, d)
+    rng = random.Random(29)
+    big = [sign * (rng.getrandbits(bits) | 1 << (bits - 1))
+           for bits in (FAST_PATH_BITS + 1, FAST_PATH_BITS + 9, 2**12) for sign in (1, -1)]
+    for z in [*range(-2000, 2001), *big]:
+        neg = negabase_digits(z, c)
+        digits = substitute_digits(neg, scheme)
+        assert digits == convert(z, scheme).digits
+        assert tuple(digits) == block_by_block(z, scheme), z
+        assert formula_length(neg, scheme) == predicted_length(z, scheme) == len(digits), z
+    # 0 has no base -c digits, and its expansion is the single digit 0
+    assert len(negabase_digits(0, c)) == 0
+    assert substitute_digits(negabase_digits(0, c), scheme) == b"\0"
+    assert formula_length(negabase_digits(0, c), scheme) == 1
+    assert convert(0, scheme).digit_string() == "0"
 
 
 def seeded_values(seed):

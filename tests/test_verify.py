@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 import cnskit.verify
+from cnskit import penney
 from cnskit.cli import main
 from cnskit.cns import (DEFAULT_MAX_STEPS, StepBudgetError, brute_force_oracle,
                         cns_encode, cns_length, quadratic_length, quadratic_walk)
-from cnskit.negabase import Representation
-from cnskit.penney import leading_digit_length, penney_standard, predicted_length
+from cnskit.negabase import negabase_digits, parse_digits
+from cnskit.penney import convert, leading_digit_length, penney_standard, predicted_length
 from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, LengthTable,
                            VerificationReport, check_additive_bounds, check_boundary_jumps,
                            check_digit_sums, check_gap3, check_lambda_bounds,
@@ -216,18 +217,28 @@ def test_leading_block_lengths_below_the_single_digits(bound):
         assert lam[v] == leading_digit_length(v, scheme)
 
 
+def corrupt_at(monkeypatch, name, wrong):
+    """Replace penney's raw-digit function name, in penney and in verify's
+    binding, by one that returns wrong[z] when given z's base -4 digits."""
+    real = getattr(penney, name)
+    by_digits = {bytes(negabase_digits(z, 4)): value for z, value in wrong.items()}
+
+    def corrupted(neg, scheme):
+        key = bytes(neg)
+        return by_digits[key] if key in by_digits else real(neg, scheme)
+
+    for module in (penney, cnskit.verify):
+        monkeypatch.setattr(module, name, corrupted)
+
+
 def test_length_formula_reports_corrupted_values_in_ascending_order(monkeypatch):
-    """Three wrong conversions, corrupted out of sweep order, are reported
-    in ascending z order, each as [z, direct, substituted, predicted]."""
-    real_convert = cnskit.verify.convert
+    """Three wrong substitutions, corrupted out of sweep order, are
+    reported in ascending z order, each as [z, direct, substituted,
+    predicted].  They are injected where check i substitutes on its hot
+    path and where convert does for the row."""
     corrupted = {150: "1", -37: "11", 9: "101"}
-
-    def convert(z, scheme):
-        if z in corrupted:
-            return Representation.from_string(scheme.base, corrupted[z])
-        return real_convert(z, scheme)
-
-    monkeypatch.setattr(cnskit.verify, "convert", convert)
+    corrupt_at(monkeypatch, "substitute_digits",
+               {z: parse_digits(text) for z, text in corrupted.items()})
     report = check_length_formula(400)
     scheme = penney_standard()
     assert report.counterexamples == [
@@ -235,6 +246,40 @@ def test_length_formula_reports_corrupted_values_in_ascending_order(monkeypatch)
          predicted_length(z, scheme)]
         for z in sorted(corrupted)]
     assert report.params["counterexample_count"] == 3
+
+
+def test_length_formula_reports_a_wrong_formula_alone(monkeypatch):
+    """With substitution left right, a formula off by one at a single z
+    is reported at exactly that z, with the wrong prediction."""
+    scheme = penney_standard()
+    direct = cns_encode(-37, STANDARD_POLY).representation
+    corrupt_at(monkeypatch, "formula_length", {-37: direct.length + 1})
+    report = check_length_formula(400)
+    assert report.counterexamples == [
+        [-37, direct.digit_string(), direct.digit_string(), direct.length + 1]]
+    assert report.params["counterexample_count"] == 1
+    assert convert(-37, scheme).digits == direct.digits
+
+
+def test_length_formula_reports_a_padded_top_block(monkeypatch):
+    """A substitution that keeps the top block's padding differs from the
+    direct digits exactly where the top base -4 digit is 1, whose block
+    0001 has length 1; check i reports each such z.  Only check i's
+    binding pads, so each row shows convert's unpadded digits."""
+    real = penney.substitute_digits
+
+    def padded(neg, scheme):
+        return real(neg, scheme).ljust(scheme.d * len(neg), b"\0")
+
+    monkeypatch.setattr(cnskit.verify, "substitute_digits", padded)
+    report = check_length_formula(300)
+    padded_zs = [z for z in range(-300, 301) if z and negabase_digits(z, 4)[-1] == 1]
+    recorded = cnskit.verify.MAX_RECORDED
+    assert report.params["counterexample_count"] == len(padded_zs) > recorded
+    assert [row[0] for row in report.counterexamples] == padded_zs[:recorded]
+    for z, direct, substituted, predicted in report.counterexamples:
+        assert direct == substituted == convert(z, penney_standard()).digit_string()
+        assert predicted == len(direct)
 
 
 def test_length_set_passes(table):
