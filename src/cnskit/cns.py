@@ -19,26 +19,30 @@ below: p's digits are q's spread m apart, and q's outcome on the budget
 indices of p's nonzero coefficients.  X^2 + c with c > 0 keeps the
 kernel, as its q = X + c would walk a state tuple.
 
-Big integers, of more than FAST_PATH_BITS bits, on a quadratic where
-X^j = 256 mod p skip most interpreter steps (j = 16 over X^2 +- 2X + 2,
-so over the trinomial's q, and X^2 + 2; j = 8 over X^2 + 4).  The first
-j digits of A depend only on A mod X^j = A mod 256, i.e. on a0 and a1
-mod 256, and with D their residue the walk lands exactly on (A - D)/256:
-Knuth's radix trick on Penney's base -1 + i, whose 16th power is 256.
-From (z, 0) the walk is at (z >> 8g + c0, c1) after g groups of j
-steps, (c0, c1) one of a few carries, so one table of j plain steps from
+On a quadratic where X^j = 256 mod p (j = 16 over X^2 +- 2X + 2, so
+over the trinomial's q, and X^2 + 2; j = 8 over X^2 + 4) an integer
+skips j interpreter steps for each byte of it read, at any size that
+leaves its kept bits (below) after a byte.  The first j digits of
+A depend only on A mod X^j = A mod 256, i.e. on a0 and a1 mod 256, and
+with D their residue the walk lands exactly on (A - D)/256: Knuth's
+radix trick on Penney's base -1 + i, whose 16th power is 256.  From
+(z, 0) the walk is at (z >> 8g + c0, c1) after g groups of j steps,
+(c0, c1) one of a few carries, so one table of j plain steps from
 (c0 + b, c1) per carry and byte b gives a group's digits and the next
 carry for each byte of z.  Such a p has complex roots, as real j-th roots
 of 256 are +-alpha (p0 < 0) or a double root (X^j mod p not constant).
 Every other base walks the plain loop at every size.  Three rules keep
 every outcome the plain loop's:
   - a group is kept only if it lands outside the box that holds every
-    periodic state, as keeping z's top 24 bits ensures; a state it skips
-    is then not periodic, so it is never revisited and is not zero, and
-    the cycle residue stays;
+    periodic state, as keeping the base's kept bits of z ensures (6 over
+    X^2 +- 2X + 2, so z reads a byte from 14 bits on, see _byte_base);
+    a state it skips is then not periodic, so it is never revisited and
+    is not zero, and the cycle residue stays;
   - a group counts j steps, taken only while they remain;
   - the plain walk from the last landing gets the steps left, and its
     running out of them is the whole budget running out.
+The kept bits come from a bound on the carries, not from the table, so
+an integer that reads no byte builds none.
 A digit string is read back by Penney's interleave where the base
 allows it: if X^e = t mod p for a constant t = +-2^s, 2 <= |t| <= 32,
 then sum d_j X^j = sum_{r<e} X^r N_r with N_r = sum_k d_{ek+r} t^k, and
@@ -69,8 +73,8 @@ from math import gcd, inf, isqrt
 from operator import add, mul
 from typing import Callable, Iterable
 
-from .negabase import (FAST_PATH_BITS, PARSE_RADICES, CnsBase, Representation,
-                       digit_buffer, spread_digits, values_at_power_of_two)
+from .negabase import (PARSE_RADICES, CnsBase, Representation, digit_buffer, spread_digits,
+                       values_at_power_of_two)
 from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
@@ -243,12 +247,35 @@ def cycle_box(p0: int, p1: int) -> tuple[float, float]:
     return (s + 1) * (2 * s + 1), 2 * (s + 1)
 
 
-@lru_cache(maxsize=32)
-def _byte_steps(p0: int, p1: int) -> int:
-    """The least j <= _BYTE_MAX_STEPS with X^j = 256 mod X^2 + p1 X + p0,
-    or 0 if there is none."""
-    powers = islice(x_powers_mod(IntPoly((p0, p1, 1))), _BYTE_MAX_STEPS + 1)
-    return next((j for j, power in enumerate(powers) if power == (256, 0)), 0)
+@lru_cache(maxsize=32)  # read once per quadratic walk
+def _byte_base(p0: int, p1: int) -> tuple[int, int]:
+    """(j, keep) for X^2 + p1 X + p0: the least j <= _BYTE_MAX_STEPS with
+    X^j = 256 mod p, or (0, 0) if there is none, and the bits of z a byte
+    walk keeps, so that every landing lies outside cycle_box(p0, p1).
+
+    j steps from (a0, a1) emit digits d_i < p0 and land on a state whose
+    first entry is (a0 - D0) / 256, D0 = sum d_i u_i, u_i the constant
+    term of X^i mod p, so low <= D0 <= high for the sums of (p0 - 1) u_i
+    below and above zero.  A carry is such a landing from (c0 + b, c1),
+    0 <= b < 256, c0 a carry or 0, and -(high // 255) <= c0 <=
+    (255 - low) // 255 maps into itself, so every carry has |c0| <= c.
+    A landing at |z >> 8n| >= 2^(keep - 1) > box0 + c lies outside the
+    box.  This needs no carry table, which _walk builds only for a z that
+    reads a byte.
+    """
+    # X^j = 256 puts p's complex roots at |alpha| = 2^(8/j), so p0 = 2^(16/j)
+    # <= 256 and p1^2 < 4 p0; any other p skips the powers of X, which grow
+    # j-fold in size (encoding 5 over a 10^5-digit p0 took 0.9 s without this)
+    if p0 > 256 or p1 * p1 >= 4 * p0:
+        return 0, 0
+    powers = list(islice(x_powers_mod(IntPoly((p0, p1, 1))), _BYTE_MAX_STEPS + 1))
+    j = next((j for j, power in enumerate(powers) if power == (256, 0)), 0)
+    if not j:
+        return 0, 0
+    low = (p0 - 1) * sum(min(u, 0) for u, _ in powers[:j])
+    high = (p0 - 1) * sum(max(u, 0) for u, _ in powers[:j])
+    c = max(255 - low, high) // 255
+    return j, (cycle_box(p0, p1)[0] + c).bit_length() + 1
 
 
 @lru_cache(maxsize=8)
@@ -277,16 +304,15 @@ def _carry_table(p0: int, p1: int, j: int
     return tuple(groups), tuple(carries)
 
 
-def _byte_walk(z: int, p0: int, p1: int, j: int, max_steps: int
+def _byte_walk(z: int, p0: int, p1: int, j: int, n: int, max_steps: int
                ) -> bytearray | CnsNotRepresentable | CnsExhausted:
     """The digits of quadratic_walk(z, p0, p1, max_steps) over a base with
     X^j = 256, or the outcome that ends it: the digits of n groups of j
     steps, one per low byte of z, extended in place by the plain walk
-    from (z >> 8n + c0, c1) on the steps left.  n keeps the top 24 bits
-    of z, so |z >> 8n| >= 2^23 and the landing lies far outside
-    cycle_box(p0, p1)."""
+    from (z >> 8n + c0, c1) on the steps left.  _walk picks n so that the
+    groups fit the budget and keep the base's kept bits of z, which put
+    the landing outside cycle_box(p0, p1)."""
     groups, carries = _carry_table(p0, p1, j)
-    n = max(0, min((z.bit_length() - 24) // 8, max_steps // j))
     digits, key = bytearray(), 0
     for byte in (z & ((1 << 8 * n) - 1)).to_bytes(n, "little"):
         group, key = groups[key + byte]
@@ -338,9 +364,11 @@ def _walk(z: int, pc: tuple[int, ...], max_steps: int
     that ends its walk."""
     p0 = pc[0]
     if len(pc) == 3 and p0 > 0:
-        j = z.bit_length() > FAST_PATH_BITS and _byte_steps(p0, pc[1])
-        if j:
-            return _byte_walk(z, p0, pc[1], j, max_steps)
+        j, keep = _byte_base(p0, pc[1])
+        # as many groups as leave keep bits of z and fit the budget; none without j
+        n = j and min((z.bit_length() - keep) // 8, max_steps // j)
+        if n > 0:
+            return _byte_walk(z, p0, pc[1], j, n, max_steps)
         walk = quadratic_walk(z, p0, pc[1], max_steps)
         return walk[0] if isinstance(walk, tuple) else walk
     radix = abs(p0)

@@ -161,24 +161,46 @@ MUTANTS = (
            "    return walk",
            (T_CNS + "test_byte_walks_equal_the_reference_loop",
             T_CNS + "test_big_integers_exhaust_the_budget_at_the_same_step")),
+    # _walk's group count and _byte_base's kept bits
     Mutant("byte-walk-keeps-8-bits", CNS,
-           "(z.bit_length() - 24) // 8",
+           "(z.bit_length() - keep) // 8",
            "(z.bit_length() - 8) // 8",
-           (T_CNS + "test_byte_walks_equal_the_reference_loop",),
-           equivalent="a landing at |z >> 8n| >= 2^7 still lies outside cycle_box for "
-                      "every byte base, so no periodic state is skipped"),
+           (T_CNS + "test_byte_walks_equal_the_reference_loop",
+            T_CNS + "test_small_byte_walks_equal_the_reference_loop"),
+           equivalent="8 bits are at least every byte base's keep (6, or 8 over X^2 + 16), "
+                      "so every landing still lies outside cycle_box; z only reads a byte "
+                      "fewer"),
     Mutant("byte-walk-group-past-the-budget", CNS,
-           "min((z.bit_length() - 24) // 8, max_steps // j)",
-           "min((z.bit_length() - 24) // 8, max_steps // j + 1)",
-           (T_CNS + "test_byte_walks_equal_the_reference_loop",),
+           "min((z.bit_length() - keep) // 8, max_steps // j)",
+           "min((z.bit_length() - keep) // 8, max_steps // j + 1)",
+           (T_CNS + "test_byte_walks_equal_the_reference_loop",
+            T_CNS + "test_small_byte_walks_equal_the_reference_loop"),
            equivalent="a kept landing is not periodic, so a walk whose groups overrun "
                       "the budget is exhausted on the plain loop too"),
     Mutant("byte-walk-no-budget-cap", CNS,
-           "n = max(0, min((z.bit_length() - 24) // 8, max_steps // j))",
-           "n = max(0, (z.bit_length() - 24) // 8)",
-           (T_CNS + "test_byte_walks_equal_the_reference_loop",),
+           "n = j and min((z.bit_length() - keep) // 8, max_steps // j)",
+           "n = j and (z.bit_length() - keep) // 8",
+           (T_CNS + "test_byte_walks_equal_the_reference_loop",
+            T_CNS + "test_small_byte_walks_equal_the_reference_loop"),
            equivalent="groups past the budget leave the walk on a negative budget, "
                       "which is exhausted at once, as the plain loop is"),
+    # one bit fewer puts a landing such as (-15, 0) over X^2 + 2X + 2 in the
+    # box; the walks stay exact all the same, as the only periodic states of
+    # the byte bases are (0, 0) and, over X^2 - 2X + 2, (-1, 1), far below
+    # 2^4 - 1 (found by walking every start with |a_i| <= 80), so only the
+    # box test sees it
+    Mutant("byte-walk-keeps-a-bit-too-few", CNS,
+           "return j, (cycle_box(p0, p1)[0] + c).bit_length() + 1",
+           "return j, (cycle_box(p0, p1)[0] + c).bit_length()",
+           (T_CNS + "test_kept_bits_put_every_landing_outside_the_box",)),
+    Mutant("byte-base-gate-drops-x-squared-plus-16", CNS,
+           "if p0 > 256 or p1 * p1 >= 4 * p0:",
+           "if p0 > 8 or p1 * p1 >= 4 * p0:",
+           (T_CNS + "test_only_bases_with_a_power_256_read_bytes",)),
+    Mutant("byte-base-carries-unbounded", CNS,
+           "c = max(255 - low, high) // 255",
+           "c = 0",
+           (T_CNS + "test_kept_bits_put_every_landing_outside_the_box",)),
     # _carry_table's start state
     Mutant("carry-table-start-drops-c1", CNS,
            "            a0, a1 = c0 + b, c1",

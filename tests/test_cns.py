@@ -199,9 +199,9 @@ def spy_on_walks(monkeypatch):
     calls = []
     byte_walk = cns._byte_walk
 
-    def spy(z, p0, p1, j, max_steps):
+    def spy(z, p0, p1, j, n, max_steps):
         calls.append((p0, p1, j))
-        return byte_walk(z, p0, p1, j, max_steps)
+        return byte_walk(z, p0, p1, j, n, max_steps)
 
     monkeypatch.setattr(cns, "_byte_walk", spy)
     return calls
@@ -209,8 +209,8 @@ def spy_on_walks(monkeypatch):
 
 def test_x_squared_plus_c_stays_on_the_kernel_and_reads_bytes(monkeypatch):
     """X^2 + c with c > 0 is q(X^2) with q = X + c, but stays on the
-    kernel above 256 bits: over X + c it would take one interpreter step
-    per digit.  X^2 + 2 (X^16 = 256) and X^2 + 4 (X^8 = 256) read z a byte
+    kernel: over X + c it would take one interpreter step per digit.  At
+    600 bits X^2 + 2 (X^16 = 256) and X^2 + 4 (X^8 = 256) read z a byte
     at a time, and X^2 + 3 and X^2 + 7 take the plain kernel."""
     calls = spy_on_walks(monkeypatch)
     z = random.Random(5).getrandbits(600) | 1 << 599
@@ -223,8 +223,8 @@ def test_x_squared_plus_c_stays_on_the_kernel_and_reads_bytes(monkeypatch):
 
 
 def test_the_trinomial_reads_bytes_over_its_quadratic(monkeypatch):
-    """X^(2m) + 2X^m + 2 walks X^2 + 2X + 2, a byte of z per 16 steps
-    above 256 bits."""
+    """X^(2m) + 2X^m + 2 walks X^2 + 2X + 2, a byte of z per 16 steps,
+    here at 600 bits."""
     calls = spy_on_walks(monkeypatch)
     z = -(random.Random(6).getrandbits(600) | 1 << 599)
     for p in (QUARTIC, SEXTIC):
@@ -508,10 +508,10 @@ def plain_steps(z, p):
 
 @pytest.mark.parametrize("p", COMPLEX_BASES, ids=str)
 def test_big_integers_exhaust_the_budget_at_the_same_step(p):
-    """Just above FAST_PATH_BITS, a budget one short of the plain walk's
-    n steps, exactly n or one more, gives the plain loop's outcome."""
+    """From 257 to 293 bits, a budget one short of the plain walk's n
+    steps, exactly n or one more, gives the plain loop's outcome."""
     rng = random.Random(13)
-    for bits in range(cns.FAST_PATH_BITS + 1, cns.FAST_PATH_BITS + 41, 4):
+    for bits in range(257, 297, 4):
         for sign in (1, -1):
             z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
             n = plain_steps(z, p)
@@ -547,7 +547,7 @@ def test_only_bases_with_a_power_256_read_bytes():
     only complex roots can: so a byte group, kept only when it lands
     outside cycle_box, never meets the unbounded box of real roots."""
     found = {(p0, p1): j for p0 in range(1, 400) for p1 in range(-60, 61)
-             if (j := cns._byte_steps.__wrapped__(p0, p1))}
+             if (j := cns._byte_base.__wrapped__(p0, p1)[0])}
     assert found == {p.coeffs[:2]: j for p, j in BYTE_BASES}
 
 
@@ -582,33 +582,79 @@ def test_carry_table_equals_plain_steps(p, j):
 
 @pytest.mark.parametrize("p, j", BYTE_BASES[:4], ids=str)
 @pytest.mark.parametrize("sign", [1, -1])
-def test_byte_walks_equal_the_reference_loop(monkeypatch, p, j, sign):
+def test_byte_walks_equal_the_reference_loop(p, j, sign):
     """From every size of 33 to 300 bits, on budgets of 1, j - 1, j, j + 1,
     around the n j steps of the n groups taken, and around the length of
     the expansion (or the step that finds the cycle, over X^2 - 2X + 2)."""
-    monkeypatch.setattr(cns, "FAST_PATH_BITS", 0)
+    keep = cns._byte_base(*p.coeffs[:2])[1]
     rng = random.Random(33)
     for bits in range(33, 301, 7):
         z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
-        n = (bits - 24) // 8
+        n = (bits - keep) // 8
         need = least_budget(z, p, 10_000)
         budgets = {1, j - 1, j, j + 1, n * j - 1, n * j, n * j + 1, need - 1, need, need + 1}
         for max_steps in budgets:
             assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
 
 
+@pytest.mark.parametrize("p, j", BYTE_BASES, ids=str)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_small_byte_walks_equal_the_reference_loop(p, j, sign):
+    """From one bit below the size at which z reads a byte up to 40 bits,
+    three integers a size, on budgets of 1, j - 1, j, j + 1, around the
+    n j steps of the n groups taken, and around the step that decides z.
+    Over X^2 - 2X + 2 about half the walks end in a cycle, whose residue
+    is compared."""
+    keep = cns._byte_base(*p.coeffs[:2])[1]
+    rng = random.Random(keep * sign)
+    cycles = 0
+    for bits in range(keep + 7, 41):
+        for _ in range(3):
+            z = sign * (rng.getrandbits(bits) | 1 << (bits - 1))
+            n = (bits - keep) // 8
+            need = least_budget(z, p, 10_000)
+            budgets = {1, j - 1, j, j + 1, n * j - 1, n * j, n * j + 1,
+                       need - 1, need, need + 1}
+            for max_steps in budgets - {0, -1}:
+                assert cns_encode(z, p, max_steps) == reference_encode(z, p, max_steps)
+            cycles += isinstance(cns_encode(z, p, need), CnsNotRepresentable)
+    assert bool(cycles) == (p == NONCNS)
+
+
+@pytest.mark.parametrize("p, j", BYTE_BASES, ids=str)
+def test_kept_bits_put_every_landing_outside_the_box(p, j):
+    """A landing at |z >> 8n| >= 2^(keep - 1) on any carry lies outside
+    cycle_box, and one bit fewer lets some landing in: so z reads a byte
+    from keep + 8 bits on, 14 over X^2 +- 2X + 2."""
+    p0, p1, _ = p.coeffs
+    keep = 8 if p0 == 16 else 6
+    assert cns._byte_base(p0, p1) == (j, keep)
+    box0, box1 = cycle_box(p0, p1)
+    carries = cns._carry_table(p0, p1, j)[1]
+
+    def inside(h):
+        return any(abs(h + c0) <= box0 and abs(c1) <= box1 for c0, c1 in carries)
+
+    top = 1 << (keep - 1)
+    assert not inside(top) and not inside(-top)
+    assert inside(top // 2) or inside(-top // 2)
+
+
 def test_small_integers_build_no_digit_table():
-    """Importing cnskit builds no carry table, and neither does encoding
-    every |z| <= 10^5 over X^2 + 2X + 2, as no such walk reads bytes; a
-    257-bit integer builds one.  In a fresh interpreter."""
+    """Importing cnskit builds no carry table, nor does penney_standard(),
+    nor any |z| < 2^13 over X^2 +- 2X + 2, as no such walk reads a byte;
+    2^13 builds one.  In a fresh interpreter."""
     code = ("import cnskit\n"
             "from cnskit import cns\n"
             "sizes = [cns._carry_table.cache_info().currsize]\n"
-            "p = cnskit.IntPoly((2, 2, 1))\n"
-            "for z in range(-10**5, 10**5 + 1):\n"
-            "    cns.cns_encode(z, p)\n"
+            "cnskit.penney_standard()\n"
             "sizes.append(cns._carry_table.cache_info().currsize)\n"
-            "cns.cns_encode(2**256, p)\n"
+            "p, nonrep = cnskit.IntPoly((2, 2, 1)), cnskit.IntPoly((2, -2, 1))\n"
+            "for z in range(1 - 2**13, 2**13):\n"
+            "    cns.cns_encode(z, p)\n"
+            "    cns.cns_encode(z, nonrep)\n"
+            "sizes.append(cns._carry_table.cache_info().currsize)\n"
+            "cns.cns_encode(2**13, p)\n"
             "sizes.append(cns._carry_table.cache_info().currsize)\n"
             "print(sizes)\n")
     src = str(Path(cns.__file__).resolve().parents[1])
@@ -616,7 +662,7 @@ def test_small_integers_build_no_digit_table():
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 1]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 1]\n", "")
 
 
 def test_the_sextic_reads_bytes_by_the_carry_table(monkeypatch):
