@@ -12,10 +12,9 @@ rational arithmetic; there is no floating point anywhere.
 from .cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted,
                   CnsNotRepresentable, CnsOutcome, NotRepresentableError,
                   Residue, StepBudgetError, brute_force_oracle, cns_decode,
-                  cns_encode, cns_length, expansion_of, reduce_digits)
-from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
-                       encode_negabase, extremal_of_length, format_digits,
-                       length_negabase, parse_digits)
+                  cns_encode, cns_length, decode_negabase, expansion_of, reduce_digits)
+from .negabase import (CnsBase, NegaBase, Representation, encode_negabase,
+                       extremal_of_length, format_digits, length_negabase, parse_digits)
 from .penney import (PenneyScheme, SchemeViolation, ViolationKind, build_scheme,
                      convert, leading_digit_length, penney_standard,
                      predicted_length, scheme_pairs)
@@ -37,10 +36,9 @@ __all__ = [
     "DEFAULT_MAX_STEPS", "CnsDigits", "CnsExhausted", "CnsNotRepresentable",
     "CnsOutcome", "NotRepresentableError", "Residue", "StepBudgetError",
     "brute_force_oracle", "cns_decode", "cns_encode", "cns_length",
-    "expansion_of", "reduce_digits",
-    "CnsBase", "NegaBase", "Representation", "decode_negabase",
-    "encode_negabase", "extremal_of_length", "format_digits",
-    "length_negabase", "parse_digits",
+    "decode_negabase", "expansion_of", "reduce_digits",
+    "CnsBase", "NegaBase", "Representation", "encode_negabase",
+    "extremal_of_length", "format_digits", "length_negabase", "parse_digits",
     "PenneyScheme", "SchemeViolation", "ViolationKind", "build_scheme",
     "convert", "leading_digit_length", "penney_standard", "predicted_length",
     "scheme_pairs",

@@ -19,9 +19,8 @@ import sys
 from typing import NoReturn, Sequence
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, StepBudgetError, brief,
-                  brief_coeffs, cns_decode, cns_encode, expansion_of)
-from .negabase import (CnsBase, NegaBase, Representation, decode_negabase,
-                       encode_negabase, negabase_digits)
+                  brief_coeffs, cns_decode, cns_encode, decode_negabase, expansion_of)
+from .negabase import CnsBase, NegaBase, Representation, encode_negabase, negabase_digits
 from .penney import (STANDARD_POLY, SchemeViolation, build_scheme, formula_length,
                      substitute_digits)
 from .poly import IntPoly, compose_x_power
@@ -134,6 +133,8 @@ def _cmd_negabase(args: argparse.Namespace) -> int:
     if args.value is not None:
         rep = encode_negabase(args.value, args.base)
         _emit_digits(args, {"base": args.base, "value": args.value}, rep)
+    elif args.pretty:
+        raise ValueError("--pretty wraps a digit string; negabase --digits prints an integer")
     else:
         rep = Representation.from_string(NegaBase(args.base), args.digits)
         value = decode_negabase(rep)
@@ -301,8 +302,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)  # restored on return
+    command = "cnskit"  # until the arguments parse, which can run out of memory too
     try:
         args = parser.parse_args(argv)
+        command = args.command
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -324,8 +327,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: {args.command} needs more memory than can be allocated",
-              file=sys.stderr)
+        print(f"error: {command} needs more memory than can be allocated", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(limit)

@@ -52,12 +52,12 @@ e and t are found over q, p = q(X^m) with m as in the encoder: for q of
 degree 1 or 2 one of X^1, ..., X^6 mod q is constant if any power is
 (a quadratic's root ratio, when a root of unity, has order 1, 2, 3, 4
 or 6), and X^(me) = t mod p follows.  X^2 + 2X + 2 has X^4 = -4 and
-the trinomial X^(2m) + 2X^m + 2 has X^(4m) = -4.  Any other base, one
-whose t is no such power (X^2 + 3X + 3 has X^6 = -27), and a string of
-fewer than 64 digits, is read k digits at a time from the top, the
-chunked Horner rule:
-acc <- chunk + X^k acc mod p, one dot product per coefficient against a
-table of X^j mod p.
+the trinomial X^(2m) + 2X^m + 2 has X^(4m) = -4.  Base -b digits are
+read as digits over X + b, where X = -b.  Any other base, one whose t is
+no such power (X^2 + 3X + 3 has X^6 = -27; X + 10 has X = -10), and a
+string of fewer than 64 digits, is read k digits at a time from the top,
+the chunked Horner rule: acc <- chunk + X^k acc mod p, one dot product
+per coefficient against a table of X^j mod p.
 
 Correctness is established externally: every emitted expansion reduces
 back to its integer (see reduce_digits), and an exhaustive search over
@@ -73,8 +73,8 @@ from math import gcd, inf, isqrt
 from operator import add, mul
 from typing import Callable, Iterable
 
-from .negabase import (PARSE_RADICES, CnsBase, Representation, digit_buffer, spread_digits,
-                       values_at_power_of_two)
+from .negabase import (PARSE_RADICES, CnsBase, NegaBase, Representation, digit_buffer,
+                       spread_digits, values_at_power_of_two)
 from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
@@ -496,11 +496,23 @@ def cns_decode(rep: Representation) -> Residue:
     """
     if not isinstance(rep.base, CnsBase):
         raise ValueError("expected a polynomial-base representation")
-    p = rep.base.poly
-    if len(rep.digits) < _PARSE_MIN_DIGITS or (route := _interleave(p)) is None:
-        return _chunked_horner(rep.digits, p)
+    return _decode(rep.digits, rep.base.poly)
+
+
+def decode_negabase(rep: Representation) -> int:
+    """The value of a base -b expansion: its digits are canonical over
+    X + b, whose residue is the constant they denote."""
+    if not isinstance(rep.base, NegaBase):
+        raise ValueError("expected a negative-base representation")
+    return _decode(rep.digits, IntPoly((rep.base.b, 1))).coeffs[0]
+
+
+def _decode(digits: bytes | tuple[int, ...], p: IntPoly) -> Residue:
+    """cns_decode's residue of digits over a monic p of positive degree."""
+    if len(digits) < _PARSE_MIN_DIGITS or (route := _interleave(p)) is None:
+        return _chunked_horner(digits, p)
     m, t, columns = route
-    values = values_at_power_of_two(rep.digits, t, m * len(columns[0]))
+    values = values_at_power_of_two(digits, t, m * len(columns[0]))
     return Residue(tuple(sum(map(mul, values[s::m], column))
                          for column in columns for s in range(m)))
 

@@ -19,12 +19,12 @@ n s >= bits(z) + 16 does.  Only z of more than FAST_PATH_BITS bits take
 the mask, a gate of its own: at |z| <= 10^5 it costs about three times
 the plain loop (3.6 against 1.2 us, base -4, 2 cores, Python 3.11).
 
-Reading digits back at t = +-2^s, |t| <= 32, is the same mask the other
-way: the digits as ASCII, most significant first, are one int(text, |t|)
-parse y, linear in the length and exempt from int_max_str_digits for
-these bases, and for t < 0 the value is (y XOR M) - M.  The parse reads
-every e-th digit as easily, which the polynomial decoder uses (see
-values_at_power_of_two).
+Reading digits back is cns's job (decode_negabase reads base -b digits
+as digits over X + b).  At t = +-2^s, |t| <= 32, its parse is the mask
+the other way: every e-th digit as ASCII, most significant first, is one
+int(text, |t|) parse y, linear in the length and exempt from
+int_max_str_digits for these bases, and for t < 0 the value is
+(y XOR M) - M (see values_at_power_of_two).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .poly import IntPoly, poly_eval
+from .poly import IntPoly
 
 # an integer of more bits than this takes the mask when b = 2^s, s dividing 8;
 # every other integer and base, the plain loop (cns's byte walk has its own
@@ -219,7 +219,7 @@ def _masked_digits(z: int, s: int) -> bytearray:
     return digits.rstrip(b"\0")  # the top digit is the last nonzero one
 
 
-def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[int]:
+def values_at_power_of_two(digits: Sequence[int], t: int, e: int) -> list[int]:
     """The e values sum_k digits[e k + r] t^k, r < e, for |t| in
     PARSE_RADICES; a digit outside 0..|t|-1 raises ValueError.
 
@@ -245,17 +245,6 @@ def values_at_power_of_two(digits: Sequence[int], t: int, e: int = 1) -> list[in
 def encode_negabase(z: int, b: int) -> Representation:
     """Expand z in base -b; every integer has exactly one such expansion."""
     return Representation(NegaBase(b), negabase_digits(z, b) or (0,))
-
-
-def decode_negabase(rep: Representation) -> int:
-    """Evaluate the expansion at -b: for b = 2, 4, 8, 16, 32 by one
-    integer parse, linear in the length, otherwise by Horner's rule."""
-    if not isinstance(rep.base, NegaBase):
-        raise ValueError("expected a negative-base representation")
-    b = rep.base.b
-    if b in PARSE_RADICES:
-        return values_at_power_of_two(rep.digits, -b)[0]
-    return poly_eval(IntPoly(rep.digits), -b)
 
 
 def length_negabase(z: int, b: int) -> int:

@@ -236,10 +236,17 @@ MUTANTS = (
            (T_VERIFY + "test_length_formula_reports_a_wrong_formula_alone",)),
     # the interleaved decoder's stride
     Mutant("decoder-stride-drops-m", CNS,
-           "values = values_at_power_of_two(rep.digits, t, m * len(columns[0]))",
-           "values = values_at_power_of_two(rep.digits, t, len(columns[0]))",
+           "values = values_at_power_of_two(digits, t, m * len(columns[0]))",
+           "values = values_at_power_of_two(digits, t, len(columns[0]))",
            (T_CNS + "test_decode_routes_agree",
             T_CNS + "test_big_expansions_decode_to_their_integer")),
+    # base -b digits read over X + b, both routes of the decoder
+    Mutant("negabase-decodes-over-x-minus-b", CNS,
+           "_decode(rep.digits, IntPoly((rep.base.b, 1)))",
+           "_decode(rep.digits, IntPoly((-rep.base.b, 1)))",
+           (T_NEGABASE + "test_decode_known_values",
+            T_NEGABASE + "test_round_trip_small",
+            T_NEGABASE + "test_decode_equals_horner")),
     # LengthTable and the lam store
     Mutant("row-keeps-negative-steps-unreversed", VERIFY,
            "        if step < 0:\n            row.reverse()",

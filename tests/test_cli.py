@@ -506,6 +506,26 @@ def test_out_of_memory_exits_2(argv):
     assert proc.stderr.count("\n") == 1
 
 
+def test_out_of_memory_while_parsing_exits_2():
+    """A value whose parse does not fit in memory exits 2 with one line,
+    although no argument has been parsed to name the command by.  The
+    child builds a hexadecimal value of 4 * 10^7 digits, then caps its
+    address space 15 MiB above what it uses: the integer needs 20 MiB."""
+    code = ("import resource, sys\n"
+            "from cnskit.cli import main\n"
+            "value = '0x' + 'f' * 40_000_000\n"
+            "with open('/proc/self/statm') as statm:\n"
+            "    used = int(statm.read().split()[0]) * resource.getpagesize()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (used + 15 * 2**20, hard))\n"
+            "sys.exit(main(['encode', '--value', value]))\n")
+    argv, env = python_argv("-c", code)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_sample_pairs_are_drawn_lazily():
     """The first 5 of 10^9 sample pairs are the 5 pairs of a request for 5,
     taken in a child whose memory could not hold 10^9 pairs."""
@@ -835,6 +855,8 @@ EXIT_TABLE = [
     rejection("negabase-no-direction", 2, "negabase", "--base", "4"),
     rejection("negabase-both-directions", 2, "negabase", "--base", "4", "--value", "1",
               "--digits", "1"),
+    rejection("negabase-digits-pretty", 2, "negabase", "--base", "4", "--digits", "12",
+              "--pretty"),
     rejection("convert-bad-c", 2, "convert", "--c", "0", "--value", "3"),
     rejection("scheme-bad-d", 2, "scheme", "--d", "-1"),
     rejection("lift-bad-k", 2, "lift", "--digits", "1101", "--k", "0"),
