@@ -504,7 +504,14 @@ def decode_negabase(rep: Representation) -> int:
     X + b, whose residue is the constant they denote."""
     if not isinstance(rep.base, NegaBase):
         raise ValueError("expected a negative-base representation")
-    return _decode(rep.digits, IntPoly((rep.base.b, 1))).coeffs[0]
+    return _decode(rep.digits, _x_plus(rep.base.b)).coeffs[0]
+
+
+@lru_cache(maxsize=32)
+def _x_plus(b: int) -> IntPoly:
+    """X + b, built once per base: IntPoly checks its coefficients, about
+    a third of the time a short string takes to decode."""
+    return IntPoly((b, 1))
 
 
 def _decode(digits: bytes | tuple[int, ...], p: IntPoly) -> Residue:

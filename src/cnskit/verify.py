@@ -11,10 +11,11 @@ cns.quadratic_length call, which counts the steps of every walk in one
 loop, and the expansion sweep that check i compares digit for digit and
 check ix sums takes the digit buffer of quadratic_walk.  When both run, the
 sweep runs once: check i records the digit-sum failures as it walks,
-and check ix reads them.  Check i computes each integer's raw base -4
-digits once and hands them to both penney.substitute_digits and
-penney.formula_length; it builds a Representation, through convert and
-predicted_length, only for a counterexample row.  Check vii reads
+and check ix reads them.  Check i takes each integer's block
+substitution and formula length from those of the integer it steps down
+to by its base -4 digit, met earlier in the same order; it builds a
+Representation, through convert and predicted_length, only for a
+counterexample row.  Check vii reads
 leading block lengths from a LengthTable of its own, filled by the
 base -4 digit recurrence, which also reads it beyond its bound.
 
@@ -41,11 +42,10 @@ from typing import Callable, Iterable, Iterator
 
 from .cns import (DEFAULT_MAX_STEPS, NotRepresentableError, cns_encode, cns_length,
                   expansion_of, quadratic_length, quadratic_walk)
-from .negabase import (Representation, extremal_of_length, format_digits, length_negabase,
-                       negabase_digits)
-from .penney import (STANDARD_POLY, SchemeViolation, ViolationKind,
-                     build_scheme, convert, formula_length, leading_digit_length,
-                     penney_standard, predicted_length, substitute_digits)
+from .negabase import Representation, extremal_of_length, format_digits, length_negabase
+from .penney import (STANDARD_POLY, PenneyScheme, SchemeViolation, ViolationKind,
+                     build_scheme, convert, leading_digit_length, penney_standard,
+                     predicted_length)
 from .poly import IntPoly
 from .trinomial import seq_a
 
@@ -264,6 +264,34 @@ def _direct_expansions(bound: int) -> Iterator[tuple[int, bytes]]:
         yield z, expansion
 
 
+def _block_substitutions(bound: int, scheme: PenneyScheme) -> Iterator[tuple[bytes, int]]:
+    """(block substitution, formula length) of z in the scheme for every
+    |z| <= bound, in the order of _outward.
+
+    z = r + (-c) w with r = z mod c has the base -c digits of w after r,
+    so its substitution is r's padded block followed by w's, and its
+    formula length d plus w's; when w is 0 they are r's unpadded block
+    and lam(r).  In this order w comes before z, so each is read from a
+    memo over |w| <= reach = bound // c + 2.  The two are separate
+    recurrences: the length is not read off the substitution.
+    """
+    c, d, lams = scheme.c, scheme.d, scheme.block_lengths
+    blocks = [bytes(block) for block in scheme.blocks]
+    tops = [block[:lam] for block, lam in zip(blocks, lams)]
+    reach = bound // c + 2
+    memo = _store(reach, lambda size: [None] * size)
+    for z in _outward(bound):
+        k, r = divmod(z, c)  # w = -k
+        if k:
+            substitution, length = memo[reach - k]
+            pair = blocks[r] + substitution, d + length
+        else:
+            pair = tops[r], lams[r]
+        if -reach <= z <= reach:
+            memo[z + reach] = pair
+        yield pair
+
+
 def _breaks_digit_sum(z: int, digit_sum: int) -> bool:
     """The digit sum of z is not z mod 5, or 2(z - digit_sum)/5 is odd."""
     return (2 * (z - digit_sum)) % 10 != 0
@@ -275,7 +303,8 @@ def check_length_formula(bound: int = EXPANSION_BOUND, *,
     extraction digit for digit, and the length matches
     d * (negabase length - 1) + leading block length.
 
-    Both read z's raw base -c digits, computed once per integer; only a
+    Both come from the outward recurrence of _block_substitutions, which
+    steps each z down to an integer the sweep met before; only a
     counterexample row goes through convert and predicted_length.  A
     digit_sum_failures list receives [z, digit sum] for each z of the
     sweep whose digits break check ix's identity, in sweep order.
@@ -283,14 +312,13 @@ def check_length_formula(bound: int = EXPANSION_BOUND, *,
     t0 = time.perf_counter()
     scheme = penney_standard()
     counterexamples = []
-    for z, direct in _direct_expansions(bound):
+    for (z, direct), (substituted, predicted) in zip(_direct_expansions(bound),
+                                                     _block_substitutions(bound, scheme)):
         if digit_sum_failures is not None:
             digit_sum = sum(direct)
             if _breaks_digit_sum(z, digit_sum):
                 digit_sum_failures.append([z, digit_sum])
-        neg = negabase_digits(z, scheme.c)
-        if (direct != substitute_digits(neg, scheme)
-                or formula_length(neg, scheme) != len(direct)):
+        if direct != substituted or predicted != len(direct):
             counterexamples.append([z, format_digits(direct),
                                     convert(z, scheme).digit_string(),
                                     predicted_length(z, scheme)])

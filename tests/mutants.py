@@ -213,26 +213,35 @@ MUTANTS = (
            "pairs = (z.bit_length() + 15) // 16",
            (T_NEGABASE + "test_masked_digits_equal_the_plain_loop_at_the_window_edges",)),
     # block substitution's top block and the length formula, shared by
-    # convert, predicted_length and check i
+    # convert and predicted_length, against which check i's recurrence is pinned
     Mutant("convert-keeps-top-padding", PENNEY,
            'return bytes(out.rstrip(b"\\0")) or b"\\0"',
            'return bytes(out) or b"\\0"',
            (T_PENNEY + "test_convert_known_values",
             T_PENNEY + "test_raw_digit_functions_are_convert_and_predicted_length",
-            T_VERIFY + "test_length_formula_passes")),
+            T_VERIFY + "test_block_substitutions_equal_penney")),
     Mutant("formula-drops-the-minus-one", PENNEY,
            "return scheme.d * (len(neg) - 1) + scheme.block_lengths[neg[-1]]",
            "return scheme.d * len(neg) + scheme.block_lengths[neg[-1]]",
            (T_PENNEY + "test_predicted_length_formula",
             T_PENNEY + "test_raw_digit_functions_are_convert_and_predicted_length",
-            T_VERIFY + "test_length_formula_passes")),
+            T_VERIFY + "test_block_substitutions_equal_penney")),
+    # check i's outward recurrence and its comparison with the direct sweep
+    Mutant("recurrence-keeps-top-padding", VERIFY,
+           "pair = tops[r], lams[r]",
+           "pair = blocks[r], lams[r]",
+           (T_VERIFY + "test_block_substitutions_equal_penney",)),
+    Mutant("recurrence-formula-drops-d", VERIFY,
+           "blocks[r] + substitution, d + length",
+           "blocks[r] + substitution, length",
+           (T_VERIFY + "test_block_substitutions_equal_penney",)),
     Mutant("check-i-ignores-top-padding", VERIFY,
-           "if (direct != substitute_digits(neg, scheme)\n",
-           "if (direct != substitute_digits(neg, scheme)[:len(direct)]\n",
+           "if direct != substituted or",
+           "if direct != substituted[:len(direct)] or",
            (T_VERIFY + "test_length_formula_reports_a_padded_top_block",)),
     Mutant("check-i-skips-the-formula", VERIFY,
-           "                or formula_length(neg, scheme) != len(direct)):",
-           "                or False):",
+           "or predicted != len(direct):",
+           "or False:",
            (T_VERIFY + "test_length_formula_reports_a_wrong_formula_alone",)),
     # the interleaved decoder's stride
     Mutant("decoder-stride-drops-m", CNS,
@@ -242,8 +251,8 @@ MUTANTS = (
             T_CNS + "test_big_expansions_decode_to_their_integer")),
     # base -b digits read over X + b, both routes of the decoder
     Mutant("negabase-decodes-over-x-minus-b", CNS,
-           "_decode(rep.digits, IntPoly((rep.base.b, 1)))",
-           "_decode(rep.digits, IntPoly((-rep.base.b, 1)))",
+           "    return IntPoly((b, 1))",
+           "    return IntPoly((-b, 1))",
            (T_NEGABASE + "test_decode_known_values",
             T_NEGABASE + "test_round_trip_small",
             T_NEGABASE + "test_decode_equals_horner")),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from cnskit import penney
 from cnskit.cli import main
 from cnskit.cns import (DEFAULT_MAX_STEPS, StepBudgetError, brute_force_oracle,
                         cns_encode, cns_length, quadratic_length, quadratic_walk)
-from cnskit.negabase import negabase_digits, parse_digits
+from cnskit.negabase import format_digits, negabase_digits, parse_digits
 from cnskit.penney import convert, leading_digit_length, penney_standard, predicted_length
 from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, LengthTable,
                            VerificationReport, check_additive_bounds, check_boundary_jumps,
@@ -20,7 +21,8 @@ from cnskit.verify import (DEFAULT_SEED, STANDARD_POLY, SWEEP_BOUND, LengthTable
                            check_pair_subsequences, check_scheme_counterexample,
                            check_sign_disjoint, compute_length_table,
                            digit_sum_probe, run_suite)
-from cnskit.verify import _direct_expansions, _leading_block_lengths
+from cnskit.verify import (_block_substitutions, _breaks_digit_sum, _direct_expansions,
+                           _finish, _leading_block_lengths, _outward)
 
 SMALL_BOUND = 3000
 
@@ -217,9 +219,79 @@ def test_leading_block_lengths_below_the_single_digits(bound):
         assert lam[v] == leading_digit_length(v, scheme)
 
 
-def corrupt_at(monkeypatch, name, wrong):
-    """Replace penney's raw-digit function name, in penney and in verify's
-    binding, by one that returns wrong[z] when given z's base -4 digits."""
+def reference_length_formula(bound, digit_sum_failures=None):
+    """Check i as a loop over the sweep that computes each z's base -4
+    digits from scratch and hands them to penney.substitute_digits and
+    penney.formula_length: the reference for the outward recurrence."""
+    t0 = time.perf_counter()
+    scheme = penney_standard()
+    counterexamples = []
+    for z, direct in cnskit.verify._direct_expansions(bound):
+        if digit_sum_failures is not None:
+            digit_sum = sum(direct)
+            if _breaks_digit_sum(z, digit_sum):
+                digit_sum_failures.append([z, digit_sum])
+        neg = negabase_digits(z, scheme.c)
+        if (direct != penney.substitute_digits(neg, scheme)
+                or penney.formula_length(neg, scheme) != len(direct)):
+            counterexamples.append([z, format_digits(direct),
+                                    convert(z, scheme).digit_string(),
+                                    predicted_length(z, scheme)])
+    counterexamples.sort()
+    params = {"bound": bound, "max_steps": DEFAULT_MAX_STEPS}
+    return _finish("length_formula", params, counterexamples, [], t0)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 5, 10_000])
+def test_block_substitutions_equal_penney(bound):
+    """For each z of the sweep, the outward recurrence gives what penney's
+    substitute_digits and formula_length give on z's base -4 digits."""
+    scheme = penney_standard()
+    pairs = zip(_outward(bound), _block_substitutions(bound, scheme), strict=True)
+    for z, (substituted, predicted) in pairs:
+        neg = negabase_digits(z, 4)
+        assert substituted == penney.substitute_digits(neg, scheme), z
+        assert predicted == penney.formula_length(neg, scheme), z
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 17, 300])
+def test_length_formula_equals_the_reference_loop(bound, monkeypatch):
+    """Check i reports what the per-integer loop reports, rows and
+    digit-sum failures included, on the sweep as it is and on one
+    corrupted at integers near zero and beyond."""
+    real_expansions = cnskit.verify._direct_expansions
+    corrupted = {0: b"\1", -1: b"\1\1", 3: b"\3", 9: b"\1\0\1", 150: b"\1"}
+
+    def expansions(bound):
+        for z, digits in real_expansions(bound):
+            yield z, corrupted.get(z, digits)
+
+    for sweep in (real_expansions, expansions):
+        monkeypatch.setattr(cnskit.verify, "_direct_expansions", sweep)
+        failures, reference_failures = [], []
+        report = check_length_formula(bound, digit_sum_failures=failures)
+        reference = reference_length_formula(bound, reference_failures)
+        assert strip_elapsed(report) == strip_elapsed(reference)
+        assert failures == reference_failures
+    assert report.params["counterexample_count"] == sum(abs(z) <= bound for z in corrupted)
+
+
+def corrupt_check_i(monkeypatch, corrupt):
+    """Pass the (substitution, formula length) of each z that check i's
+    outward recurrence yields through corrupt(z, substitution, length)."""
+    real = cnskit.verify._block_substitutions
+
+    def corrupted(bound, scheme):
+        for z, pair in zip(_outward(bound), real(bound, scheme)):
+            yield corrupt(z, *pair)
+
+    monkeypatch.setattr(cnskit.verify, "_block_substitutions", corrupted)
+
+
+def corrupt_penney(monkeypatch, name, wrong):
+    """Replace penney's raw-digit function name, which convert and
+    predicted_length call for a counterexample row, by one that returns
+    wrong[z] when given z's base -4 digits."""
     real = getattr(penney, name)
     by_digits = {bytes(negabase_digits(z, 4)): value for z, value in wrong.items()}
 
@@ -227,8 +299,7 @@ def corrupt_at(monkeypatch, name, wrong):
         key = bytes(neg)
         return by_digits[key] if key in by_digits else real(neg, scheme)
 
-    for module in (penney, cnskit.verify):
-        monkeypatch.setattr(module, name, corrupted)
+    monkeypatch.setattr(penney, name, corrupted)
 
 
 def test_length_formula_reports_corrupted_values_in_ascending_order(monkeypatch):
@@ -237,8 +308,9 @@ def test_length_formula_reports_corrupted_values_in_ascending_order(monkeypatch)
     predicted].  They are injected where check i substitutes on its hot
     path and where convert does for the row."""
     corrupted = {150: "1", -37: "11", 9: "101"}
-    corrupt_at(monkeypatch, "substitute_digits",
-               {z: parse_digits(text) for z, text in corrupted.items()})
+    wrong = {z: parse_digits(text) for z, text in corrupted.items()}
+    corrupt_check_i(monkeypatch, lambda z, sub, length: (wrong.get(z, sub), length))
+    corrupt_penney(monkeypatch, "substitute_digits", wrong)
     report = check_length_formula(400)
     scheme = penney_standard()
     assert report.counterexamples == [
@@ -253,7 +325,9 @@ def test_length_formula_reports_a_wrong_formula_alone(monkeypatch):
     is reported at exactly that z, with the wrong prediction."""
     scheme = penney_standard()
     direct = cns_encode(-37, STANDARD_POLY).representation
-    corrupt_at(monkeypatch, "formula_length", {-37: direct.length + 1})
+    wrong = {-37: direct.length + 1}
+    corrupt_check_i(monkeypatch, lambda z, sub, length: (sub, wrong.get(z, length)))
+    corrupt_penney(monkeypatch, "formula_length", wrong)
     report = check_length_formula(400)
     assert report.counterexamples == [
         [-37, direct.digit_string(), direct.digit_string(), direct.length + 1]]
@@ -265,13 +339,11 @@ def test_length_formula_reports_a_padded_top_block(monkeypatch):
     """A substitution that keeps the top block's padding differs from the
     direct digits exactly where the top base -4 digit is 1, whose block
     0001 has length 1; check i reports each such z.  Only check i's
-    binding pads, so each row shows convert's unpadded digits."""
-    real = penney.substitute_digits
+    recurrence pads, so each row shows convert's unpadded digits."""
+    def padded(z, sub, length):
+        return sub.ljust(4 * len(negabase_digits(z, 4)), b"\0"), length
 
-    def padded(neg, scheme):
-        return real(neg, scheme).ljust(scheme.d * len(neg), b"\0")
-
-    monkeypatch.setattr(cnskit.verify, "substitute_digits", padded)
+    corrupt_check_i(monkeypatch, padded)
     report = check_length_formula(300)
     padded_zs = [z for z in range(-300, 301) if z and negabase_digits(z, 4)[-1] == 1]
     recorded = cnskit.verify.MAX_RECORDED
