@@ -16,8 +16,8 @@ substitution and formula length from those of the integer it steps down
 to by its base -4 digit, met earlier in the same order; it builds a
 Representation, through convert and predicted_length, only for a
 counterexample row.  Check vii reads
-leading block lengths from a LengthTable of its own, filled by the
-base -4 digit recurrence, which also reads it beyond its bound.
+leading block lengths from a LengthTable of its own, laid out by length
+intervals and read beyond its bound by the base -4 step.
 
 No check reads a store's layout: a LengthTable answers by value
 (table[z]), by side (the values at 1, 2, ... or at -1, -2, ...), by sign
@@ -494,8 +494,8 @@ def _sweep_pairs(probe: Callable[[int, int], None], row_done: Callable[[int], bo
 
 class _LeadingBlockLengths(LengthTable):
     """lam[v], the unpadded block length of the leading base -4 digit of v
-    in the standard scheme; beyond the bound v steps down to a stored
-    value by the recurrence of _leading_block_lengths."""
+    in the standard scheme, laid out by length intervals; beyond the bound
+    v takes the base -4 step 4k + r -> -k, which keeps its leading digit."""
 
     def __getitem__(self, v: int) -> int:
         bound = self.bound
@@ -505,31 +505,27 @@ class _LeadingBlockLengths(LengthTable):
 
 
 def _leading_block_lengths(bound: int) -> _LeadingBlockLengths:
-    """lam, stored one byte per |v| <= bound.
-
-    The leading digit of v = 4k + r, 0 <= r < 4, is that of -k, unless k
-    is 0 and v is itself the digit; beyond the bound lam steps v down by
-    this recurrence to a stored value.  The store is filled by it a level
-    at a time: once lam is stored on [low, high], it follows on
-    [-4 high, -4 low + 3], each residue class r on each side by one
-    stride-4 slice of the reversed slice of its heads.  The bound is
-    raised to 3 so that every single digit is stored.
+    """lam, stored one byte per |v| <= bound, laid out by length intervals:
+    the integers of at most n base -c digits form an interval [low, high]
+    holding 0, and those of n + 1 digits with leading digit u form
+    [low, high] + u (-c)^n, one constant slice each.  No |v| <= bound has
+    more digits than the longer of +-bound.  The bound is raised to c - 1
+    so that every single digit is stored.
     """
-    block_lengths = penney_standard().block_lengths
-    bound = max(bound, 3)
+    scheme = penney_standard()
+    c, lams = scheme.c, scheme.block_lengths
+    bound = max(bound, c - 1)
     data = _store(bound, bytearray)
-    data[bound:bound + 4] = bytes(block_lengths[:4])
-    low, high = 0, 3
-    while low > -bound or high < bound:
-        new_low, new_high = max(-4 * high, -bound), min(-4 * low + 3, bound)
-        for first, last in ((new_low, low - 1), (high + 1, new_high)):
-            for r in range(4):
-                # v = 4k + r in [first, last] for first_k <= k <= last_k
-                first_k, last_k = (first - r + 3) // 4, (last - r) // 4
-                if first_k <= last_k:
-                    heads = data[bound - last_k:bound - first_k + 1]
-                    data[bound + 4 * first_k + r:bound + 4 * last_k + r + 1:4] = heads[::-1]
-        low, high = new_low, new_high
+    data[bound] = lams[0]
+    low, high, place = 0, 0, 1
+    for _ in range(max(length_negabase(bound, c), length_negabase(-bound, c))):
+        for u in range(1, c):
+            first, last = max(low + u * place, -bound), min(high + u * place, bound)
+            if first <= last:
+                data[first + bound:last + bound + 1] = bytes((lams[u],)) * (last - first + 1)
+        reach = (c - 1) * place
+        low, high = min(low, low + reach), max(high, high + reach)
+        place *= -c
     return _LeadingBlockLengths(bound, data)
 
 

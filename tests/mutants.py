@@ -272,6 +272,14 @@ MUTANTS = (
            "return sorted(set(self.side(-1))), sorted(set(self.side(1)))",
            (T_VERIFY + "test_sign_disjoint_passes",
             T_VERIFY + "test_pair_subsequences_passes")),
+    Mutant("lam-fill-place-keeps-its-sign", VERIFY,
+           "        place *= -c",
+           "        place *= c",
+           (T_VERIFY + "test_leading_block_lengths_equal_the_level_fill",)),
+    Mutant("lam-fill-interval-one-short", VERIFY,
+           "min(high + u * place, bound)",
+           "min(high + u * place - 1, bound)",
+           (T_VERIFY + "test_leading_block_lengths_equal_the_level_fill",)),
     Mutant("lam-step-drops-the-sign", VERIFY,
            "            v = -(v >> 2)",
            "            v = v >> 2",

@@ -201,7 +201,7 @@ def test_checks_i_and_ix_share_one_sweep(monkeypatch):
 def test_leading_block_lengths_equal_penney():
     scheme = penney_standard()
     lam = _leading_block_lengths(300 * 300)
-    for v in range(-3000, 3001):
+    for v in range(-20_000, 20_001):
         assert lam[v] == leading_digit_length(v, scheme)
     for x in range(-300, 301, 7):
         for y in range(-300, 301, 11):
@@ -211,10 +211,39 @@ def test_leading_block_lengths_equal_penney():
         assert lam[v] == leading_digit_length(v, scheme)
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2])
-def test_leading_block_lengths_below_the_single_digits(bound):
+def reference_leading_block_lengths(bound):
+    """(bound, store) of check vii's lam filled a level at a time by the
+    base -4 step: the leading digit of v = 4k + r, 0 <= r < 4, is that of
+    -k unless k is 0, so once lam is stored on [low, high] it follows on
+    [-4 high, -4 low + 3], each residue class r on each side by one
+    stride-4 slice of the reversed slice of its heads.  The reference for
+    the layout by length intervals."""
+    block_lengths = penney_standard().block_lengths
+    bound = max(bound, 3)
+    data = bytearray(2 * bound + 1)
+    data[bound:bound + 4] = bytes(block_lengths[:4])
+    low, high = 0, 3
+    while low > -bound or high < bound:
+        new_low, new_high = max(-4 * high, -bound), min(-4 * low + 3, bound)
+        for first, last in ((new_low, low - 1), (high + 1, new_high)):
+            for r in range(4):
+                # v = 4k + r in [first, last] for first_k <= k <= last_k
+                first_k, last_k = (first - r + 3) // 4, (last - r) // 4
+                if first_k <= last_k:
+                    heads = data[bound - last_k:bound - first_k + 1]
+                    data[bound + 4 * first_k + r:bound + 4 * last_k + r + 1:4] = heads[::-1]
+        low, high = new_low, new_high
+    return bound, data
+
+
+@pytest.mark.parametrize("bound", [*range(70), 255, 256, 257, 1023, 1024, 4095,
+                                   90_000, 100_003, 250_001])
+def test_leading_block_lengths_equal_the_level_fill(bound):
+    """The whole store equals the level fill's, and lam equals penney's on
+    |v| <= 20, read beyond the bound where the bound is smaller."""
     scheme = penney_standard()
     lam = _leading_block_lengths(bound)
+    assert (lam.bound, lam.data) == reference_leading_block_lengths(bound)
     for v in range(-20, 21):
         assert lam[v] == leading_digit_length(v, scheme)
 
