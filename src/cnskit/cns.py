@@ -27,10 +27,15 @@ A depend only on A mod X^j = A mod 256, i.e. on a0 and a1 mod 256, and
 with D their residue the walk lands exactly on (A - D)/256: Knuth's
 radix trick on Penney's base -1 + i, whose 16th power is 256.  From
 (z, 0) the walk is at (z >> 8g + c0, c1) after g groups of j steps,
-(c0, c1) one of a few carries, so one table of j plain steps from
+(c0, c1) one of a few carries, and one table of j plain steps from
 (c0 + b, c1) per carry and byte b gives a group's digits and the next
-carry for each byte of z.  Such a p has complex roots, as real j-th roots
-of 256 are +-alpha (p0 < 0) or a double root (X^j mod p not constant).
+carry.  On every byte base but X^2 - 2X + 2 the carries are (0, 0) and
+(1, 0), and a group from (v, 0), v <= 256, carries 1 out exactly when v
+>= t, so adding 256 - t to each of z's low bytes makes every carry in
+one big-integer addition: each byte of the sum picks its group's digits
+alone, and the sum shifted down is the landing.  Such a p has complex
+roots, as real j-th roots of 256 are +-alpha (p0 < 0) or a double root
+(X^j mod p not constant).
 Every other base walks the plain loop at every size.  Three rules keep
 every outcome the plain loop's:
   - a group is kept only if it lands outside the box that holds every
@@ -44,20 +49,18 @@ every outcome the plain loop's:
 The kept bits come from a bound on the carries, not from the table, so
 an integer that reads no byte builds none.
 A digit string is read back by Penney's interleave where the base
-allows it: if X^e = t mod p for a constant t = +-2^s, 2 <= |t| <= 32,
-then sum d_j X^j = sum_{r<e} X^r N_r with N_r = sum_k d_{ek+r} t^k, and
-each N_r is one linear integer parse of the substring digits[r::e] (see
-negabase.values_at_power_of_two); every digit is below |p(0)| <= |t|.
-e and t are found over q, p = q(X^m) with m as in the encoder: for q of
-degree 1 or 2 one of X^1, ..., X^6 mod q is constant if any power is
-(a quadratic's root ratio, when a root of unity, has order 1, 2, 3, 4
-or 6), and X^(me) = t mod p follows.  X^2 + 2X + 2 has X^4 = -4 and
-the trinomial X^(2m) + 2X^m + 2 has X^(4m) = -4.  Base -b digits are
-read as digits over X + b, where X = -b.  Any other base, one whose t is
-no such power (X^2 + 3X + 3 has X^6 = -27; X + 10 has X = -10), and a
-string of fewer than 64 digits, is read k digits at a time from the top,
-the chunked Horner rule: acc <- chunk + X^k acc mod p, one dot product
-per coefficient against a table of X^j mod p.
+allows it: if X^e = 256 mod p, then sum d_j X^j = sum_{r<e} X^r N_r with
+N_r = sum_k d_{ek+r} 256^k, and each N_r is digits[r::e] read as one
+little-endian integer by int.from_bytes, linear in its length.  e is
+found over q, p = q(X^m) with m as in the encoder, as the least e <= 16
+with X^e = 256 mod q, and X^(me) = 256 mod p follows.  That covers the
+byte bases, with e = j (so the trinomial X^(2m) + 2X^m + 2), and X + b
+for b = 2, 4 and 16, so base -b digits (decode_negabase reads them over
+X + b, where X = -b).  Any other base (X^2 + 3X + 3 has X^6 = -27, X + 8
+no power 256), and a string of fewer than _PARSE_MIN_DIGITS digits, is
+read k digits at a time from the top, the chunked Horner rule:
+acc <- chunk + X^k acc mod p, one dot product per coefficient against a
+table of X^j mod p.
 
 Correctness is established externally: every emitted expansion reduces
 back to its integer (see reduce_digits), and an exhaustive search over
@@ -73,23 +76,22 @@ from math import gcd, inf, isqrt
 from operator import add, mul
 from typing import Callable, Iterable
 
-from .negabase import (PARSE_RADICES, CnsBase, NegaBase, Representation, digit_buffer,
-                       spread_digits, values_at_power_of_two)
+from .negabase import CnsBase, NegaBase, Representation, digit_buffer, spread_digits
 from .poly import IntPoly, x_powers_mod
 
 DEFAULT_MAX_STEPS = 10_000
 
-# the byte walk reads z a byte per j steps where X^j = 256 mod p, j <= this
+# the byte walk reads z a byte per j steps where X^j = 256 mod p, j <= this,
+# and the decoder reads a string a byte per e digits where X^e = 256
 _BYTE_MAX_STEPS = 16
 # a digit string is reduced this many digits at a time, unless some X^e,
-# e <= _POWER_MAX_EXPONENT over q, is a constant of PARSE_RADICES mod p
-# and the string has at least _PARSE_MIN_DIGITS digits: below that the
-# parses cost more than the reduction (X^2 + 2X + 2, 16 digits 5.6
-# against 8.4 us, 32 digits 7.8 against 9.3, 64 digits 11.5 against 10.1;
-# medians of 7, 2 cores, Python 3.11.7)
+# e <= _BYTE_MAX_STEPS over q, is 256 mod q and the string has at least
+# _PARSE_MIN_DIGITS digits: below that the reads cost more than the
+# reduction (X^2 + 2X + 2, 64 digits 5.9 against 6.7 us, 80 digits 7.1
+# against 6.9, 128 digits 11.5 against 7.3; X^6 + 2X^3 + 2 also crosses at
+# 80; medians of 7, 2 cores, Python 3.11.7)
 _CHUNK_DIGITS = 256
-_POWER_MAX_EXPONENT = 6
-_PARSE_MIN_DIGITS = 64
+_PARSE_MIN_DIGITS = 80
 
 # Guard for the exhaustive oracle; radix**max_len strings get enumerated.
 _ORACLE_NODE_LIMIT = 20_000_000
@@ -279,14 +281,17 @@ def _byte_base(p0: int, p1: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
-def _carry_table(p0: int, p1: int, j: int
-                 ) -> tuple[tuple[tuple[bytes, int], ...], tuple[tuple[int, int], ...]]:
-    """(groups, carries) for X^2 + p1 X + p0 with X^j = 256 mod p.
+def _carry_table(p0: int, p1: int, j: int) -> tuple[tuple, tuple[tuple[int, int], ...], int]:
+    """(groups, carries, t) for X^2 + p1 X + p0 with X^j = 256 mod p.
 
-    carries[0] is (0, 0), and each carry's 256 entries follow one another:
-    groups[256 i + b] is (digits, 256 i') for the j plain steps from
-    (c0 + b, c1), (c0, c1) = carries[i], which land on carries[i'].  The
-    carries are every landing reached from (0, 0), so the set is closed.
+    carries[0] is (0, 0), and the carries are every landing of j plain
+    steps from (c0 + b, c1), (c0, c1) a carry and 0 <= b < 256, so the set
+    is closed.  If they are only (0, 0) and (1, 0), a group from (v, 0),
+    v <= 256, carries 1 out exactly when v >= t, checked at every v, and
+    v = 0 and v = 256 take the same digits: then groups[r] is the digits
+    from v = (r + t) mod 256, read by the byte r of z + M (see _byte_walk).
+    Otherwise t is 0 and groups[256 i + b] is (digits, 256 i') for the
+    steps from carries[i] plus b, which land on carries[i'].
     """
     carries = [(0, 0)]
     groups = []
@@ -301,7 +306,14 @@ def _carry_table(p0: int, p1: int, j: int
             if (a0, a1) not in carries:
                 carries.append((a0, a1))
             groups.append((bytes(digits), carries.index((a0, a1)) << 8))
-    return tuple(groups), tuple(carries)
+    if carries != [(0, 0), (1, 0)]:
+        return tuple(groups), tuple(carries), 0
+    # v < 256 steps from carry 0, v = 256 from carry 1 plus 255
+    keys = [key for _, key in groups[:256]] + [groups[511][1]]
+    t = keys.index(256)
+    if keys != [0] * t + [256] * (257 - t) or groups[0][0] != groups[511][0]:
+        raise ArithmeticError(f"no carry threshold over X^2 + {p1}X + {p0}")
+    return tuple(groups[(r + t) % 256][0] for r in range(256)), tuple(carries), t
 
 
 def _byte_walk(z: int, p0: int, p1: int, j: int, n: int, max_steps: int
@@ -311,12 +323,24 @@ def _byte_walk(z: int, p0: int, p1: int, j: int, n: int, max_steps: int
     steps, one per low byte of z, extended in place by the plain walk
     from (z >> 8n + c0, c1) on the steps left.  _walk picks n so that the
     groups fit the budget and keep the base's kept bits of z, which put
-    the landing outside cycle_box(p0, p1)."""
-    groups, carries = _carry_table(p0, p1, j)
+    the landing outside cycle_box(p0, p1).
+
+    With a threshold t, adding M = (256 - t)(256^n - 1)/255 to z carries 1
+    into byte i + 1 exactly when the walk does, byte i plus its carry
+    being at least t, so byte i of z + M picks group i and (z + M) >> 8n
+    is the landing; over X^2 - 2X + 2 a keyed loop reads each group's
+    carry from the one before."""
+    groups, carries, t = _carry_table(p0, p1, j)
+    low = (1 << 8 * n) - 1
     digits, key = bytearray(), 0
-    for byte in (z & ((1 << 8 * n) - 1)).to_bytes(n, "little"):
-        group, key = groups[key + byte]
-        digits += group
+    if t:  # the landing's carry stays carries[0] = (0, 0)
+        z += (256 - t) * low // 255
+        for byte in (z & low).to_bytes(n, "little"):
+            digits += groups[byte]
+    else:
+        for byte in (z & low).to_bytes(n, "little"):
+            group, key = groups[key + byte]
+            digits += group
     c0, c1 = carries[key >> 8]
     walk = quadratic_walk((z >> 8 * n) + c0, p0, p1, max_steps - n * j, a1=c1)
     if isinstance(walk, tuple):
@@ -467,32 +491,36 @@ def _x_power_columns(pc: tuple[int, ...], rows: int) -> tuple[tuple[int, ...], .
 
 @lru_cache(maxsize=32)
 def _interleave(p: IntPoly) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
-    """(m, t, columns) when X^(m e) = t mod p with |t| in PARSE_RADICES,
-    else None: p = q(X^m), X^e = t mod q, and columns[k] holds
-    coefficient k of X^j mod q for j < e.  Digit r = s + m j, s < m, then
-    stands for X^s (X^j mod q)(X^m), whose coefficient k lands on X^(s + m k)
-    of p, so no reduction mod p is needed."""
+    """(m, m e, columns) when X^(m e) = 256 mod p, else None: p = q(X^m),
+    X^e = 256 mod q, and columns[k] holds coefficient k of X^j mod q for
+    j < e.  Digit r = s + m j, s < m, then stands for X^s (X^j mod q)(X^m),
+    whose coefficient k lands on X^(s + m k) of p, so no reduction mod p
+    is needed."""
     pc = p.coeffs
     m = _stride(pc)
     qc = pc[::m]
-    if len(qc) > 3:
+    # X^e = 256 puts q's roots at absolute value 256^(1/e), so |q(0)| <= 256;
+    # a larger q(0) skips the powers of X, which would multiply it out
+    if len(qc) > 3 or abs(qc[0]) > 256:
         return None
-    powers = list(islice(x_powers_mod(IntPoly(qc)), _POWER_MAX_EXPONENT + 1))
-    e = next((e for e in range(1, len(powers)) if not any(powers[e][1:])), 0)
-    if not e or abs(powers[e][0]) not in PARSE_RADICES:
+    powers = list(islice(x_powers_mod(IntPoly(qc)), _BYTE_MAX_STEPS + 1))
+    power_256 = (256,) + (0,) * (len(qc) - 2)
+    if power_256 not in powers:
         return None
-    return m, powers[e][0], tuple(zip(*powers[:e]))
+    e = powers.index(power_256)
+    return m, m * e, tuple(zip(*powers[:e]))
 
 
 def cns_decode(rep: Representation) -> Residue:
     """Reduce a digit expansion modulo its base polynomial.
 
     The result is constant exactly when the expansion denotes an integer.
-    Over a base with X^e = +-2^s mod p, |2^s| <= 32 (X^2 + 2X + 2 and the
-    trinomials X^(2m) + 2X^m + 2 among them), a string of 64 digits or
-    more is e integer parses of every e-th digit, linear in its length;
-    any other base or string takes the chunked Horner rule of
-    reduce_digits.  Either way the residue is the same.
+    Over a base with X^e = 256 mod p (the byte bases, so X^2 + 2X + 2
+    and the trinomials X^(2m) + 2X^m + 2 among them), a string of
+    _PARSE_MIN_DIGITS digits or more is e int.from_bytes reads of every
+    e-th digit, linear in its length; any other base or string takes the
+    chunked Horner rule of reduce_digits.  Either way the residue is the
+    same.
     """
     if not isinstance(rep.base, CnsBase):
         raise ValueError("expected a polynomial-base representation")
@@ -518,8 +546,8 @@ def _decode(digits: bytes | tuple[int, ...], p: IntPoly) -> Residue:
     """cns_decode's residue of digits over a monic p of positive degree."""
     if len(digits) < _PARSE_MIN_DIGITS or (route := _interleave(p)) is None:
         return _chunked_horner(digits, p)
-    m, t, columns = route
-    values = values_at_power_of_two(digits, t, m * len(columns[0]))
+    m, period, columns = route
+    values = [int.from_bytes(digits[r::period], "little") for r in range(period)]
     return Residue(tuple(sum(map(mul, values[s::m], column))
                          for column in columns for s in range(m)))
 

@@ -20,11 +20,9 @@ the mask, a gate of its own: at |z| <= 10^5 it costs about three times
 the plain loop (3.6 against 1.2 us, base -4, 2 cores, Python 3.11).
 
 Reading digits back is cns's job (decode_negabase reads base -b digits
-as digits over X + b).  At t = +-2^s, |t| <= 32, its parse is the mask
-the other way: every e-th digit as ASCII, most significant first, is one
-int(text, |t|) parse y, linear in the length and exempt from
-int_max_str_digits for these bases, and for t < 0 the value is
-(y XOR M) - M (see values_at_power_of_two).
+as digits over X + b).  For b = 2, 4 and 16, where (-b)^e = 256, it
+needs no mask: every e-th digit is one int.from_bytes read, a
+little-endian number in base 256, linear in the length.
 """
 
 from __future__ import annotations
@@ -40,15 +38,11 @@ from .poly import IntPoly
 # gate, the bits its landings need)
 FAST_PATH_BITS = 256
 
-# the |t| that values_at_power_of_two reads: int() parses a string in these
-# bases in linear time, and exempts them from int_max_str_digits
-PARSE_RADICES = (2, 4, 8, 16, 32)
-# the characters int() reads as the digits 0..31; every other byte maps to
-# one it rejects, so a digit out of range raises ValueError
-_DIGIT_TEXT = b"0123456789abcdefghijklmnopqrstuv"
+# the characters of the digits 0..9
+_DIGIT_TEXT = b"0123456789"
 _BYTES = bytes(range(256))
-_DIGIT_CHARS = bytes.maketrans(_BYTES, _DIGIT_TEXT + b"!" * (256 - 32))
-_DIGIT_VALUES = bytes.maketrans(_DIGIT_TEXT[:10], _BYTES[:10])
+_DIGIT_CHARS = bytes.maketrans(_BYTES[:10], _DIGIT_TEXT)
+_DIGIT_VALUES = bytes.maketrans(_DIGIT_TEXT, _BYTES[:10])
 
 # digits below a radix of at most this are stored as bytes
 BYTE_RADIX = 256
@@ -114,7 +108,7 @@ def parse_digits(text: str) -> bytes | tuple[int, ...]:
     if not text:
         raise ValueError("empty digit string")
     plain = text.encode() if text.isascii() else b"."
-    if not plain.translate(None, _DIGIT_TEXT[:10]):
+    if not plain.translate(None, _DIGIT_TEXT):
         return plain[::-1].translate(_DIGIT_VALUES)
     tokens = text.split(".") if "." in text else list(text)
     try:
@@ -217,29 +211,6 @@ def _masked_digits(z: int, s: int) -> bytearray:
     for i, table in enumerate(tables):
         digits[i::len(tables)] = raw.translate(table)
     return digits.rstrip(b"\0")  # the top digit is the last nonzero one
-
-
-def values_at_power_of_two(digits: Sequence[int], t: int, e: int) -> list[int]:
-    """The e values sum_k digits[e k + r] t^k, r < e, for |t| in
-    PARSE_RADICES; a digit outside 0..|t|-1 raises ValueError.
-
-    Each substring digits[r::e] is one int() parse in base |t| of the
-    string reversed as ASCII digits; for t < 0 the parse y is mapped to
-    (y XOR M) - M, M having |t|-1 at every odd place, which turns digit k
-    into (-1)^k times itself (see the module docstring).  One M serves
-    every substring, as places beyond a substring's length cancel.
-    """
-    b = abs(t)
-    text = bytes(digits).translate(_DIGIT_CHARS)[::-1]
-    n = len(text)
-    # digit e k + r sits at n - 1 - r - e k of the reversed text
-    values = [int(text[(n - 1 - r) % e::e], b) for r in range(min(e, n))]
-    if t < 0 and values:
-        # whole (b-1, 0) pairs over the longest substring, ceil(n / e) digits
-        pairs = (-(-n // e) + 1) // 2
-        mask = int((_DIGIT_TEXT[b - 1:b] + b"0") * pairs, b)
-        values = [(y ^ mask) - mask for y in values]
-    return values + [0] * (e - len(values))
 
 
 def encode_negabase(z: int, b: int) -> Representation:

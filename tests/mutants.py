@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,6 +41,10 @@ T_NEGABASE = "tests/test_negabase.py::"
 T_PENNEY = "tests/test_penney.py::"
 T_VERIFY = "tests/test_verify.py::"
 T_GRID = "tests/test_verify_grid.py::"
+
+# seconds a pytest child may run: every listed test together takes under 40 s,
+# the slowest mutant's under 10 s (2 cores, Python 3.11.7)
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -156,6 +161,11 @@ MUTANTS = (
            "max_steps - n * j, a1=c1)",
            "max_steps - n * j + 1, a1=c1)",
            (T_CNS + "test_byte_walks_equal_the_reference_loop",)),
+    Mutant("byte-walk-landing-a-byte-short", CNS,
+           "walk = quadratic_walk((z >> 8 * n) + c0,",
+           "walk = quadratic_walk((z >> 8 * (n - 1)) + c0,",
+           (T_CNS + "test_byte_walks_equal_the_reference_loop",
+            T_CNS + "test_small_byte_walks_equal_the_reference_loop")),
     Mutant("byte-walk-exhaustion-unmapped", CNS,
            "    return CnsExhausted(max_steps) if isinstance(walk, CnsExhausted) else walk",
            "    return walk",
@@ -207,6 +217,18 @@ MUTANTS = (
            "            a0, a1 = c0 + b, 0",
            (T_CNS + "test_carry_table_equals_plain_steps",
             T_CNS + "test_byte_walks_equal_the_reference_loop")),
+    # the addition that makes every carry, and the carry shape that admits it
+    Mutant("byte-walk-adds-255-minus-t", CNS,
+           "z += (256 - t) * low // 255",
+           "z += (255 - t) * low // 255",
+           (T_CNS + "test_byte_walks_equal_the_reference_loop",
+            T_CNS + "test_small_byte_walks_equal_the_reference_loop",
+            T_CNS + "test_big_integer_digits_are_pinned")),
+    Mutant("carry-shape-admits-x-squared-minus-2x-plus-2", CNS,
+           "if carries != [(0, 0), (1, 0)]:",
+           "if len(carries) > 4:",
+           (T_CNS + "test_byte_bases_carry_at_a_threshold_or_by_a_keyed_table",
+            T_CNS + "test_byte_walks_equal_the_reference_loop")),
     # the negabase mask window
     Mutant("mask-window-short", NEGABASE,
            "pairs = (z.bit_length() + 31) // 16",
@@ -245,8 +267,8 @@ MUTANTS = (
            (T_VERIFY + "test_length_formula_reports_a_wrong_formula_alone",)),
     # the interleaved decoder's stride
     Mutant("decoder-stride-drops-m", CNS,
-           "values = values_at_power_of_two(digits, t, m * len(columns[0]))",
-           "values = values_at_power_of_two(digits, t, len(columns[0]))",
+           'int.from_bytes(digits[r::period], "little")',
+           'int.from_bytes(digits[r::period // m], "little")',
            (T_CNS + "test_decode_routes_agree",
             T_CNS + "test_big_expansions_decode_to_their_integer")),
     # base -b digits read over X + b, both routes of the decoder
@@ -292,23 +314,33 @@ MUTANTS = (
 )
 
 
-def run_tests(root: Path, tests: tuple[str, ...]) -> set[str]:
-    """The ids of the tests among tests that fail or error, run in root."""
+def run_tests(root: Path, tests: tuple[str, ...]) -> tuple[set[str], bool]:
+    """The ids of the tests among tests that fail or error, run in root,
+    and whether the run timed out.  The pytest child runs in a process
+    group of its own, killed whole after TIMEOUT_S seconds: a mutant can
+    make a loop endless, and then every listed test counts as failed."""
     # no bytecode cache: a mutant and the text it replaced may share a size and an mtime
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--no-header", *tests],
-        cwd=root, env=env, capture_output=True, text=True)
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        start_new_session=True)
+    try:
+        stdout, _ = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return set(tests), True
     failed = set()
-    for line in proc.stdout.splitlines():
+    for line in stdout.splitlines():
         kind, _, rest = line.partition(" ")
         if kind in ("FAILED", "ERROR"):
             failed.add(rest.split(" - ")[0])
     if proc.returncode not in (0, 1) or (proc.returncode and not failed):
         # collection failed, or pytest itself did: every listed test counts as failed
-        return set(tests)
-    return failed
+        return set(tests), False
+    return failed, False
 
 
 def fails(test: str, failed: set[str]) -> bool:
@@ -329,9 +361,9 @@ def main(names: list[str]) -> int:
             shutil.copytree(ROOT / part, root / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
         listed = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
-        failed = run_tests(root, listed)
+        failed, timed_out = run_tests(root, listed)
         if failed:
-            print(f"unmutated source fails: {sorted(failed)}")
+            print(f"unmutated source {'timed out' if timed_out else 'fails'}: {sorted(failed)}")
             return 1
         bad = 0
         for m in chosen:
@@ -344,7 +376,7 @@ def main(names: list[str]) -> int:
             target.write_text(original.replace(m.old, m.new))
             t0 = time.perf_counter()
             try:
-                failed = run_tests(root, m.tests)
+                failed, timed_out = run_tests(root, m.tests)
             finally:
                 target.write_text(original)
             killed = all(fails(t, failed) for t in m.tests)
@@ -356,6 +388,8 @@ def main(names: list[str]) -> int:
                 bad += not killed
                 if not killed:
                     verdict += f" (passing: {[t for t in m.tests if not fails(t, failed)]})"
+            if timed_out:
+                verdict += f" (timed out after {TIMEOUT_S} s)"
             print(f"{m.name}: {verdict} [{time.perf_counter() - t0:.1f} s]", flush=True)
     print(f"{len(chosen)} mutants, {bad} not as listed, "
           f"{time.perf_counter() - started:.0f} s")

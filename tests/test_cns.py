@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnskit import cns
+from cnskit import cns, negabase
 from cnskit.cns import (DEFAULT_MAX_STEPS, CnsDigits, CnsExhausted, CnsNotRepresentable,
                         NotRepresentableError, Residue, StepBudgetError, brief,
                         brute_force_oracle, cns_decode, cns_encode, cns_length,
@@ -560,14 +560,18 @@ def test_carry_table_equals_plain_steps(p, j):
     under the table and are far too small to bring a landing from 2^23
     into cycle_box."""
     p0, p1, _ = p.coeffs
-    groups, carries = cns._carry_table(p0, p1, j)
+    groups, carries, t = cns._carry_table(p0, p1, j)
     assert carries[0] == (0, 0) and len(set(carries)) == len(carries)
-    assert len(groups) == 256 * len(carries)
+    assert len(groups) == (256 if t else 256 * len(carries))
     assert max(abs(c) for carry in carries for c in carry) <= 2
     rng = random.Random(j)
     for i, (c0, c1) in enumerate(carries):
         for b in range(256):
-            group, key = groups[256 * i + b]
+            if t:  # the digits from (v, 0) sit at byte (v - t) mod 256; v >= t carries 1
+                v = c0 + b
+                group, key = groups[(v - t) % 256], 256 * (v >= t)
+            else:
+                group, key = groups[256 * i + b]
             assert key % 256 == 0 and key // 256 < len(carries)
             for r0, r1 in ((0, 0), (rng.randint(-9, 9), rng.randint(-9, 9))):
                 state, digits = (c0 + b + 256 * r0, c1 + 256 * r1), []
@@ -578,6 +582,38 @@ def test_carry_table_equals_plain_steps(p, j):
                 e0, e1 = carries[key // 256]
                 assert bytes(digits) == group
                 assert state == (e0 + r0, e1 + r1)
+
+
+# each base's carry threshold t and the byte 256 - t that the addition adds,
+# the mask byte of base -4, -2, -4 and -16 (s = 2, 1, 2, 4)
+THRESHOLDS = {P: (52, 2), IntPoly((2, 0, 1)): (86, 1), IntPoly((4, 0, 1)): (52, 2),
+              IntPoly((16, 0, 1)): (16, 4)}
+
+
+@pytest.mark.parametrize("p, j", BYTE_BASES, ids=str)
+def test_byte_bases_carry_at_a_threshold_or_by_a_keyed_table(p, j):
+    """j plain steps from (v, 0), 0 <= v <= 256, land on (1, 0) exactly
+    when v >= t and on (0, 0) below it, and groups[(v - t) mod 256] holds
+    their digits, so v = 0 and v = 256 share one group; 256 - t is the
+    base -2^s negabase mask byte, 0xCC, 0xAA, 0xCC and 0xF0.  X^2 - 2X + 2
+    has four carries and keeps the keyed table, t = 0."""
+    p0, p1, _ = p.coeffs
+    groups, carries, t = cns._carry_table(p0, p1, j)
+    if p == NONCNS:
+        assert (t, carries) == (0, ((0, 0), (-1, 1), (1, 0), (0, 1)))
+        assert len(groups) == 4 * 256 and all(key % 256 == 0 for _, key in groups)
+        return
+    want_t, s = THRESHOLDS[p]
+    assert (t, carries, len(groups)) == (want_t, ((0, 0), (1, 0)), 256)
+    assert bytes([256 - t]) == negabase._mask_tables(s)[0][:1]
+    for v in range(257):
+        a0, a1, digits = v, 0, bytearray()
+        for _ in range(j):
+            q = a0 // p0
+            digits.append(a0 - q * p0)
+            a0, a1 = a1 - q * p1, -q
+        assert (a0, a1) == ((1, 0) if v >= t else (0, 0))
+        assert groups[(v - t) % 256] == digits
 
 
 @pytest.mark.parametrize("p, j", BYTE_BASES[:4], ids=str)
@@ -785,23 +821,50 @@ def test_short_strings_build_only_the_rows_they_read(monkeypatch):
     assert table.cache_info().currsize == len(set(built))
 
 
-# bases with X^period = t mod p for t = +-2^s, |t| <= 32, as (p, period,
-# t), whose strings cns_decode reads by integer parses; and bases without
-POWER_BASES = [(P, 4, -4), (QUARTIC, 8, -4), (SEXTIC, 12, -4), (IntPoly((2, 0, 1)), 2, -2),
-               (IntPoly((4, 0, 1)), 2, -4), (IntPoly((-2, 0, 1)), 2, 2), (NONCNS, 4, -4),
-               (IntPoly((4, 2, 1)), 3, 8)]
-HORNER_BASES = [IntPoly((3, 3, 1)), IntPoly((3, 1, 1)), IntPoly((2, 1, 1, 1))]
+# bases with X^period = 256 mod p, as (p, period, m), p = q(X^m), whose
+# strings cns_decode reads by int.from_bytes; and bases without
+POWER_BASES = [(P, 16, 1), (QUARTIC, 32, 2), (SEXTIC, 48, 3), (IntPoly((2, 0, 1)), 16, 2),
+               (IntPoly((4, 0, 1)), 8, 2), (IntPoly((-2, 0, 1)), 16, 2), (NONCNS, 16, 1)]
+HORNER_BASES = [IntPoly((3, 3, 1)), IntPoly((3, 1, 1)), IntPoly((2, 1, 1, 1)),
+                IntPoly((4, 2, 1))]
 
 
 def test_interleave_finds_the_constant_power():
-    for p, period, t in POWER_BASES:
-        m, t_found, columns = cns._interleave(p)
-        assert (m * len(columns[0]), t_found) == (period, t)
-        assert reference_decode((0,) * period + (1,), p) == (t,) + (0,) * (len(p.coeffs) - 2)
+    for p, period, m in POWER_BASES:
+        assert cns._interleave(p)[:2] == (m, period)
+        powers = [reference_decode((0,) * k + (1,), p) for k in range(period + 1)]
+        t = (256,) + (0,) * (len(p.coeffs) - 2)
+        assert powers.index(t) == period
     for p in HORNER_BASES:
         assert cns._interleave(p) is None
-    # X^6 = -27 mod X^2 + 3X + 3: constant, but no power of two
+    # X^6 = -27 mod X^2 + 3X + 3 and X^3 = 8 mod X^2 + 2X + 4: constant, but not 256
     assert reference_decode((0,) * 6 + (1,), HORNER_BASES[0]) == (-27, 0)
+    assert reference_decode((0,) * 3 + (1,), HORNER_BASES[3]) == (8, 0)
+
+
+def test_a_huge_constant_term_skips_the_power_search(monkeypatch):
+    """X^e = 256 mod q needs |q(0)| <= 256, so over X^2 + 3X + c, c of
+    10^5 digits, _interleave returns None and computes no power of X: a
+    string shorter than the parse length and one as long both decode by
+    the chunked Horner rule, whose tables are the only powers of X built.
+    The parse length is lowered to 4 so that the tables stay small."""
+    c = 10 ** 100_000 + 7
+    p = IntPoly((c, 3, 1))
+    monkeypatch.setattr(cns, "_PARSE_MIN_DIGITS", 4)
+    calls = []
+    real = cns.x_powers_mod
+
+    def spy(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(cns, "x_powers_mod", spy)
+    cns._x_power_columns.cache_clear()
+    for digits in ((5, c - 1), (1, 2, 0, c - 3, 1)):
+        rep = Representation(CnsBase(p), digits)
+        assert cns_decode(rep).coeffs == reference_decode(digits, p)
+    assert cns._interleave(p) is None
+    assert len(calls) == cns._x_power_columns.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("parse_min", [None, 1], ids=["short-by-reduction", "all-parsed"])
@@ -871,7 +934,8 @@ def test_only_bases_without_a_power_take_reduce_digits(monkeypatch):
 
 def test_decode_is_exempt_from_the_int_string_limit():
     """With str/int conversions capped at 640 digits, 2^14-bit expansions
-    and long random strings still decode: every parse is in base 2^s."""
+    and long random strings still decode: neither int.from_bytes nor the
+    chunked Horner rule converts a string."""
     limit = sys.get_int_max_str_digits()
     rng = random.Random(640)
     z = -(rng.getrandbits(16384) | 1 << 16383)

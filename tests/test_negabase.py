@@ -380,9 +380,9 @@ def pieces_eval(digits, x, size=10_000):
 def test_decode_equals_horner(b):
     """Every string of length 1 to 300, and one of 10^5 digits, decodes
     to its value at -b, also while str/int conversions of more than 640
-    digits are refused: the parse in bases 2, 4, 8, 16, 32 is exempt, and
-    the chunked reduction over X + b converts no string.  Beyond b = 256
-    the digits are a tuple."""
+    digits are refused: neither the int.from_bytes reads for b = 2, 4, 16
+    nor the chunked reduction over X + b converts a string.  Beyond
+    b = 256 the digits are a tuple."""
     rng = random.Random(b)
     limit = sys.get_int_max_str_digits()
     try:
@@ -397,23 +397,6 @@ def test_decode_equals_horner(b):
         assert decode_negabase(rep) == pieces_eval(digits, -b)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-@pytest.mark.parametrize("t", [2, -2, 4, -4, 8, -8, 16, -16, 32, -32])
-def test_values_at_power_of_two_read_every_eth_digit(t):
-    """values_at_power_of_two(digits, t, e)[r] is digits[r::e] evaluated at
-    t, zero where the string is shorter than r + 1; a digit of |t| or more
-    raises."""
-    rng = random.Random(t)
-    for e in (1, 2, 3, 4, 12):
-        for length in (1, e - 1, e, e + 1, 2 * e + 1, 97):
-            digits = random_digits(rng, abs(t), max(length, 1))
-            want = [poly_eval(IntPoly(digits[r::e]), t) if digits[r::e] else 0
-                    for r in range(e)]
-            assert negabase.values_at_power_of_two(digits, t, e) == want
-    for bad in ([abs(t)], [0, abs(t)], [-1], [256], [abs(t) + 48]):
-        with pytest.raises(ValueError):
-            negabase.values_at_power_of_two(bad, t, 2)
 
 
 @pytest.mark.parametrize("digits", [(1, 4, 2), (1, 0, 300), (0,) * 3, (2, 0), (), (3, 0, 0)],
